@@ -287,14 +287,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
         return args.fn(args)
     except BrokenPipeError:
         return 1
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.verbose:
             raise

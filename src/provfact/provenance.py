@@ -15,6 +15,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from .cq import Atom, Query
@@ -37,6 +38,7 @@ __all__ = [
     "tuple_id",
     "parse_database",
     "load_database",
+    "join_order",
     "compute_witnesses",
     "instantiate",
     "assemble",
@@ -203,8 +205,39 @@ class WitnessSet:
         return sep.join(" ".join(sorted(w.tuple_ids)) for w in self.witnesses)
 
 
+def join_order(q: Query, d: Database) -> tuple[Atom, ...]:
+    """The order in which `compute_witnesses` joins the atoms.
+
+    Next comes the atom sharing the most variables with the atoms already
+    joined, ties broken by the smaller relation, then by source position.
+    On a connected query every atom after the first thus shares a variable
+    with an earlier one, so no intermediate result is a cross product.
+    """
+    remaining = list(q.atoms)  # source order, for the last tie-break
+    bound: set[str] = set()
+    order = []
+    while remaining:
+        atom = min(
+            remaining,
+            key=lambda a: (-len(bound & a.varset), len(d.relations.get(a.relation, ()))),
+        )
+        remaining.remove(atom)
+        order.append(atom)
+        bound |= atom.varset
+    return tuple(order)
+
+
+def _tuple_getter(positions: list[int]):
+    """b -> tuple(b[i] for i in positions), without a per-call generator."""
+    if not positions:
+        return lambda b: ()
+    if len(positions) == 1:  # itemgetter of one index returns a bare item
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
 def compute_witnesses(q: Query, d: Database) -> WitnessSet:
-    """All witnesses via hash join over the atoms in source order; the result
+    """All witnesses via hash join over the atoms in `join_order`; the result
     is sorted by binding serialization for determinism."""
     for atom in q.atoms:
         for row in d.relations.get(atom.relation, ()):
@@ -213,34 +246,35 @@ def compute_witnesses(q: Query, d: Database) -> WitnessSet:
                     f"{atom.relation} row {row} has arity {len(row)}, "
                     f"atom {atom} expects {len(atom.vars)}"
                 )
-    bindings: list[dict[str, str]] = [{}]
-    bound: set[str] = set()
-    for atom in q.atoms:
-        rows = d.relations.get(atom.relation, ())
-        shared = [i for i, v in enumerate(atom.vars) if v in bound]
-        fresh = [i for i, v in enumerate(atom.vars) if v not in bound]
+    # A partial binding is a tuple of constants; slot[v] is v's position.
+    bindings: list[tuple[str, ...]] = [()]
+    slot: dict[str, int] = {}
+    for atom in join_order(q, d):
+        shared = [i for i, v in enumerate(atom.vars) if v in slot]
+        key_of = _tuple_getter([slot[atom.vars[i]] for i in shared])
+        fresh: list[int] = []
+        for i, v in enumerate(atom.vars):
+            if v not in slot:
+                slot[v] = len(slot)
+                fresh.append(i)
+        row_key, row_ext = _tuple_getter(shared), _tuple_getter(fresh)
         index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for row in rows:
-            index.setdefault(tuple(row[i] for i in shared), []).append(row)
-        new_bindings = []
-        for b in bindings:
-            key = tuple(b[atom.vars[i]] for i in shared)
-            for row in index.get(key, ()):
-                nb = dict(b)
-                for i in fresh:
-                    nb[atom.vars[i]] = row[i]
-                new_bindings.append(nb)
-        bindings = new_bindings
-        bound.update(atom.vars)
+        for row in d.relations.get(atom.relation, ()):
+            index.setdefault(row_key(row), []).append(row_ext(row))
+        bindings = [b + ext for b in bindings for ext in index.get(key_of(b), ())]
         if not bindings:
-            break
+            return WitnessSet(q, ())
 
-    witnesses = []
-    for b in bindings:
-        tups = tuple(
-            (a.relation, tuple(b[v] for v in a.vars)) for a in q.atoms
+    names = sorted(slot)
+    name_values = _tuple_getter([slot[v] for v in names])
+    atom_values = [(a.relation, _tuple_getter([slot[v] for v in a.vars])) for a in q.atoms]
+    witnesses = [
+        Witness(
+            tuple(zip(names, name_values(b))),
+            tuple([(rel, values(b)) for rel, values in atom_values]),
         )
-        witnesses.append(Witness(tuple(sorted(b.items())), tups))
+        for b in bindings
+    ]
     witnesses.sort(key=lambda w: w.key)
     return WitnessSet(q, tuple(witnesses))
 

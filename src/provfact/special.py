@@ -153,28 +153,81 @@ def _find_plan(mveo: tuple[Veo, ...], plan: Veo) -> Veo:
 # two-star: A(x), B(x,y), C(y)
 # ---------------------------------------------------------------------------
 
-def _kuhn_matching(adj: dict, left: list) -> dict:
-    """Deterministic augmenting-path bipartite matching; returns right->left."""
+def _adjacency(edges) -> dict:
+    """Left vertex -> right neighbours, in one pass over the edges."""
+    adj: dict = {}
+    for l, r in edges:
+        adj.setdefault(l, []).append(r)
+    return adj
+
+
+def _max_matching(adj: dict) -> dict:
+    """Maximum bipartite matching by Hopcroft–Karp; returns right->left.
+
+    Each phase layers the left vertices by breadth-first search from the
+    unmatched ones, then augments along shortest paths of that layering,
+    found with an explicit stack: no path length reaches Python's recursion
+    limit.  O(E·√V).
+    """
+    match_l: dict = {}
     match_r: dict = {}
+    while True:
+        free = [u for u in adj if u not in match_l]
+        dist = dict.fromkeys(free, 0)
+        layer, limit = free, None
+        while layer and limit is None:
+            nxt = []
+            for u in layer:
+                for v in adj[u]:
+                    w = match_r.get(v)
+                    if w is None:
+                        limit = dist[u]
+                    elif w not in dist:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            layer = nxt
+        if limit is None:
+            return match_r
+        pos = dict.fromkeys(dist, 0)
+        for root in free:
+            stack, via = [root], []
+            while stack:
+                u = stack[-1]
+                nbrs, i = adj[u], pos[u]
+                step = None
+                while i < len(nbrs):
+                    v = nbrs[i]
+                    i += 1
+                    w = match_r.get(v)
+                    if w is None or (dist[u] < limit and dist.get(w) == dist[u] + 1):
+                        step = v, w
+                        break
+                pos[u] = i
+                if step is None:  # dead end for the rest of this phase
+                    dist[u] = -1
+                    stack.pop()
+                    if via:
+                        via.pop()
+                elif step[1] is None:  # free right vertex: flip the path
+                    via.append(step[0])
+                    for u, v in zip(stack, via):
+                        match_l[u], match_r[v] = v, u
+                    break
+                else:
+                    via.append(step[0])
+                    stack.append(step[1])
 
-    def try_augment(u, visited) -> bool:
-        for v in adj[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_r or try_augment(match_r[v], visited):
-                match_r[v] = u
-                return True
-        return False
 
-    for u in left:
-        try_augment(u, set())
-    return match_r
+def _koenig_cover(adj: dict, match_r: dict) -> tuple[set, set]:
+    """Minimum vertex cover (cover_l, cover_r) from a maximum matching.
 
-
-def _koenig_cover(adj: dict, left: list, match_r: dict) -> tuple[set, set]:
-    """Minimum vertex cover (cover_l, cover_r) from a maximum matching."""
+    Z is what alternating paths reach from the unmatched left vertices; the
+    cover is (left - Z) | (right & Z).  By Dulmage–Mendelsohn, Z is the same
+    for every maximum matching, so the cover does not depend on which one
+    `_max_matching` returns.
+    """
     match_l = {u: v for v, u in match_r.items()}
+    left = list(adj)
     z_l = {u for u in left if u not in match_l}
     z_r: set = set()
     queue = list(z_l)
@@ -217,10 +270,8 @@ def solve_q2star(W: WitnessSet) -> Factorization:
     plan_y = _find_plan(mveo, veo_node((y,), (veo_node((x,)),)))
 
     edges = [(("L", w.values[x]), ("R", w.values[y])) for w in W.witnesses]
-    left = sorted({l for l, _ in edges})
-    adj: dict = {l: sorted({r for l2, r in edges if l2 == l}) for l in left}
-    match_r = _kuhn_matching(adj, left)
-    cover_l, cover_r = _koenig_cover(adj, left, match_r)
+    adj = _adjacency(edges)
+    cover_l, cover_r = _koenig_cover(adj, _max_matching(adj))
 
     assignment: dict[Witness, Veo] = {}
     for w, (l, r) in zip(W.witnesses, edges):
@@ -299,11 +350,8 @@ def solve_triangle_unary(
     for w in second_type:
         edges.append((("x", w.values[x]), ("yz", w.values[y], w.values[z]), w))
 
-    active = [(l, r) for l, r, _ in edges if l not in forced]
-    left = sorted({l for l, _ in active})
-    adj = {l: sorted({r for l2, r in active if l2 == l}) for l in left}
-    match_r = _kuhn_matching(adj, left)
-    cover_l, cover_r = _koenig_cover(adj, left, match_r)
+    adj = _adjacency((l, r) for l, r, _ in edges if l not in forced)
+    cover_l, cover_r = _koenig_cover(adj, _max_matching(adj))
     cover = cover_l | cover_r | forced
 
     assignment: dict[Witness, Veo] = {}

@@ -14,6 +14,27 @@ from collections import deque
 
 
 # ---------------------------------------------------------------------------
+# Witnesses
+# ---------------------------------------------------------------------------
+
+def brute_bindings(q, db):
+    """Every consistent choice of one row per atom, as a sorted binding.
+
+    Enumerates the product of the relations, so keep databases tiny.
+    """
+    out = set()
+    for rows in itertools.product(*(db.relations.get(a.relation, ()) for a in q.atoms)):
+        binding = {}
+        if all(
+            binding.setdefault(v, c) == c
+            for a, row in zip(q.atoms, rows)
+            for v, c in zip(a.vars, row)
+        ):
+            out.add(tuple(sorted(binding.items())))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Factorization length
 # ---------------------------------------------------------------------------
 

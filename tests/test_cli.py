@@ -254,6 +254,37 @@ def test_error_exit_codes(capsys, files, tmp_path):
     assert rc2 == 1 and "error:" in err2
 
 
+def test_invariant_failure_is_reported_as_error(capsys, files, monkeypatch):
+    """An internal AssertionError (e.g. flow's "extracted length exceeds cut
+    value" on 4chain) exits 1 with an `error:` line; --verbose re-raises."""
+    import provfact.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("extracted length 164 exceeds cut value 160")
+
+    monkeypatch.setattr(cli, "dispatch", broken)
+    argv = ["factorize", files["q2star.q"], files["fig2a.db"], "--method", "flow"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert err.strip() == "error: extracted length 164 exceeds cut value 160"
+    assert "Traceback" not in err and out == ""
+    with pytest.raises(AssertionError):
+        main(["--verbose"] + argv)
+
+
+def test_verbose_shows_debug_lines(files):
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "provfact.cli", "--verbose",
+            "factorize", files["triangle.q"], files["fig7d.db"], "--method", "flow",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "DEBUG provfact.flow: flow graph: " in proc.stderr
+
+
 def test_global_flags_must_precede_subcommand(files):
     with pytest.raises(SystemExit) as exc:
         main(["factorize", files["q2star.q"], files["fig2a.db"], "--ascii"])

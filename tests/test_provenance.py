@@ -1,12 +1,15 @@
 """Databases, witnesses, assembly, equivalence checking, read-once detection."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import dbs
 import oracles
-from provfact.gen import GenSpec, fixture_query, gen_random
+from provfact.cq import Query, parse_query
+from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.provenance import (
     ArityMismatch,
     Database,
@@ -17,6 +20,7 @@ from provfact.provenance import (
     compute_witnesses,
     detect_p4,
     fact_decision,
+    join_order,
     load_database,
     parse_database,
     tuple_id,
@@ -91,6 +95,47 @@ def test_compute_witnesses_fig2a(fig2a_db):
     assert w.values == {"x": "1", "y": "2"}
     assert W.dnf_terms() == {w.tuple_set for w in W.witnesses}
     assert len(W.distinct_tuples) == 10
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_compute_witnesses_independent_of_atom_order(name):
+    """Every atom permutation gives the same sorted witnesses (tuples
+    realigned to the permuted atoms), and they are exactly the brute-force
+    consistent row choices."""
+    q = fixture_query(name)
+    db = gen_random(GenSpec(query=q, d=4, tuples=10, seed=3))
+    W = compute_witnesses(q, db)
+    assert W.witnesses
+    assert {w.binding for w in W.witnesses} == oracles.brute_bindings(q, db)
+    for perm in itertools.permutations(range(len(q.atoms))):
+        qp = Query(q.name, tuple(q.atoms[i] for i in perm))
+        Wp = compute_witnesses(qp, db)
+        assert [w.binding for w in Wp.witnesses] == [w.binding for w in W.witnesses]
+        assert [w.tuples for w in Wp.witnesses] == [
+            tuple(w.tuples[i] for i in perm) for w in W.witnesses
+        ]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_join_order_is_connected(name):
+    q = fixture_query(name)
+    db = gen_random(GenSpec(query=q, d=5, tuples=12, seed=1))
+    for perm in itertools.permutations(q.atoms):
+        order = join_order(Query(q.name, perm), db)
+        assert sorted(order) == sorted(q.atoms)
+        for i in range(1, len(order)):
+            assert order[i].varset & set().union(*(a.varset for a in order[:i]))
+
+
+def test_join_order_tie_breaks():
+    # R first (smallest relation, then source position), then the atom that
+    # shares x rather than the cross product with T
+    q = parse_query("Q :- R(x), T(y), S(x,y)")
+    s = [("1", "1"), ("1", "2"), ("2", "1")]
+    db = Database.from_dict({"R": [("1",), ("2",)], "T": [("1",), ("2",)], "S": s})
+    assert [a.relation for a in join_order(q, db)] == ["R", "S", "T"]
+    db2 = Database.from_dict({"R": [("1",), ("2",)], "T": [("1",)], "S": s})
+    assert [a.relation for a in join_order(q, db2)] == ["T", "S", "R"]
 
 
 def test_compute_witnesses_arity_mismatch():

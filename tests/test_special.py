@@ -1,5 +1,8 @@
 """Query classification, closed-form specials, and the dispatch front door."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,9 +10,12 @@ from hypothesis import strategies as st
 from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
-from provfact.provenance import compute_witnesses, verify_equivalence
+from provfact.provenance import Database, compute_witnesses, verify_equivalence
 from provfact.special import (
     ShapeMismatch,
+    _adjacency,
+    _koenig_cover,
+    _max_matching,
     classify,
     dispatch,
     solve_q2star,
@@ -97,6 +103,89 @@ def test_solve_two_chain_we_matches_exact(seed):
     fact = solve_two_chain_we(W)
     assert fact.length == solve_exact(q, W).length
     assert verify_equivalence(fact, W)
+
+
+# --- bipartite matching and deep instances -------------------------------
+
+
+@given(st.integers(0, 10_000))
+def test_max_matching_and_cover_are_optimal(seed):
+    """Hopcroft–Karp matching and the Kőnig cover against a brute-force
+    minimum vertex cover (Kőnig: both have the same size)."""
+    rng = random.Random(seed)
+    nl, nr = rng.randint(1, 6), rng.randint(1, 6)
+    edges = [
+        (("L", i), ("R", j)) for i in range(nl) for j in range(nr) if rng.random() < 0.4
+    ] or [(("L", 0), ("R", 0))]
+    adj = _adjacency(edges)
+    match_r = _max_matching(adj)
+    assert all((u, v) in edges for v, u in match_r.items())
+    assert len(set(match_r.values())) == len(match_r)
+    cover_l, cover_r = _koenig_cover(adj, match_r)
+    assert all(l in cover_l or r in cover_r for l, r in edges)
+    vertices = sorted({v for e in edges for v in e})
+    brute = next(
+        k
+        for k in range(len(vertices) + 1)
+        for c in itertools.combinations(vertices, k)
+        if all(l in c or r in c for l, r in edges)
+    )
+    assert len(match_r) == len(cover_l) + len(cover_r) == brute
+
+
+def _c(k):
+    return f"{k:04d}"
+
+
+def _path_q2star(n):
+    """Two-star witnesses forming one alternating path x1-y1-x2-y2-…-xn-yn:
+    2n-1 witnesses whose augmenting paths grow to length n."""
+    ks = range(1, n + 1)
+    S = [(_c(1), _c(1))] + [p for k in ks[1:] for p in ((_c(k), _c(k - 1)), (_c(k), _c(k)))]
+    return Database.from_dict({"R": [(_c(k),) for k in ks], "S": S, "T": [(_c(k),) for k in ks]})
+
+
+def _path_triangle_unary(n):
+    """Unary-triangle witnesses (k, k, k) and (k+1, k, k): every binary
+    tuple occurs once, and the x / yz graph is one path of 2n-1 edges."""
+    ks = range(1, n + 1)
+    return Database.from_dict({
+        "U": [(_c(k),) for k in ks],
+        "R": [(_c(k), _c(k)) for k in ks] + [(_c(k), _c(k - 1)) for k in ks[1:]],
+        "S": [(_c(k), _c(k)) for k in ks],
+        "T": [(_c(k), _c(k)) for k in ks] + [(_c(k - 1), _c(k)) for k in ks[1:]],
+    })
+
+
+PATH_SHAPES = {
+    # fixture, database builder, method, optimal length for n
+    "q2star": (_path_q2star, "q2star", lambda n: 5 * n - 2),
+    "triangle-u": (_path_triangle_unary, "triangle-unary", lambda n: 7 * n - 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_SHAPES))
+def test_path_instances_small_match_exact(name):
+    build, _, length = PATH_SHAPES[name]
+    q = fixture_query(name)
+    for n in (2, 3, 4):
+        W = compute_witnesses(q, build(n))
+        assert len(W) == 2 * n - 1
+        assert solve_exact(q, W).length == length(n)
+
+
+@pytest.mark.parametrize("name", sorted(PATH_SHAPES))
+def test_path_instances_deep_no_recursion(name):
+    """Augmenting paths of length 1500 exceed Python's default recursion
+    limit; the iterative matching must not care."""
+    build, method, length = PATH_SHAPES[name]
+    q = fixture_query(name)
+    W = compute_witnesses(q, build(1500))
+    assert len(W) == 2999
+    rep = dispatch(q, W)
+    assert rep.method == method
+    assert rep.length == length(1500)
+    assert rep.optimal and rep.verified
 
 
 # --- dispatch routing ---------------------------------------------------
