@@ -290,6 +290,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # basicConfig does nothing when the root logger already has a handler
+    # (in-process callers, pytest), so set the package logger's level too.
+    logging.getLogger("provfact").setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
     try:
         return args.fn(args)
     except BrokenPipeError:

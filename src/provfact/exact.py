@@ -61,7 +61,7 @@ def _prepare(q: Query, W: WitnessSet):
     """Intern every (witness, plan) prefix-instance list as integer ids."""
     mveo = enumerate_mveo(q)
     prefixes = [table_prefixes(v, q) for v in mveo]
-    serial_ids: dict[str, int] = {}
+    path_ids: dict = {}  # instance path -> id
     weights: list[int] = []
     inst_lists: list[list[list[int]]] = []  # [witness][veo] -> instance ids
     produced_by: list[set[int]] = []  # instance id -> witness indices
@@ -72,10 +72,10 @@ def _prepare(q: Query, W: WitnessSet):
             ids = []
             for tp in prefixes[vi]:
                 inst = instantiate(tp, w)
-                iid = serial_ids.get(inst.serial)
+                iid = path_ids.get(inst.path)
                 if iid is None:
                     iid = len(weights)
-                    serial_ids[inst.serial] = iid
+                    path_ids[inst.path] = iid
                     weights.append(tp.weight)
                     produced_by.append(set())
                 produced_by[iid].add(wi)

@@ -1,7 +1,7 @@
 """Flow/min-cut heuristic for minimal factorization.
 
-Each witness contributes a source-to-sink chain of zero-capacity plan nodes
-(one per ordering leaf); every prefix instance becomes a weighted node that
+Each witness contributes a source-to-sink chain of plan alternatives (one
+per ordering leaf); every prefix instance becomes a weighted node that
 bypasses the chain segment its plan positions span, shared across witnesses.
 A minimum s-t node cut then selects one plan per witness plus the prefix
 instances those plans need; cross-witness paths through shared instance
@@ -11,21 +11,34 @@ queries (leakage).
 Parallel segments of a nested ordering become parallel sub-chains between
 shared connectors, so a cut chooses one alternative per independent
 component.
+
+The network is stored contracted.  A witness chain starts at the source
+and ends at the sink themselves, so only the connectors between its
+alternatives are nodes.  A capacity node whose entries all leave one
+connector (every leaf node, and most instance nodes) is the single arc
+``connector -> out``; only the others keep a separate entry node.  Both
+contractions keep every finite cut, so the cut the kernel returns (the
+smallest minimum-cut source side, which is unique) is the same as on the
+uncontracted network.  Prefix instances are interned as integer ids keyed
+by their path; the ordering's shape is walked once, and each witness keeps
+only its instance ids.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .cq import Query
 from .provenance import (
     Factorization,
     PrefixInstance,
+    UnboundVariable,
     Witness,
     WitnessSet,
+    _tuple_getter,
     assemble,
-    instantiate,
 )
 from .veo import Node, Ordering, Veo, _chain, prefix_path
 
@@ -77,33 +90,125 @@ def kernel_name(kind: str = "auto") -> str:
     return _load_kernel(kind)[1]
 
 
-# node keys: ("s",) ("t",) ("c", w, i) ("q", w, leaf) ("p", serial)
-_S = ("s",)
-_T = ("t",)
+# Node ids: 0 is the source S, 1 the sink T, then every witness's own
+# connectors, then the capacity nodes.  Within the skeleton a connector is
+# witness-local: 0 and 1 stand for S and T, and c >= 2 is node c + wi * K
+# of witness wi, K being the skeleton's connector count.
+_S, _T = 0, 1
 
 
 @dataclass
-class _Site:
-    a: int  # left connector node id
-    b: int  # right connector node id
-    leaf: tuple[int, int] | None  # (witness, leaf index) when attached at a leaf
-
-
-@dataclass
-class _Shadow:
-    """Per-witness mirror of one ordering alternative, for extraction."""
+class _Alt:
+    """One ordering alternative, the same for every witness."""
 
     ext: tuple[Node, ...]
-    ext_serials: list[str] = field(default_factory=list)
-    leaf: tuple[int, int] | None = None
-    sub: Veo | None = None
-    leaf_serials: list[str] = field(default_factory=list)
-    children: list["_Shadow"] = field(default_factory=list)
-    comps: list[list["_Shadow"]] = field(default_factory=list)
+    slots: range  # instance slots of its ext prefixes and leaf groups
+    leaf: int | None = None  # leaf index when the alternative is a leaf
+    fragment: Veo | None = None  # the leaf's plan fragment below the parent
+    children: list["_Alt"] = field(default_factory=list)
+    comps: list[list["_Alt"]] = field(default_factory=list)
+
+
+@dataclass
+class _Skeleton:
+    """The witness-independent shape of the network for one ordering.
+
+    A slot is one prefix instance a witness attaches to the network; slot j
+    of every witness uses the node path ``paths[slot_paths[j]]`` between
+    connectors ``slot_sites[j]``, a leaf site when its third entry is a leaf
+    index.
+    """
+
+    alts: list[_Alt] = field(default_factory=list)
+    paths: list[tuple[Node, ...]] = field(default_factory=list)  # template id -> path
+    weights: list[int] = field(default_factory=list)  # template id -> weight
+    slot_paths: list[int] = field(default_factory=list)
+    slot_sites: list[tuple[int, int, int | None]] = field(default_factory=list)
+    leaves: list[tuple[int, int]] = field(default_factory=list)  # leaf -> (left, right)
+    connectors: int = 0  # own connectors per witness
+
+
+def _anchored_weight(q: Query, path: tuple[Node, ...]) -> int:
+    pathvars = frozenset(v for node in path for v in node)
+    last = frozenset(path[-1])
+    return sum(
+        1 for a in q.atoms if a.varset <= pathvars and a.varset & last
+    )
+
+
+def _skeleton(q: Query, ordering: Ordering) -> _Skeleton:
+    """Walk the ordering once: connectors, slots and leaf groups."""
+    sk = _Skeleton()
+    path_id: dict[tuple[Node, ...], int] = {}
+
+    def add_slot(path: tuple[Node, ...], weight: int, a: int, b: int, leaf):
+        tid = path_id.get(path)
+        if tid is None:
+            tid = path_id[path] = len(sk.paths)
+            sk.paths.append(path)
+            sk.weights.append(weight)
+        elif sk.weights[tid] != weight:
+            raise AssertionError(f"inconsistent weight for prefix path {path}")
+        sk.slot_paths.append(tid)
+        sk.slot_sites.append((a, b, leaf))
+
+    def walk_seq(alts, a: int, b: int, cum) -> list[_Alt]:
+        conns = [a]
+        for _ in range(len(alts) - 1):
+            conns.append(2 + sk.connectors)
+            sk.connectors += 1
+        conns.append(b)
+        return [walk_alt(alt, conns[i], conns[i + 1], cum) for i, alt in enumerate(alts)]
+
+    def walk_alt(alt, a: int, b: int, cum) -> _Alt:
+        new_cum = cum + alt.ext
+        start = len(sk.slot_paths)
+        for d in range(len(cum) + 1, len(new_cum) + 1):
+            path = new_cum[:d]
+            wgt = _anchored_weight(q, path)
+            if wgt:
+                add_slot(path, wgt, a, b, None)
+        leaf = None
+        if alt.sub is not None:
+            leaf = len(sk.leaves)
+            sk.leaves.append((a, b))
+            fragment = _chain(new_cum, (alt.sub,)) if new_cum else alt.sub
+            groups: dict[tuple[Node, ...], int] = {}
+            for atom in q.atoms:
+                if atom.varset <= fragment.vars_below:
+                    p = prefix_path(fragment, atom.varset)
+                    if len(p) > len(new_cum):
+                        groups[p] = groups.get(p, 0) + 1
+            for p in sorted(groups):
+                add_slot(p, groups[p], a, b, leaf)
+        node = _Alt(alt.ext, range(start, len(sk.slot_paths)), leaf)
+        if alt.sub is not None:
+            node.fragment = _chain(alt.ext, (alt.sub,)) if alt.ext else alt.sub
+        elif alt.seq:
+            node.children = walk_seq(alt.seq, a, b, new_cum)
+        else:
+            node.comps = [walk_seq(comp, a, b, new_cum) for comp in alt.par]
+        return node
+
+    sk.alts = walk_seq(ordering.alts, _S, _T, ())
+    return sk
 
 
 @dataclass
 class FlowGraph:
+    """The contracted flow network of one (query, witnesses, ordering).
+
+    `cap_nodes` maps each capacity-node label to ``(in, out, cap)``: the
+    node is cut when `in` is on the source side and `out` is not.  Labels
+    are ``("q", witness, leaf)`` for a leaf node and ``("p", instance id)``
+    for a shared prefix instance; `in` is the connector itself when the
+    node has one entry.  Instance ids index `instances` (path template id
+    and the witness's binding pairs of that path) and `payer` (the label
+    of the cap node that carries the instance's weight: its own, or the
+    leaf it was folded into).  `slots` holds each witness's instance ids,
+    ``len(skeleton.slot_paths)`` per witness.
+    """
+
     query: Query
     witnesses: WitnessSet
     ordering: Ordering
@@ -111,20 +216,46 @@ class FlowGraph:
     arcs: list[tuple[int, int, int]]
     source: int
     sink: int
-    cap_nodes: dict[tuple, tuple[int, int, int]]  # key -> (in_id, out_id, cap)
-    shadows: list[_Shadow]  # one per (witness, top alternative), grouped
-    shadow_tops: list[list[_Shadow]]  # per witness, top-level alternatives
-    instances: dict[str, PrefixInstance]
-    folded: dict[str, tuple[int, int]]  # serial -> owning leaf key
+    cap_nodes: dict[tuple, tuple[int, int, int]]  # label -> (in_id, out_id, cap)
     inf: int
-    names: dict[int, str]
+    skeleton: _Skeleton
+    instances: list[tuple[int, tuple]]
+    payer: list[tuple]
+    slots: list[int]
+
+    def instance(self, iid: int) -> PrefixInstance:
+        """The prefix instance with id `iid`."""
+        tid, pairs = self.instances[iid]
+        vals = iter(pairs)
+        return PrefixInstance(
+            tuple(
+                (node, tuple(next(vals)[1] for _ in node))
+                for node in self.skeleton.paths[tid]
+            )
+        )
+
+    def label_text(self, label: tuple) -> str:
+        """Readable name of a cap-node label, e.g. ``q3.1`` or ``p[x1 <- y2]``."""
+        if label[0] == "q":
+            return f"q{label[1]}.{label[2]}"
+        return f"p[{self.instance(label[1]).serial}]"
 
     def dot(self) -> str:
-        """GraphViz rendering of the construction (for --dump-graph)."""
+        """GraphViz rendering of the contracted network (for --dump-graph)."""
+        k = self.skeleton.connectors
+        first_cap = 2 + len(self.witnesses) * k
+        names = {self.source: "S", self.sink: "T"}
+        for nid in range(2, first_cap):
+            names[nid] = f"c{(nid - 2) // k}.{(nid - 2) % k}"
+        for label, (nin, nout, _cap) in self.cap_nodes.items():
+            text = self.label_text(label)
+            if nin >= first_cap:  # a separate entry node
+                names[nin] = f"{text}.in"
+                text += ".out"
+            names[nout] = text
         lines = ["digraph flow {", "  rankdir=LR;"]
         for nid in range(self.node_count):
-            label = self.names.get(nid, f"n{nid}")
-            lines.append(f'  n{nid} [label="{label}"];')
+            lines.append(f'  n{nid} [label="{names[nid]}"];')
         for u, v, c in self.arcs:
             style = "" if c < self.inf else " [style=dashed]"
             cap = str(c) if c < self.inf else "inf"
@@ -141,14 +272,6 @@ class FlowResult:
     reachable: list[bool]
 
 
-def _anchored_weight(q: Query, path: tuple[Node, ...]) -> int:
-    pathvars = frozenset(v for node in path for v in node)
-    last = frozenset(path[-1])
-    return sum(
-        1 for a in q.atoms if a.varset <= pathvars and a.varset & last
-    )
-
-
 def build_flow_graph(
     q: Query, W: WitnessSet, ordering: Ordering, strict_rp: bool = False
 ) -> FlowGraph:
@@ -157,171 +280,109 @@ def build_flow_graph(
         raise NonRpOrdering(
             "ordering violates the running-prefixes property in strict mode"
         )
+    sk = _skeleton(q, ordering)
+    k = sk.connectors
+    names = tuple(sorted(q.variables))
+    position = {v: i for i, v in enumerate(names)}
+    getters = [
+        _tuple_getter([position[v] for node in path for v in node]) for path in sk.paths
+    ]
+    plan = [
+        (tid, getters[tid], a, b, leaf)
+        for tid, (a, b, leaf) in zip(sk.slot_paths, sk.slot_sites)
+    ]
+    var_names = itemgetter(0)
 
-    names: dict[int, str] = {}
-    next_id = [0]
-
-    def new_node(label: str) -> int:
-        nid = next_id[0]
-        next_id[0] += 1
-        names[nid] = label
-        return nid
-
-    source = new_node("S")
-    sink = new_node("T")
-
-    # pass 1: walk every witness, recording attachment sites per instance
-    sites: dict[str, list[tuple[int, _Site]]] = {}  # serial -> [(witness, site)]
-    instances: dict[str, PrefixInstance] = {}
-    weights: dict[str, int] = {}
-    leaf_bounds: dict[tuple[int, int], tuple[int, int]] = {}
-    shadow_tops: list[list[_Shadow]] = []
-    chain_arcs: list[tuple[int, int]] = []  # connector-to-connector plumbing
-
-    def attach(wi: int, inst: PrefixInstance, wgt: int, a: int, b: int, leaf):
-        rec = sites.setdefault(inst.serial, [])
-        rec.append((wi, _Site(a, b, leaf)))
-        instances[inst.serial] = inst
-        prev = weights.get(inst.serial)
-        if prev is not None and prev != wgt:
-            raise AssertionError(f"inconsistent weight for instance {inst.serial}")
-        weights[inst.serial] = wgt
-
+    # pass 1: intern every witness's instances and merge their sites into
+    # runs; per instance, `runs` lists (left, right, leaf label or None)
+    ids: dict[tuple[int, tuple], int] = {}
+    weights: list[int] = []
+    runs: list[list[tuple[int, int, tuple | None]]] = []
+    slots: list[int] = []
+    q_caps: dict[tuple, int] = {}  # leaf label -> weight folded into it
     for wi, w in enumerate(W.witnesses):
-        leaf_counter = [0]
-        tops: list[_Shadow] = []
-
-        def walk_seq(alts, a, b, cum, out_list):
-            conns = [a]
-            for _ in range(len(alts) - 1):
-                conns.append(new_node(f"c{wi}.{len(conns)}"))
-            conns.append(b)
-            for i, alt in enumerate(alts):
-                out_list.append(walk_alt(alt, conns[i], conns[i + 1], cum))
-
-        def walk_alt(alt, a, b, cum) -> _Shadow:
-            new_cum = cum + alt.ext
-            sh = _Shadow(ext=alt.ext)
-            for d in range(len(cum) + 1, len(new_cum) + 1):
-                path = new_cum[:d]
-                wgt = _anchored_weight(q, path)
-                if wgt:
-                    inst = instantiate(path, w)
-                    attach(wi, inst, wgt, a, b, None)
-                    sh.ext_serials.append(inst.serial)
-            if alt.sub is not None:
-                fragment = _chain(new_cum, (alt.sub,)) if new_cum else alt.sub
-                leaf_key = (wi, leaf_counter[0])
-                leaf_counter[0] += 1
-                sh.leaf = leaf_key
-                sh.sub = alt.sub
-                leaf_bounds[leaf_key] = (a, b)
-                groups: dict[tuple[Node, ...], int] = {}
-                for atom in q.atoms:
-                    if atom.varset <= fragment.vars_below:
-                        p = prefix_path(fragment, atom.varset)
-                        if len(p) > len(new_cum):
-                            groups[p] = groups.get(p, 0) + 1
-                for p in sorted(groups):
-                    inst = instantiate(p, w)
-                    attach(wi, inst, groups[p], a, b, leaf_key)
-                    sh.leaf_serials.append(inst.serial)
-            elif alt.seq:
-                walk_seq(alt.seq, a, b, new_cum, sh.children)
+        binding = w.binding
+        if tuple(map(var_names, binding)) != names:
+            missing = sorted(set(names) - set(map(var_names, binding)))
+            raise UnboundVariable(f"witness {w.key} does not bind {missing}")
+        off = wi * k
+        labels = [("q", wi, li) for li in range(len(sk.leaves))]
+        q_caps.update(dict.fromkeys(labels, 0))
+        for tid, get, a, b, leaf in plan:
+            key = (tid, get(binding))
+            iid = ids.get(key)
+            if iid is None:
+                iid = ids[key] = len(weights)
+                weights.append(sk.weights[tid])
+                runs.append([])
+            slots.append(iid)
+            if a > _T:
+                a += off
+            if b > _T:
+                b += off
+            r = runs[iid]
+            if r and r[-1][1] == a:  # adjacent to the previous run: extend it
+                r[-1] = (r[-1][0], b, None)
             else:
-                for comp in alt.par:
-                    comp_out: list[_Shadow] = []
-                    walk_seq(comp, a, b, new_cum, comp_out)
-                    sh.comps.append(comp_out)
-            return sh
-
-        w_start = new_node(f"c{wi}.s")
-        w_end = new_node(f"c{wi}.e")
-        chain_arcs.append((source, w_start))
-        chain_arcs.append((w_end, sink))
-        walk_seq(ordering.alts, w_start, w_end, (), tops)
-        shadow_tops.append(tops)
-
-    # merge adjacent sites (shared connector) into runs, per witness+instance
-    merged: dict[str, list[tuple[int, _Site]]] = {}
-    for serial, recs in sites.items():
-        by_w: dict[int, list[_Site]] = {}
-        for wi, site in recs:
-            by_w.setdefault(wi, []).append(site)
-        out: list[tuple[int, _Site]] = []
-        for wi, slist in by_w.items():
-            runs: list[_Site] = []
-            for s in slist:
-                if runs and runs[-1].b == s.a:
-                    prev = runs[-1]
-                    runs[-1] = _Site(prev.a, s.b, None)
-                else:
-                    runs.append(s)
-            out.extend((wi, r) for r in runs)
-        merged[serial] = out
+                r.append((a, b, None if leaf is None else labels[leaf]))
 
     # fold instances touched by exactly one leaf globally into that leaf's q
-    folded: dict[str, tuple[int, int]] = {}
-    q_caps: dict[tuple[int, int], int] = {key: 0 for key in leaf_bounds}
-    for serial, recs in merged.items():
-        if len(recs) == 1 and recs[0][1].leaf is not None:
-            leaf = recs[0][1].leaf
-            q_caps[leaf] += weights[serial]
-            folded[serial] = leaf
+    payer: list[tuple] = [()] * len(weights)
+    for iid, r in enumerate(runs):
+        if len(r) == 1 and r[0][2] is not None:
+            payer[iid] = r[0][2]
+            q_caps[r[0][2]] += weights[iid]
 
-    total = sum(weights.values()) + 1
-    inf = total
-
+    inf = sum(weights) + 1
+    next_id = 2 + len(W.witnesses) * k
     cap_nodes: dict[tuple, tuple[int, int, int]] = {}
-    arcs: list[tuple[int, int, int]] = [(u, v, inf) for u, v in chain_arcs]
+    arcs: list[tuple[int, int, int]] = []
+    for label, cap in q_caps.items():
+        wi, li = label[1], label[2]
+        a, b = (c if c <= _T else c + wi * k for c in sk.leaves[li])
+        cap_nodes[label] = (a, next_id, cap)
+        arcs.append((a, next_id, cap))
+        arcs.append((next_id, b, inf))
+        next_id += 1
 
-    for leaf_key in sorted(leaf_bounds):
-        a, b = leaf_bounds[leaf_key]
-        nin = new_node(f"q{leaf_key[0]}.{leaf_key[1]}.in")
-        nout = new_node(f"q{leaf_key[0]}.{leaf_key[1]}.out")
-        cap_nodes[("q",) + leaf_key] = (nin, nout, q_caps[leaf_key])
-        arcs.append((nin, nout, q_caps[leaf_key]))
-        arcs.append((a, nin, inf))
-        arcs.append((nout, b, inf))
-
-    for serial in sorted(merged):
-        if serial in folded:
+    for iid, r in enumerate(runs):
+        if payer[iid]:
             continue
-        nin = new_node(f"p[{serial}].in")
-        nout = new_node(f"p[{serial}].out")
-        cap_nodes[("p", serial)] = (nin, nout, weights[serial])
-        arcs.append((nin, nout, weights[serial]))
-        seen_arcs = set()
-        for _, site in merged[serial]:
-            if (site.a, nin) not in seen_arcs:
-                arcs.append((site.a, nin, inf))
-                seen_arcs.add((site.a, nin))
-            if (nout, site.b) not in seen_arcs:
-                arcs.append((nout, site.b, inf))
-                seen_arcs.add((nout, site.b))
+        label = payer[iid] = ("p", iid)
+        lefts = dict.fromkeys(a for a, _, _ in r)
+        if len(lefts) == 1:
+            nin = r[0][0]
+        else:
+            nin = next_id
+            next_id += 1
+            arcs.extend((a, nin, inf) for a in lefts)
+        nout = next_id
+        next_id += 1
+        cap_nodes[label] = (nin, nout, weights[iid])
+        arcs.append((nin, nout, weights[iid]))
+        arcs.extend((nout, b, inf) for b in dict.fromkeys(b for _, b, _ in r))
 
     g = FlowGraph(
         query=q,
         witnesses=W,
         ordering=ordering,
-        node_count=next_id[0],
+        node_count=next_id,
         arcs=arcs,
-        source=source,
-        sink=sink,
+        source=_S,
+        sink=_T,
         cap_nodes=cap_nodes,
-        shadows=[sh for tops in shadow_tops for sh in tops],
-        shadow_tops=shadow_tops,
-        instances=instances,
-        folded=folded,
         inf=inf,
-        names=names,
+        skeleton=sk,
+        instances=list(ids),
+        payer=payer,
+        slots=slots,
     )
     log.debug(
         "flow graph: %d nodes, %d arcs, %d instance nodes, %d folded",
         g.node_count,
         len(arcs),
-        len(merged) - len(folded),
-        len(folded),
+        len(cap_nodes) - len(q_caps),
+        len(weights) - (len(cap_nodes) - len(q_caps)),
     )
     return g
 
@@ -345,51 +406,44 @@ def min_cut(g: FlowGraph, kernel: str = "auto") -> FlowResult:
     return FlowResult(value=int(value), cut=cut, kernel=used, reachable=reachable)
 
 
-def _paid(serial: str, cut: set, folded: dict) -> bool:
-    leaf = folded.get(serial)
-    if leaf is not None:
-        return ("q",) + leaf in cut
-    return ("p", serial) in cut
-
-
-def _extract_alt(sh: _Shadow, cut: set, folded: dict) -> Veo | None:
-    """Fragment below the parent's cumulative path, or None if not selected."""
-    if not all(_paid(s, cut, folded) for s in sh.ext_serials):
-        return None
-    if sh.leaf is not None:
-        if ("q",) + sh.leaf not in cut:
-            return None
-        if not all(_paid(s, cut, folded) for s in sh.leaf_serials):
-            return None
-        return _chain(sh.ext, (sh.sub,)) if sh.ext else sh.sub
-    if sh.children:
-        for child in sh.children:
-            frag = _extract_alt(child, cut, folded)
-            if frag is not None:
-                return _chain(sh.ext, (frag,)) if sh.ext else frag
-        return None
-    tails = []
-    for comp in sh.comps:
-        for child in comp:
-            frag = _extract_alt(child, cut, folded)
-            if frag is not None:
-                tails.append(frag)
-                break
-        else:
-            return None
-    return _chain(sh.ext, tuple(tails))
-
-
 def extract_factorization(
     g: FlowGraph, res: FlowResult
 ) -> tuple[Factorization, dict[Witness, Veo]]:
     """Read a plan assignment off the cut (leftmost selected alternative per
     witness) and assemble it; guaranteed no longer than the cut value."""
+    cut = res.cut
+    paid = [label in cut for label in g.payer]
+    width = len(g.skeleton.slot_paths)
+
+    def select(alt: _Alt, wi: int, ids: list[int]) -> Veo | None:
+        """Fragment below the parent's cumulative path, or None if not selected."""
+        if not all(paid[ids[j]] for j in alt.slots):
+            return None
+        if alt.leaf is not None:
+            return alt.fragment if ("q", wi, alt.leaf) in cut else None
+        if alt.children:
+            for child in alt.children:
+                frag = select(child, wi, ids)
+                if frag is not None:
+                    return _chain(alt.ext, (frag,)) if alt.ext else frag
+            return None
+        tails = []
+        for comp in alt.comps:
+            for child in comp:
+                frag = select(child, wi, ids)
+                if frag is not None:
+                    tails.append(frag)
+                    break
+            else:
+                return None
+        return _chain(alt.ext, tuple(tails))
+
     assignment: dict[Witness, Veo] = {}
     for wi, w in enumerate(g.witnesses.witnesses):
+        ids = g.slots[wi * width:(wi + 1) * width]
         chosen = None
-        for sh in g.shadow_tops[wi]:
-            chosen = _extract_alt(sh, res.cut, g.folded)
+        for alt in g.skeleton.alts:
+            chosen = select(alt, wi, ids)
             if chosen is not None:
                 break
         if chosen is None:

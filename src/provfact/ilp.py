@@ -66,9 +66,9 @@ class IlpModel:
 
 
 def _name_registry():
-    taken: dict[str, str] = {}
+    taken: dict[str, object] = {}
 
-    def register(base: str, key: str) -> str:
+    def register(base: str, key) -> str:
         name = base
         i = 2
         while name in taken and taken[name] != key:
@@ -95,7 +95,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     prefix_constraints: list[tuple[str, str]] = []
     choice_info: dict[str, tuple[str, int]] = {}
     q_names: dict[tuple[int, int], str] = {}
-    p_names: dict[str, str] = {}
+    p_names: dict = {}  # instance path -> variable name
     p_weight: dict[str, int] = {}
     p_is_full: dict[str, bool] = {}
     p_of_choice: dict[str, list[str]] = {}
@@ -111,14 +111,14 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
             implied = []
             for tp in prefixes[vi]:
                 inst = instantiate(tp, w)
-                pn = p_names.get(inst.serial)
+                pn = p_names.get(inst.path)
                 if pn is None:
                     token = "__".join(
                         "".join(f"{var}{_sanitize(val)}" for var, val in zip(node, vals))
                         for node, vals in inst.path
                     )
-                    pn = register(f"p_{token}", f"p:{inst.serial}")
-                    p_names[inst.serial] = pn
+                    pn = register(f"p_{token}", ("p", inst.path))
+                    p_names[inst.path] = pn
                     p_weight[pn] = tp.weight
                     p_is_full[pn] = inst.varset == allvars
                     objective[pn] = tp.weight
@@ -168,7 +168,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
             for (wi, vi), qn in q_names.items():
                 w = W.witnesses[wi]
                 pair = instantiate(head2[mveo[vi]], w)
-                pn = p_names.get(pair.serial)
+                pn = p_names.get(pair.path)
                 if pn is None or pn not in objective:
                     merged_ok = False
                     break

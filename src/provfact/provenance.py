@@ -279,18 +279,34 @@ def compute_witnesses(q: Query, d: Database) -> WitnessSet:
     return WitnessSet(q, tuple(witnesses))
 
 
+InstancePath = tuple[tuple[Node, tuple[str, ...]], ...]
+
+
+def _serial(path: InstancePath) -> str:
+    return " <- ".join(
+        "".join(f"{var}{val}" for var, val in zip(node, vals)) for node, vals in path
+    )
+
+
+def _path_order(path: InstancePath) -> tuple[str, InstancePath]:
+    """Sort key of instance paths: by serialization, then by the path itself,
+    which separates distinct instances whose serializations coincide."""
+    return _serial(path), path
+
+
 @dataclass(frozen=True)
 class PrefixInstance:
-    """A table-prefix path with constants substituted; equality is by serialization."""
+    """A table-prefix path with constants substituted; equality is by path.
 
-    path: tuple[tuple[Node, tuple[str, ...]], ...]
+    `serial` is for display and ordering only: it concatenates variables
+    and constants without an escape, so distinct instances can share it.
+    """
+
+    path: InstancePath
 
     @cached_property
     def serial(self) -> str:
-        return " <- ".join(
-            "".join(f"{var}{val}" for var, val in zip(node, vals))
-            for node, vals in self.path
-        )
+        return _serial(self.path)
 
     @cached_property
     def varset(self) -> frozenset[str]:
@@ -477,14 +493,14 @@ def _anchored_tuples(q: Query, inst: PrefixInstance) -> tuple[TupleKey, ...]:
 class _TrieNode:
     inst: PrefixInstance
     tuples: tuple[TupleKey, ...]
-    # branch signature (tuple of child node varsets) → child node varset → child serials
-    groups: dict[tuple[Node, ...], dict[Node, set[str]]] = field(default_factory=dict)
+    # branch signature (tuple of child node varsets) → child node varset → child paths
+    groups: dict[tuple[Node, ...], dict[Node, set[InstancePath]]] = field(default_factory=dict)
 
 
 def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factorization:
     """Build the factorization expression for a witness→plan assignment.
 
-    The expression is a trie over serialized prefix instances: at each node,
+    The expression is a trie over prefix instances: at each node,
     AND the tuples anchored there with, per branch signature, an AND over
     branches of ORs over child instances.  Instances shared across witnesses
     (and across different plans) merge.
@@ -494,14 +510,14 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
     if not W.witnesses:
         return Factorization((), Expr("false"), 0, 0)
 
-    trie: dict[str, _TrieNode] = {}
-    roots: set[str] = set()
+    trie: dict[InstancePath, _TrieNode] = {}
+    roots: set[InstancePath] = set()
 
-    def node_for(inst: PrefixInstance) -> _TrieNode:
-        n = trie.get(inst.serial)
+    def node_for(path: InstancePath) -> _TrieNode:
+        n = trie.get(path)
         if n is None:
-            n = _TrieNode(inst, _anchored_tuples(q, inst))
-            trie[inst.serial] = n
+            inst = PrefixInstance(path)
+            n = trie[path] = _TrieNode(inst, _anchored_tuples(q, inst))
         return n
 
     for w, v in sorted(assignment.items(), key=lambda kv: kv[0].key):
@@ -509,33 +525,29 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
             raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
         vals = w.values
 
-        def walk(t: Veo, path: tuple[tuple[Node, tuple[str, ...]], ...]):
+        def walk(t: Veo, path: InstancePath) -> InstancePath:
+            """Add t's instance below `path`; returns the trie's key for it."""
             try:
                 step = path + ((t.node, tuple(vals[x] for x in t.node)),)
             except KeyError as exc:
                 raise IllegalAssignment(
                     f"witness {w.key} does not bind {exc.args[0]}"
                 )
-            inst = PrefixInstance(step)
-            n = node_for(inst)
+            n = node_for(step)
+            step = n.inst.path
             sig = tuple(sorted(c.node for c in t.children))
             if sig:
                 branches = n.groups.setdefault(sig, {})
                 for c in t.children:
-                    child_inst = PrefixInstance(
-                        step + ((c.node, tuple(vals[x] for x in c.node)),)
-                    )
-                    branches.setdefault(c.node, set()).add(child_inst.serial)
-                    walk(c, step)
+                    branches.setdefault(c.node, set()).add(walk(c, step))
             else:
                 n.groups.setdefault((), {})
-            return inst
+            return step
 
-        root_inst = walk(v, ())
-        roots.add(root_inst.serial)
+        roots.add(walk(v, ()))
 
-    def build(serial: str) -> Expr:
-        n = trie[serial]
+    def build(path: InstancePath) -> Expr:
+        n = trie[path]
         parts: list[Expr] = [e_var(t) for t in n.tuples]
         group_exprs: list[Expr] = []
         for sig in sorted(n.groups):
@@ -543,7 +555,7 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
                 continue
             branches = n.groups[sig]
             branch_exprs = [
-                e_or([build(cs) for cs in sorted(branches[bn])])
+                e_or([build(cp) for cp in sorted(branches[bn], key=_path_order)])
                 for bn in sorted(branches)
             ]
             group_exprs.append(e_and(branch_exprs))
@@ -555,12 +567,12 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
                 # own group — expressed as OR with the empty continuation.
                 # (Cannot occur for legal plans over set semantics; guarded.)
                 raise IllegalAssignment(
-                    f"node {serial} mixes terminal and continuing plans"
+                    f"node {n.inst.serial} mixes terminal and continuing plans"
                 )
             parts.append(e_or(group_exprs))
         return e_and(parts) if parts else Expr("false")
 
-    expr = e_or([build(r) for r in sorted(roots)])
+    expr = e_or([build(r) for r in sorted(roots, key=_path_order)])
     length = expr.length
     repeats = length - len(expr.tuple_keys)
     assignment_items = tuple(sorted(assignment.items(), key=lambda kv: kv[0].key))

@@ -75,3 +75,19 @@ LEAKAGE = """\
 0,2
 2,2
 """
+
+# Triangle query, two witnesses whose (y,z) prefix instances y=1z,z=2 and
+# y=1,z=z2 both serialize as "y1zz2": the instances must be told apart by
+# their paths, not by that string.  Each witness shares no tuple with the
+# other, so every factorization has length 6.
+SERIAL_COLLISION = """\
+[R]
+1,1z
+1,1
+[S]
+1z,2
+1,z2
+[T]
+2,1
+z2,1
+"""

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand outputs, exit codes, error handling."""
 
 import json
+import logging
 import subprocess
 import sys
 
@@ -283,6 +284,23 @@ def test_verbose_shows_debug_lines(files):
     )
     assert proc.returncode == 2
     assert "DEBUG provfact.flow: flow graph: " in proc.stderr
+
+
+def test_verbose_shows_debug_lines_in_process(caplog, files):
+    """--verbose reaches the package's DEBUG lines also when the root logger
+    already has a handler, as under pytest, where basicConfig does nothing."""
+    argv = ["factorize", files["triangle.q"], files["fig7d.db"], "--method", "flow"]
+    try:
+        main(["--verbose"] + argv)
+        assert any(
+            r.name == "provfact.flow" and r.levelno == logging.DEBUG
+            and r.getMessage().startswith("flow graph: ")
+            for r in caplog.records
+        )
+        main(argv)  # without --verbose the package logger inherits again
+        assert logging.getLogger("provfact").level == logging.NOTSET
+    finally:
+        logging.getLogger("provfact").setLevel(logging.NOTSET)
 
 
 def test_global_flags_must_precede_subcommand(files):

@@ -15,8 +15,14 @@ from provfact.flow import (
     kernel_name,
     min_cut,
 )
-from provfact.gen import GenSpec, fixture_query, gen_random
-from provfact.provenance import WitnessSet, compute_witnesses, verify_equivalence
+import dbs
+from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
+from provfact.provenance import (
+    WitnessSet,
+    compute_witnesses,
+    parse_database,
+    verify_equivalence,
+)
 from provfact.veo import build_ordering, enumerate_mveo
 
 
@@ -127,6 +133,37 @@ def test_brute_force_cut_on_goldens(fig7d_db, appb1_db):
         assert min_cut(g).value == oracles.brute_min_node_cut(g)
 
 
+@pytest.mark.parametrize("mode", ["nested-rp", "flat"])
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_cut_value_matches_brute_force_on_every_fixture(name, mode):
+    """The contracted network keeps the minimum node cut of every fixture.
+
+    Each fixture runs over its full ordering and over the ordering of every
+    pair of its plans (as the two-chain-we remainder does); one 4chain
+    witness over all five plans already needs 23 cap nodes, beyond the
+    brute-force oracle, so 4chain is checked over plan pairs only."""
+    q = fixture_query(name)
+    plans = enumerate_mveo(q)
+    orderings = [build_ordering(q, mode=mode)] + [
+        build_ordering(q, mode=mode, mveo=pair)
+        for pair in itertools.combinations(plans, 2)
+        if len(plans) > 2
+    ]
+    checked = [0] * len(orderings)
+    for seed in range(20):
+        W = compute_witnesses(q, gen_random(GenSpec(query=q, d=3, tuples=4, seed=seed)))
+        if not W.witnesses:
+            continue
+        for i, ordering in enumerate(orderings):
+            g = build_flow_graph(q, W, ordering)
+            if len(g.cap_nodes) > 14:
+                continue
+            assert min_cut(g).value == oracles.brute_min_node_cut(g)
+            checked[i] += 1
+    assert sum(checked) >= 5
+    assert checked[0] >= 1 or name == "4chain"
+
+
 def test_strict_rp_rejects_non_rp_ordering():
     q = fixture_query("2chain-we")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=10, seed=5)))
@@ -184,3 +221,16 @@ def test_dot_output(fig7d_db):
     dot = g.dot()
     assert dot.startswith("digraph")
     assert "->" in dot
+
+
+def test_dot_names_source_sink_and_every_cap_node(leakage_db):
+    q = fixture_query("triangle")
+    W = compute_witnesses(q, leakage_db)
+    g = build_flow_graph(q, W, build_ordering(q))
+    dot = g.dot()
+    assert '[label="S"]' in dot and '[label="T"]' in dot
+    assert dot.count(" [label=") == g.node_count + len(g.arcs)
+    texts = {g.label_text(label) for label in g.cap_nodes}
+    assert {"q0.0", "q3.2", "p[x0z0]", "p[x2y1]"} <= texts
+    for text in texts:
+        assert f'[label="{text}"]' in dot or f'[label="{text}.out"]' in dot

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dbs
+from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.ilp import EmptyWitnessSet, build_ilp, export_lp, model_stats, solve_model
-from provfact.provenance import WitnessSet, compute_witnesses
+from provfact.provenance import WitnessSet, compute_witnesses, parse_database
 
 
 def test_appb1_structure(appb1_db):
@@ -41,6 +43,15 @@ def test_appb1_solve(appb1_db):
     assert all(val in (0, 1) for val in solution.values())
     reduced_value, _ = solve_model(build_ilp(q, W, reduce=True))
     assert reduced_value == 4
+
+
+def test_instances_with_equal_serials_get_two_variables():
+    """The (y,z) instances y=1z,z=2 and y=1,z=z2 both serialize as `y1zz2`;
+    each needs its own prefix variable, so the optimum is 6, not 3."""
+    q = parse_query("Q :- R(x,y), S(y,z), T(z,x)")
+    W = compute_witnesses(q, parse_database(dbs.SERIAL_COLLISION))
+    value, _ = solve_model(build_ilp(q, W))
+    assert value == 6 == solve_exact(q, W).length
 
 
 def test_export_lp_format(appb1_db):

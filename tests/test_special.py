@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dbs
 from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
-from provfact.provenance import Database, compute_witnesses, verify_equivalence
+from provfact.provenance import (
+    Database,
+    compute_witnesses,
+    parse_database,
+    verify_equivalence,
+)
 from provfact.special import (
     ShapeMismatch,
     _adjacency,
@@ -282,3 +288,16 @@ def test_dispatch_forced_policies(fig2a_db):
         assert rep.method == method
         assert rep.length == want
         assert rep.verified
+
+
+@pytest.mark.parametrize("policy", ["exact", "flow", "single-plan", "auto"])
+def test_dispatch_tells_apart_instances_with_equal_serials(policy):
+    """Two distinct (y,z) instances that both serialize as `y1zz2` stay two
+    prefix instances in exact, flow and assembly."""
+    q = parse_query("Q :- R(x,y), S(y,z), T(z,x)")
+    W = compute_witnesses(q, parse_database(dbs.SERIAL_COLLISION))
+    assert len(W) == 2
+    rep = dispatch(q, W, policy=policy)
+    assert rep.verified
+    assert rep.length == 6
+    assert rep.factorization.pretty() == "r_11 s_1_z2 t_z2_1 ∨ r_1_1z s_1z_2 t_21"
