@@ -63,7 +63,15 @@ from .provenance import (
     tuple_id,
     verify_equivalence,
 )
-from .ilp import EmptyWitnessSet, IlpModel, build_ilp, export_lp, model_stats, solve_model
+from .ilp import (
+    EmptyWitnessSet,
+    IlpModel,
+    ModelBudgetExhausted,
+    build_ilp,
+    export_lp,
+    model_stats,
+    solve_model,
+)
 from .exact import ExactResult, lower_bound, solve_exact
 from .flow import (
     ExtractionFailure,

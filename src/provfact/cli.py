@@ -26,7 +26,7 @@ from .gen import (
     gen_random,
     gen_triad_gadget,
 )
-from .ilp import build_ilp, export_lp, model_stats, solve_model
+from .ilp import ModelBudgetExhausted, build_ilp, export_lp, model_stats, solve_model
 from .provenance import compute_witnesses, load_database
 from .special import classify, dispatch
 from .veo import build_ordering, dissociation_of, enumerate_mveo
@@ -144,8 +144,14 @@ def cmd_ilp(args) -> int:
         export_lp(model, sink=args.lp)
         log.info("wrote LP to %s", args.lp)
     if args.solve:
-        value, _ = solve_model(model)
-        print(f"optimum: {value}")
+        try:
+            value, _ = solve_model(model)
+        except ModelBudgetExhausted as exc:
+            if exc.value is None:
+                raise
+            print(f"best found: {exc.value} (budget exhausted; not proven optimal)")
+        else:
+            print(f"optimum: {value}")
     return 0
 
 

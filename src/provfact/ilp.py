@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "IlpModel",
     "EmptyWitnessSet",
+    "ModelBudgetExhausted",
     "build_ilp",
     "export_lp",
     "model_stats",
@@ -33,6 +34,22 @@ __all__ = [
 
 class EmptyWitnessSet(ValueError):
     """The model requires at least one witness."""
+
+
+class ModelBudgetExhausted(RuntimeError):
+    """`solve_model` ran out of node budget before proving an optimum.
+
+    Carries the incumbent: its objective value (folded constant included;
+    None when no solution was reached), its 1-variables and the number of
+    search nodes spent.
+    """
+
+    def __init__(self, value: int | None, solution: dict[str, int], nodes: int):
+        found = "no solution" if value is None else f"best found {value}"
+        super().__init__(f"model search exhausted its budget after {nodes} nodes; {found}")
+        self.value = value
+        self.solution = solution
+        self.nodes = nodes
 
 
 def _sanitize(token: str) -> str:
@@ -290,7 +307,9 @@ def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, in
     constraints (one choice variable per witness; implications propagated).
 
     Returns (optimal objective including the folded constant, assignment of
-    1-variables).  Intended for fixture-scale models.
+    1-variables).  Intended for fixture-scale models.  Raises
+    `ModelBudgetExhausted`, carrying the incumbent, when the search is cut
+    off by `budget` before it is complete.
     """
     implied_by: dict[str, list[str]] = {}
     for pn, qn in m.prefix_constraints:
@@ -318,9 +337,10 @@ def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, in
     best = [float("inf"), {}]
     count = {v: 0 for v in m.binaries}
     nodes = 0
+    truncated = False
 
     def dfs(level: int, cost: int):
-        nonlocal nodes
+        nonlocal nodes, truncated
         if cost >= best[0]:
             return
         if level == len(m.plan_constraints):
@@ -330,6 +350,7 @@ def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, in
         _, choices = m.plan_constraints[level]
         for c in choices:
             if nodes >= budget:
+                truncated = True
                 return
             nodes += 1
             added = 0
@@ -342,6 +363,9 @@ def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, in
                 count[v] -= 1
 
     dfs(0, 0)
+    if truncated:
+        value = None if best[0] == float("inf") else best[0] + m.constant
+        raise ModelBudgetExhausted(value, best[1], nodes)
     if best[0] == float("inf"):
-        raise RuntimeError("model search exhausted its budget without a solution")
+        raise RuntimeError("model has no feasible solution")
     return best[0] + m.constant, best[1]

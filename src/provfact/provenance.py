@@ -2,10 +2,13 @@
 
 The provenance of a Boolean CQ over a database is a DNF with one product
 term per witness.  A factorization is an equivalent nested AND/OR
-expression; its length counts literal leaves only.  Assembly builds the
-expression for a witness→plan assignment by merging shared table-prefix
-instances in a trie, so that equal instances — even across different
-plans — are written once.
+expression (`Expr`); its length counts literal leaves only and is fixed
+when each node is made.  Assembly builds the expression for a
+witness→plan assignment by merging shared table-prefix instances in a
+trie, so that equal instances — even across different plans — are
+written once.  The trie interns each instance as an integer id keyed by
+(parent id, node, values), holds the witnesses' own tuple keys at its
+nodes, and is freed when `assemble` returns: it forms no reference cycle.
 """
 
 from __future__ import annotations
@@ -288,12 +291,6 @@ def _serial(path: InstancePath) -> str:
     )
 
 
-def _path_order(path: InstancePath) -> tuple[str, InstancePath]:
-    """Sort key of instance paths: by serialization, then by the path itself,
-    which separates distinct instances whose serializations coincide."""
-    return _serial(path), path
-
-
 @dataclass(frozen=True)
 class PrefixInstance:
     """A table-prefix path with constants substituted; equality is by path.
@@ -353,51 +350,58 @@ def instantiate(prefix_or_veo, witness: Witness) -> PrefixInstance:
 # Expressions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
-    """Monotone Boolean expression tree over tuple literals."""
+    """Monotone Boolean expression tree over tuple literals.
+
+    Slotted, so a node carries no ``__dict__``.  `length` (the literal
+    count) is set when the node is made, from its children's lengths;
+    `tuple_keys` walks the tree on each access and caches nothing.
+    """
 
     op: str  # "var" | "and" | "or" | "false"
     key: TupleKey | None = None
     children: tuple["Expr", ...] = ()
+    length: int = field(default=0, compare=False, repr=False)
 
-    @cached_property
-    def length(self) -> int:
-        if self.op == "var":
-            return 1
-        return sum(c.length for c in self.children)
+    def __post_init__(self) -> None:
+        n = 1 if self.op == "var" else sum(c.length for c in self.children)
+        object.__setattr__(self, "length", n)
 
-    @cached_property
+    @property
     def tuple_keys(self) -> frozenset[TupleKey]:
-        if self.op == "var":
-            return frozenset([self.key])
-        out: set[TupleKey] = set()
-        for c in self.children:
-            out |= c.tuple_keys
-        return frozenset(out)
+        """The distinct tuple keys at the leaves."""
+        keys: set[TupleKey] = set()
+        stack = [self]
+        while stack:
+            e = stack.pop()
+            if e.op == "var":
+                keys.add(e.key)
+            else:
+                stack.extend(e.children)
+        return frozenset(keys)
 
     def pretty(self, ascii_only: bool = False) -> str:
-        orsep = " v " if ascii_only else " ∨ "
-
-        def rec(e: Expr) -> str:
-            if e.op == "var":
-                return tuple_id(e.key[0], e.key[1])
-            if e.op == "false":
-                return "false"
-            if e.op == "or":
-                return orsep.join(rec(c) for c in e.children)
-            parts = []
-            for c in e.children:
-                s = rec(c)
-                if c.op == "or" and len(c.children) > 1:
-                    s = f"({s})"
-                parts.append(s)
-            return " ".join(parts)
-
-        return rec(self)
+        return _pretty(self, " v " if ascii_only else " ∨ ")
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def _pretty(e: Expr, orsep: str) -> str:
+    if e.op == "var":
+        return tuple_id(e.key[0], e.key[1])
+    if e.op == "false":
+        return "false"
+    if e.op == "or":
+        return orsep.join(_pretty(c, orsep) for c in e.children)
+    parts = []
+    for c in e.children:
+        s = _pretty(c, orsep)
+        if c.op == "or" and len(c.children) > 1:
+            s = f"({s})"
+        parts.append(s)
+    return " ".join(parts)
 
 
 def e_var(key: TupleKey) -> Expr:
@@ -476,107 +480,133 @@ class Factorization:
 # Assembly
 # --------------------------------------------------------------------------
 
-def _anchored_tuples(q: Query, inst: PrefixInstance) -> tuple[TupleKey, ...]:
-    """Tuples charged to a prefix-instance node: atoms whose variables lie on
-    the path and intersect its last node (determined by the path alone)."""
-    last_node = inst.path[-1][0]
-    vals = inst.values
-    pathvars = inst.varset
-    out = []
-    for a in q.atoms:
-        if a.varset <= pathvars and a.varset & frozenset(last_node):
-            out.append((a.relation, tuple(vals[v] for v in a.vars)))
-    return tuple(sorted(set(out)))
+# One trie node: (node, values, anchored tuple keys, groups).  `groups`
+# maps a branch signature (the sorted nodes of a plan's children there) to
+# {child node: child ids}; the signature () marks a plan that ends there.
+_TrieRow = tuple[Node, tuple[str, ...], tuple[TupleKey, ...], dict]
+
+# The empty template above a root: (template id, node path, atom indices).
+_NO_TEMPLATE: tuple[int, tuple[Node, ...], tuple[int, ...]] = (-1, (), ())
 
 
-@dataclass
-class _TrieNode:
-    inst: PrefixInstance
-    tuples: tuple[TupleKey, ...]
-    # branch signature (tuple of child node varsets) → child node varset → child paths
-    groups: dict[tuple[Node, ...], dict[Node, set[InstancePath]]] = field(default_factory=dict)
+def _anchored_atoms(q: Query, template: tuple[Node, ...]) -> tuple[int, ...]:
+    """Indices of the atoms charged to the last node of a path template:
+    those whose variables lie on the path and meet its last node, in
+    relation-name order (one atom per relation in a self-join-free query)."""
+    pathvars = {v for node in template for v in node}
+    last = set(template[-1])
+    hits = [i for i, a in enumerate(q.atoms) if a.varset <= pathvars and a.varset & last]
+    return tuple(sorted(hits, key=lambda i: q.atoms[i].relation))
+
+
+def _order(row: _TrieRow) -> tuple:
+    """Sort key of sibling (or root) instances: the last node's serialization,
+    then the node and its values.  Siblings share the parent path, so this is
+    the order of the whole paths by serialization, then by path."""
+    node, values = row[0], row[1]
+    return "".join(f"{var}{val}" for var, val in zip(node, values)), node, values
+
+
+def _path_serial(trie: list[_TrieRow], ids: dict, tid: int) -> str:
+    parent_of = {i: key[0] for key, i in ids.items()}
+    path = []
+    while tid >= 0:
+        path.append(trie[tid][:2])
+        tid = parent_of[tid]
+    return _serial(tuple(reversed(path)))
+
+
+def _build(trie: list[_TrieRow], ids: dict, tid: int) -> Expr:
+    """Node `tid`'s tuples AND the OR over its branch signatures, each an AND
+    over branches of the OR over the child instances.  Recursion depth is the
+    plan depth."""
+    _, _, tuples, groups = trie[tid]
+    parts: list[Expr] = [e_var(t) for t in tuples]
+    group_exprs: list[Expr] = []
+    for sig in sorted(groups):
+        if not sig:
+            continue
+        branches = groups[sig]
+        group_exprs.append(e_and([
+            e_or([
+                _build(trie, ids, c)
+                for c in sorted(branches[bn], key=lambda c: _order(trie[c]))
+            ])
+            for bn in sorted(branches)
+        ]))
+    if group_exprs:
+        if () in groups:
+            # a plan ends here while others continue below, as legal plans
+            # y <- (x, z) and y <- x <- z do at an instance of y <- x; the
+            # trie has no expression for that, so it is rejected.
+            raise IllegalAssignment(
+                f"node {_path_serial(trie, ids, tid)} mixes terminal and continuing plans"
+            )
+        parts.append(e_or(group_exprs))
+    return e_and(parts) if parts else Expr("false")
 
 
 def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factorization:
     """Build the factorization expression for a witness→plan assignment.
 
-    The expression is a trie over prefix instances: at each node,
-    AND the tuples anchored there with, per branch signature, an AND over
-    branches of ORs over child instances.  Instances shared across witnesses
-    (and across different plans) merge.
+    The expression is a trie over prefix instances: at each node, AND the
+    tuples anchored there with, per branch signature, an AND over branches
+    of ORs over child instances.  Instances shared across witnesses (and
+    across different plans) merge.
+
+    Trie nodes are interned as integer ids keyed by (parent id, node,
+    values); a node keeps its node, values, anchored tuples (the witness's
+    own tuple keys) and child groups.  Which atoms anchor at a node depends
+    on its path template (the nodes from the root) only, so it is worked
+    out once per template.  Plans are walked iteratively and the expression
+    is built by a module-level recursion, so the trie is freed on return.
     """
     if set(assignment) != set(W.witnesses):
         raise IllegalAssignment("assignment must cover exactly the witness set")
     if not W.witnesses:
         return Factorization((), Expr("false"), 0, 0)
 
-    trie: dict[InstancePath, _TrieNode] = {}
-    roots: set[InstancePath] = set()
-
-    def node_for(path: InstancePath) -> _TrieNode:
-        n = trie.get(path)
-        if n is None:
-            inst = PrefixInstance(path)
-            n = trie[path] = _TrieNode(inst, _anchored_tuples(q, inst))
-        return n
-
-    for w, v in sorted(assignment.items(), key=lambda kv: kv[0].key):
+    trie: list[_TrieRow] = []
+    ids: dict[tuple[int, Node, tuple[str, ...]], int] = {}
+    # (parent template id, node) -> (template id, node path, anchored atoms)
+    templates: dict[tuple[int, Node], tuple[int, tuple[Node, ...], tuple[int, ...]]] = {}
+    roots: set[int] = set()
+    items = tuple(sorted(assignment.items(), key=lambda kv: kv[0].key))
+    for w, v in items:
         if v.vars_below != q.variables:
             raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
         vals = w.values
-
-        def walk(t: Veo, path: InstancePath) -> InstancePath:
-            """Add t's instance below `path`; returns the trie's key for it."""
+        # (subtree, parent id, parent template, parent's branches), preorder
+        stack = [(v, -1, _NO_TEMPLATE, None)]
+        while stack:
+            t, parent, ptpl, branches = stack.pop()
+            node = t.node
             try:
-                step = path + ((t.node, tuple(vals[x] for x in t.node)),)
+                values = tuple([vals[x] for x in node])
             except KeyError as exc:
-                raise IllegalAssignment(
-                    f"witness {w.key} does not bind {exc.args[0]}"
-                )
-            n = node_for(step)
-            step = n.inst.path
-            sig = tuple(sorted(c.node for c in t.children))
-            if sig:
-                branches = n.groups.setdefault(sig, {})
-                for c in t.children:
-                    branches.setdefault(c.node, set()).add(walk(c, step))
+                raise IllegalAssignment(f"witness {w.key} does not bind {exc.args[0]}")
+            tpl = templates.get((ptpl[0], node))
+            if tpl is None:
+                path = ptpl[1] + (node,)
+                tpl = templates[ptpl[0], node] = (len(templates), path, _anchored_atoms(q, path))
+            key = (parent, node, values)
+            tid = ids.get(key)
+            if tid is None:
+                tid = ids[key] = len(trie)
+                trie.append((node, values, tuple([w.tuples[i] for i in tpl[2]]), {}))
+            if branches is None:
+                roots.add(tid)
             else:
-                n.groups.setdefault((), {})
-            return step
+                branches.setdefault(node, set()).add(tid)
+            groups = trie[tid][3]
+            if t.children:
+                kids = groups.setdefault(tuple(sorted(c.node for c in t.children)), {})
+                stack.extend((c, tid, tpl, kids) for c in reversed(t.children))
+            else:
+                groups.setdefault((), None)
 
-        roots.add(walk(v, ()))
-
-    def build(path: InstancePath) -> Expr:
-        n = trie[path]
-        parts: list[Expr] = [e_var(t) for t in n.tuples]
-        group_exprs: list[Expr] = []
-        for sig in sorted(n.groups):
-            if not sig:
-                continue
-            branches = n.groups[sig]
-            branch_exprs = [
-                e_or([build(cp) for cp in sorted(branches[bn], key=_path_order)])
-                for bn in sorted(branches)
-            ]
-            group_exprs.append(e_and(branch_exprs))
-        if group_exprs:
-            if () in n.groups:
-                # a witness terminates here while others continue below; the
-                # terminating witness is already fully covered by the node's
-                # tuples, so the continuations stay mandatory only for their
-                # own group — expressed as OR with the empty continuation.
-                # (Cannot occur for legal plans over set semantics; guarded.)
-                raise IllegalAssignment(
-                    f"node {n.inst.serial} mixes terminal and continuing plans"
-                )
-            parts.append(e_or(group_exprs))
-        return e_and(parts) if parts else Expr("false")
-
-    expr = e_or([build(r) for r in sorted(roots, key=_path_order)])
-    length = expr.length
-    repeats = length - len(expr.tuple_keys)
-    assignment_items = tuple(sorted(assignment.items(), key=lambda kv: kv[0].key))
-    return Factorization(assignment_items, expr, length, repeats)
+    expr = e_or([_build(trie, ids, r) for r in sorted(roots, key=lambda r: _order(trie[r]))])
+    return Factorization(items, expr, expr.length, expr.length - len(expr.tuple_keys))
 
 
 def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000) -> bool:

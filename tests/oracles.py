@@ -104,6 +104,101 @@ def brute_minfact(q, witness_set, plans):
     return best
 
 
+def reference_assemble(q, witness_set, assignment):
+    """A direct path-keyed trie assembler: the byte-identity reference for
+    ``provenance.assemble`` (same expression text, length and repeats, or
+    the same exception).
+
+    Nodes are keyed by their full instantiated path; a node's tuples are
+    found by scanning the atoms against the path's variables; siblings and
+    roots sort by (serialization, path).  Length and repeats are counted
+    here from the leaves, not read from the expression.
+    """
+    from provfact.provenance import (
+        Expr,
+        Factorization,
+        IllegalAssignment,
+        e_and,
+        e_or,
+        e_var,
+    )
+
+    def serial(path):
+        return " <- ".join(
+            "".join(f"{var}{val}" for var, val in zip(node, vals)) for node, vals in path
+        )
+
+    def path_order(path):
+        return serial(path), path
+
+    def anchored_tuples(path):
+        last_node = path[-1][0]
+        vals = {var: val for node, vs in path for var, val in zip(node, vs)}
+        pathvars = frozenset(v for node, _ in path for v in node)
+        out = []
+        for a in q.atoms:
+            if a.varset <= pathvars and a.varset & frozenset(last_node):
+                out.append((a.relation, tuple(vals[v] for v in a.vars)))
+        return tuple(sorted(set(out)))
+
+    if set(assignment) != set(witness_set.witnesses):
+        raise IllegalAssignment("assignment must cover exactly the witness set")
+    if not witness_set.witnesses:
+        return Factorization((), Expr("false"), 0, 0)
+
+    # path -> (anchored tuples, {branch signature: {child node: {child paths}}})
+    trie = {}
+    roots = set()
+
+    def walk(w, t, path):
+        try:
+            step = path + ((t.node, tuple(w.values[x] for x in t.node)),)
+        except KeyError as exc:
+            raise IllegalAssignment(f"witness {w.key} does not bind {exc.args[0]}")
+        if step not in trie:
+            trie[step] = (anchored_tuples(step), {})
+        groups = trie[step][1]
+        sig = tuple(sorted(c.node for c in t.children))
+        if sig:
+            branches = groups.setdefault(sig, {})
+            for c in t.children:
+                branches.setdefault(c.node, set()).add(walk(w, c, step))
+        else:
+            groups.setdefault((), {})
+        return step
+
+    items = sorted(assignment.items(), key=lambda kv: kv[0].key)
+    for w, v in items:
+        if v.vars_below != q.variables:
+            raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
+        roots.add(walk(w, v, ()))
+
+    def build(path):
+        tuples, groups = trie[path]
+        parts = [e_var(t) for t in tuples]
+        group_exprs = []
+        for sig in sorted(groups):
+            if not sig:
+                continue
+            branches = groups[sig]
+            group_exprs.append(e_and([
+                e_or([build(cp) for cp in sorted(branches[bn], key=path_order)])
+                for bn in sorted(branches)
+            ]))
+        if group_exprs:
+            if () in groups:
+                raise IllegalAssignment(
+                    f"node {serial(path)} mixes terminal and continuing plans"
+                )
+            parts.append(e_or(group_exprs))
+        return e_and(parts) if parts else Expr("false")
+
+    expr = e_or([build(r) for r in sorted(roots, key=path_order)])
+    length = count_leaves(expr)
+    repeats = length - len(set(leaf_multiset(expr)))
+    return Factorization(tuple(items), expr, length, repeats)
+
+
 def distinct_tuple_count(witness_set):
     return len({t for w in witness_set.witnesses for t in w.tuples})
 

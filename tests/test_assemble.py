@@ -1,0 +1,152 @@
+"""Assembly: byte identity with the reference assembler, and memory shape."""
+
+import gc
+import random
+
+import pytest
+
+import dbs
+import oracles
+from provfact.exact import solve_exact
+from provfact.flow import ExtractionFailure, build_flow_graph, extract_factorization, min_cut
+from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
+from provfact.provenance import (
+    Expr,
+    IllegalAssignment,
+    Witness,
+    WitnessSet,
+    assemble,
+    compute_witnesses,
+    parse_database,
+)
+from provfact.veo import Veo, build_ordering, enumerate_mveo, enumerate_veos
+
+
+def outcome(fn, q, W, asg):
+    """What an assembler makes of an assignment: its expression text, length,
+    repeats and assignment order, or its exception class and message."""
+    try:
+        f = fn(q, W, asg)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc).__name__, str(exc)
+    return f.pretty(), f.length, f.repeats, f.expression.length, f.assignment
+
+
+def instances(name, seeds=range(8), sizes=((3, 5), (4, 7))):
+    q = fixture_query(name)
+    for seed in seeds:
+        for d, t in sizes:
+            yield q, compute_witnesses(q, gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed)))
+
+
+def assignments(q, W, seed):
+    """Random plans per witness (minimal plans, then any legal plan), the
+    exact optimum's assignment and the flow cut's assignment."""
+    rng = random.Random(seed)
+    for plans in (enumerate_mveo(q), enumerate_veos(q)):
+        yield {w: rng.choice(plans) for w in W.witnesses}
+    if not W.witnesses:
+        return
+    try:
+        yield dict(solve_exact(q, W).factorization.assignment)
+    except AssertionError:  # the known 4chain cost-model defect
+        pass
+    g = build_flow_graph(q, W, build_ordering(q))
+    try:
+        yield extract_factorization(g, min_cut(g))[1]
+    except (ExtractionFailure, AssertionError):  # no cut assignment then
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_assemble_matches_reference(name):
+    checked = 0
+    for i, (q, W) in enumerate(instances(name)):
+        for asg in assignments(q, W, i):
+            want = outcome(oracles.reference_assemble, q, W, asg)
+            assert outcome(assemble, q, W, asg) == want
+            checked += 1
+    assert checked >= 24
+
+
+def test_assemble_matches_reference_on_illegal_assignments():
+    q = fixture_query("2chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=10, seed=3)))
+    y, x, z = Veo(("y",)), Veo(("x",)), Veo(("z",))
+    fork = Veo(("y",), (x, z))  # y <- (x, z)
+    chain = Veo(("y",), (Veo(("x",), (z,)),))  # y <- x <- z
+    cases = [
+        {w: fork for w in W.witnesses[1:]},  # partial
+        {w: Veo(("x",), (y,)) for w in W.witnesses},  # misses z
+        # y <- x ends where y <- x <- z continues: mixed terminal node
+        {w: (fork, chain)[i % 2] for i, w in enumerate(W.witnesses)},
+    ]
+    seen = set()
+    for asg in cases:
+        want = outcome(oracles.reference_assemble, q, W, asg)
+        assert outcome(assemble, q, W, asg) == want
+        seen.add(want)
+    # witnesses binding only (x, y), or only y: the first unbound variable
+    # met in preorder is named
+    for keep, plan in ((slice(0, 2), chain), (slice(1, 2), fork)):
+        short = WitnessSet(q, tuple(Witness(w.binding[keep], w.tuples) for w in W.witnesses))
+        asg = {w: plan for w in short.witnesses}
+        want = outcome(oracles.reference_assemble, q, short, asg)
+        assert outcome(assemble, q, short, asg) == want
+        seen.add(want)
+    assert all(s[0] == IllegalAssignment.__name__ for s in seen)
+    assert {s[1].split()[-1] for s in seen} == {"set", "two_chain", "plans", "z", "x"}
+
+
+def test_assemble_leaves_no_reference_cycles():
+    q = fixture_query("triangle-u")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=8, tuples=40, seed=2)))
+    assert len(W) > 20
+    asgs = [{w: v for w in W.witnesses} for v in enumerate_mveo(q)]
+    asgs.append(dict(solve_exact(q, W).factorization.assignment))
+    gc.collect()
+    gc.disable()
+    try:
+        for asg in asgs:
+            fact = assemble(q, W, asg)
+            assert gc.collect() == 0
+            assert fact.length > 0
+    finally:
+        gc.enable()
+
+
+GOLDENS = [
+    ("q2star", dbs.FIG2A, "exact"),
+    ("q2star", dbs.FIG2A_S13, "exact"),
+    ("3chain", dbs.APPB1, "exact"),
+    ("triangle", dbs.LEAKAGE, "exact"),
+    ("triangle", dbs.FIG7D, "flow"),
+]
+
+
+@pytest.mark.parametrize("name,db,method", GOLDENS)
+def test_expression_counts_match_leaves(name, db, method):
+    q = fixture_query(name)
+    W = compute_witnesses(q, parse_database(db))
+    if method == "exact":
+        expr = solve_exact(q, W).expression
+    else:
+        g = build_flow_graph(q, W, build_ordering(q))
+        expr = extract_factorization(g, min_cut(g))[0].expression
+    assert expr.length == oracles.count_leaves(expr)
+    assert expr.tuple_keys == frozenset(oracles.leaf_multiset(expr))
+    nodes = [expr]
+    while nodes:
+        e = nodes.pop()
+        assert not hasattr(e, "__dict__")
+        assert e.length == oracles.count_leaves(e)
+        nodes.extend(e.children)
+
+
+def test_expr_is_slotted_and_length_is_not_compared():
+    leaf = Expr("var", key=("R", ("1",)))
+    assert not hasattr(leaf, "__dict__") and "length" in Expr.__slots__
+    both = Expr("and", children=(leaf, Expr("var", key=("S", ("1", "2")))))
+    assert (leaf.length, both.length, Expr("false").length) == (1, 2, 0)
+    assert Expr("var", key=("R", ("1",)), length=7) == leaf
+    assert Expr("var", key=("R", ("1",)), length=7).length == 1

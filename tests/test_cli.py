@@ -4,11 +4,14 @@ import json
 import logging
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
 import dbs
+from provfact import cli, ilp
 from provfact.cli import main
+from provfact.gen import GenSpec, fixture_query, gen_random
 
 Q2STAR = "Q :- R(x), S(x,y), T(y)\n"
 TRIANGLE = "Q :- R(x,y), S(y,z), T(z,x)\n"
@@ -172,6 +175,20 @@ def test_ilp_reduce(capsys, files):
     lines = dict(l.split(": ", 1) for l in out.splitlines())
     assert lines["optimum"] == "4"
     assert int(lines["vars"]) <= 12
+
+
+def test_ilp_solve_reports_a_truncated_search(capsys, files, monkeypatch):
+    """A search cut off by its budget prints its incumbent as the best found,
+    not as the optimum."""
+    db = gen_random(GenSpec(query=fixture_query("3chain"), d=6, tuples=14, seed=1))
+    db_path = files["dir"] / "chain60.db"
+    db_path.write_text(db.text())
+    monkeypatch.setattr(cli, "solve_model", partial(ilp.solve_model, budget=200))
+    rc, out, _ = run(capsys, ["ilp", files["3chain.q"], str(db_path), "--solve"])
+    assert rc == 0
+    lines = dict(l.split(": ", 1) for l in out.splitlines())
+    assert "optimum" not in lines
+    assert lines["best found"] == "47 (budget exhausted; not proven optimal)"
 
 
 def test_gen_fixture_roundtrip(capsys, tmp_path):

@@ -10,7 +10,14 @@ import dbs
 from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
-from provfact.ilp import EmptyWitnessSet, build_ilp, export_lp, model_stats, solve_model
+from provfact.ilp import (
+    EmptyWitnessSet,
+    ModelBudgetExhausted,
+    build_ilp,
+    export_lp,
+    model_stats,
+    solve_model,
+)
 from provfact.provenance import WitnessSet, compute_witnesses, parse_database
 
 
@@ -52,6 +59,23 @@ def test_instances_with_equal_serials_get_two_variables():
     W = compute_witnesses(q, parse_database(dbs.SERIAL_COLLISION))
     value, _ = solve_model(build_ilp(q, W))
     assert value == 6 == solve_exact(q, W).length
+
+
+def test_truncated_search_is_not_reported_as_optimum():
+    """On this 60-witness 3chain instance a 200-node search stops at 47,
+    above the optimum 45; it must say so instead of returning 47."""
+    q = fixture_query("3chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=14, seed=1)))
+    assert len(W) == 60
+    m = build_ilp(q, W)
+    with pytest.raises(ModelBudgetExhausted) as info:
+        solve_model(m, budget=200)
+    exc = info.value
+    assert isinstance(exc, RuntimeError)
+    assert (exc.value, exc.nodes) == (47, 200)
+    assert exc.value > solve_exact(q, W).length == 45
+    assert all(val == 1 for val in exc.solution.values())
+    assert sum(m.objective.get(v, 0) for v in exc.solution) + m.constant == 47
 
 
 def test_export_lp_format(appb1_db):
