@@ -57,7 +57,6 @@ from .provenance import (
     detect_p4,
     expand,
     fact_decision,
-    instantiate,
     load_database,
     parse_database,
     tuple_id,

@@ -39,7 +39,7 @@ def _load_query(path: str):
         return parse_query(fh.read())
 
 
-def _parse_order(spec: str, k: int):
+def _parse_order(spec: str):
     if spec == "nested-rp":
         return "nested-rp", None
     if spec.startswith("flat"):
@@ -96,7 +96,7 @@ def cmd_factorize(args) -> int:
 
     ordering = None
     if args.order != "nested-rp" or args.dump_graph:
-        mode, perm = _parse_order(args.order, len(enumerate_mveo(q)))
+        mode, perm = _parse_order(args.order)
         ordering = build_ordering(q, mode=mode, perm=perm)
 
     if args.dump_graph:
@@ -147,8 +147,6 @@ def cmd_ilp(args) -> int:
         try:
             value, _ = solve_model(model)
         except ModelBudgetExhausted as exc:
-            if exc.value is None:
-                raise
             print(f"best found: {exc.value} (budget exhausted; not proven optimal)")
         else:
             print(f"optimum: {value}")

@@ -7,6 +7,10 @@ early, and independent sharing components are solved separately.  Pruning
 uses an admissible sharing-aware bound: private prefix instances count at
 full weight, shareable ones at weight divided by the number of undecided
 witnesses that could still use them.
+
+`_search` sees only integer id lists (one list per choice per item), so the
+covering model of `ilp` is solved by the same search over its choice
+variables' implication closures.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .cq import Query
-from .provenance import Factorization, WitnessSet, assemble, instantiate
+from .provenance import Factorization, UnboundVariable, WitnessSet, _serial, assemble
 from .veo import enumerate_mveo, table_prefixes
 
 log = logging.getLogger(__name__)
@@ -58,34 +62,44 @@ def lower_bound(q: Query, witnesses) -> int:
 
 
 def _prepare(q: Query, W: WitnessSet):
-    """Intern every (witness, plan) prefix-instance list as integer ids."""
+    """Intern every (witness, plan) prefix-instance list as integer ids.
+
+    An instance is keyed by its path, the table-prefix path with the
+    witness's constants substituted: ((node, values), ...).  Returns the
+    plans, the id lists per witness and plan, the weight of each id and the
+    path -> id map (in id order).
+    """
     mveo = enumerate_mveo(q)
     prefixes = [table_prefixes(v, q) for v in mveo]
     path_ids: dict = {}  # instance path -> id
     weights: list[int] = []
     inst_lists: list[list[list[int]]] = []  # [witness][veo] -> instance ids
-    produced_by: list[set[int]] = []  # instance id -> witness indices
 
-    for wi, w in enumerate(W.witnesses):
+    for w in W.witnesses:
+        vals = w.values
         per_veo = []
-        for vi, v in enumerate(mveo):
+        for tps in prefixes:
             ids = []
-            for tp in prefixes[vi]:
-                inst = instantiate(tp, w)
-                iid = path_ids.get(inst.path)
+            for tp in tps:
+                try:
+                    path = tuple([(node, tuple([vals[x] for x in node])) for node in tp.path])
+                except KeyError as exc:
+                    raise UnboundVariable(f"witness {w.key} does not bind {exc.args[0]}")
+                iid = path_ids.get(path)
                 if iid is None:
-                    iid = len(weights)
-                    path_ids[inst.path] = iid
+                    iid = path_ids[path] = len(weights)
                     weights.append(tp.weight)
-                    produced_by.append(set())
-                produced_by[iid].add(wi)
+                elif weights[iid] != tp.weight:
+                    raise AssertionError(
+                        f"inconsistent weight for shared prefix {_serial(path)}"
+                    )
                 ids.append(iid)
             per_veo.append(ids)
         inst_lists.append(per_veo)
-    return mveo, inst_lists, weights, produced_by
+    return mveo, inst_lists, weights, path_ids
 
 
-def _reduce_plans(n, k, inst_lists, weights):
+def _reduce_plans(inst_lists, weights):
     """Per-witness plan dominance, iterated to a fixpoint.
 
     Two plans whose shareable-instance sets coincide differ only in private
@@ -96,7 +110,8 @@ def _reduce_plans(n, k, inst_lists, weights):
     Dropping plans shrinks the potential-user sets, which may privatize more
     instances, hence the fixpoint loop.
     """
-    kept = [list(range(k)) for _ in range(n)]
+    n = len(inst_lists)
+    kept = [list(range(len(choices))) for choices in inst_lists]
     while True:
         pb: dict[int, set[int]] = {}
         for wi in range(n):
@@ -360,30 +375,25 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
     return cost, assignment, nodes, exhausted, frontier
 
 
-def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
-    """Search all plan assignments for a minimum-length factorization.
+def _search(inst_lists, weights, tiebreak, budget):
+    """Minimize the weighted count of distinct ids over one choice per item.
 
-    `budget` caps the number of search nodes; when exhausted the incumbent is
-    returned with optimal=False and a frontier-derived lower bound.
+    `inst_lists[i][c]` lists the ids that choice c of item i uses; `tiebreak[i]`
+    orders items that share equally.  Returns (cost, {item: choice}, nodes,
+    exhausted, lower bound); the bound equals the cost unless `budget` cut
+    the search short.
     """
-    if not W.witnesses:
-        empty = assemble(q, W, {})
-        return ExactResult(empty, 0, True, 0, 0)
+    n = len(inst_lists)
+    kept, pb = _reduce_plans(inst_lists, weights)
 
-    mveo, inst_lists, weights, produced_by = _prepare(q, W)
-    n = len(W.witnesses)
-    k = len(mveo)
-
-    kept, pb = _reduce_plans(n, k, inst_lists, weights)
-
-    # search order: most shared-prefix candidates first, then witness key
+    # search order: most shared-id candidates first, then the tie-break
     shared_count = [
         sum(1 for vi in kept[wi] for i in inst_lists[wi][vi] if len(pb[i]) > 1)
         for wi in range(n)
     ]
 
     def order_key(wi):
-        return (-shared_count[wi], W.witnesses[wi].key)
+        return (-shared_count[wi], tiebreak[wi])
 
     comps = _components(n, kept, inst_lists, pb)
     comps.sort(key=lambda ws: min(order_key(wi) for wi in ws))
@@ -403,8 +413,26 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         total_frontier += frontier
         any_exhausted = any_exhausted or exhausted
         full_assign.update(assignment)
+    bound = total_frontier if any_exhausted else total_cost
+    return total_cost, full_assign, total_nodes, any_exhausted, bound
 
-    assignment = {W.witnesses[wi]: mveo[vi] for wi, vi in full_assign.items()}
+
+def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
+    """Search all plan assignments for a minimum-length factorization.
+
+    `budget` caps the number of search nodes; when exhausted the incumbent is
+    returned with optimal=False and a frontier-derived lower bound.
+    """
+    if not W.witnesses:
+        empty = assemble(q, W, {})
+        return ExactResult(empty, 0, True, 0, 0)
+
+    mveo, inst_lists, weights, _ = _prepare(q, W)
+    total_cost, chosen, total_nodes, exhausted, bound = _search(
+        inst_lists, weights, [w.key for w in W.witnesses], budget
+    )
+
+    assignment = {W.witnesses[wi]: mveo[vi] for wi, vi in chosen.items()}
     fact = assemble(q, W, assignment)
     if fact.length != total_cost:
         raise AssertionError(
@@ -414,12 +442,12 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         "exact search: %d nodes, length %d, optimal=%s",
         total_nodes,
         total_cost,
-        not any_exhausted,
+        not exhausted,
     )
     return ExactResult(
         factorization=fact,
         length=total_cost,
-        optimal=not any_exhausted,
+        optimal=not exhausted,
         nodes=total_nodes,
-        lower_bound=total_frontier if any_exhausted else total_cost,
+        lower_bound=bound,
     )

@@ -4,9 +4,11 @@ The model has a binary q(v_w) per (witness, minimal plan) pair and a binary
 p per table-prefix instance, shared across witnesses.  Objective: minimize
 the weighted sum of selected prefix instances.  Constraints: every witness
 selects at least one plan; selecting a plan selects all its prefix
-instances.  The module also exports LP text and can solve its own models
-with a small branch-and-bound (no external solver), which doubles as an
-independent cross-check of the assignment-space solver.
+instances.  The p variables are the prefix instances of the exact engine's
+table (`exact._prepare`), so both count the same instances.  The module
+also exports LP text and solves its own models (no external solver) with
+the exact engine's branch-and-bound, `exact._search`, run over the choice
+variables' implication closures.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import re
 from dataclasses import dataclass, field
 
 from .cq import Query
-from .provenance import WitnessSet, instantiate
-from .veo import Veo, enumerate_mveo, table_prefixes
+from .exact import _prepare, _search
+from .provenance import WitnessSet
+from .veo import Veo
 
 log = logging.getLogger(__name__)
 
@@ -39,14 +42,14 @@ class EmptyWitnessSet(ValueError):
 class ModelBudgetExhausted(RuntimeError):
     """`solve_model` ran out of node budget before proving an optimum.
 
-    Carries the incumbent: its objective value (folded constant included;
-    None when no solution was reached), its 1-variables and the number of
-    search nodes spent.
+    Carries the incumbent: its objective value (folded constant included),
+    its 1-variables and the number of search nodes spent.
     """
 
-    def __init__(self, value: int | None, solution: dict[str, int], nodes: int):
-        found = "no solution" if value is None else f"best found {value}"
-        super().__init__(f"model search exhausted its budget after {nodes} nodes; {found}")
+    def __init__(self, value: int, solution: dict[str, int], nodes: int):
+        super().__init__(
+            f"model search exhausted its budget after {nodes} nodes; best found {value}"
+        )
         self.value = value
         self.solution = solution
         self.nodes = nodes
@@ -103,49 +106,36 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     two-node prefixes where the plan set is a family of linear chains."""
     if not W.witnesses:
         raise EmptyWitnessSet("cannot build a model over zero witnesses")
-    mveo = enumerate_mveo(q)
-    prefixes = [table_prefixes(v, q) for v in mveo]
+    mveo, inst_lists, weights, path_ids = _prepare(q, W)
     register = _name_registry()
 
+    # one p variable per prefix instance of the exact engine's table, in id order
     objective: dict[str, int] = {}
+    p_names: list[str] = []
+    full: set[str] = set()  # p variables of full-variable prefixes
+    for path, iid in path_ids.items():
+        token = "__".join(
+            "".join(f"{var}{_sanitize(val)}" for var, val in zip(node, vals))
+            for node, vals in path
+        )
+        pn = register(f"p_{token}", ("p", path))
+        p_names.append(pn)
+        objective[pn] = weights[iid]
+        if frozenset(x for node, _ in path for x in node) == q.variables:
+            full.add(pn)
+
     plan_constraints: list[tuple[str, list[str]]] = []
     prefix_constraints: list[tuple[str, str]] = []
     choice_info: dict[str, tuple[str, int]] = {}
     q_names: dict[tuple[int, int], str] = {}
-    p_names: dict = {}  # instance path -> variable name
-    p_weight: dict[str, int] = {}
-    p_is_full: dict[str, bool] = {}
-    p_of_choice: dict[str, list[str]] = {}
-
-    allvars = q.variables
     for wi, w in enumerate(W.witnesses):
         choices = []
-        for vi, v in enumerate(mveo):
+        for vi, ids in enumerate(inst_lists[wi]):
             qn = register(f"q_v{vi + 1}__{_sanitize(w.key)}", f"q:{vi}:{w.key}")
             q_names[(wi, vi)] = qn
             choice_info[qn] = (w.key, vi)
             choices.append(qn)
-            implied = []
-            for tp in prefixes[vi]:
-                inst = instantiate(tp, w)
-                pn = p_names.get(inst.path)
-                if pn is None:
-                    token = "__".join(
-                        "".join(f"{var}{_sanitize(val)}" for var, val in zip(node, vals))
-                        for node, vals in inst.path
-                    )
-                    pn = register(f"p_{token}", ("p", inst.path))
-                    p_names[inst.path] = pn
-                    p_weight[pn] = tp.weight
-                    p_is_full[pn] = inst.varset == allvars
-                    objective[pn] = tp.weight
-                elif p_weight[pn] != tp.weight:
-                    raise AssertionError(
-                        f"inconsistent weight for shared prefix {inst.serial}"
-                    )
-                prefix_constraints.append((pn, qn))
-                implied.append(pn)
-            p_of_choice[qn] = implied
+            prefix_constraints.extend((p_names[i], qn) for i in ids)
         plan_constraints.append((f"plan_w{wi + 1}", choices))
 
     constant = 0
@@ -153,17 +143,14 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         # fold full-variable prefixes (never shared across witnesses) into
         # their choice variables
         fold: dict[str, int] = {}
-        for pn, qn in list(prefix_constraints):
-            if p_is_full[pn]:
-                fold[qn] = fold.get(qn, 0) + p_weight[pn]
-        dropped = {pn for pn in p_weight if p_is_full[pn]}
+        for pn, qn in prefix_constraints:
+            if pn in full:
+                fold[qn] = fold.get(qn, 0) + objective[pn]
         prefix_constraints = [
-            (pn, qn) for pn, qn in prefix_constraints if pn not in dropped
+            (pn, qn) for pn, qn in prefix_constraints if pn not in full
         ]
-        for pn in dropped:
-            objective.pop(pn, None)
-        for qn, impl in p_of_choice.items():
-            p_of_choice[qn] = [pn for pn in impl if pn not in dropped]
+        for pn in full:
+            del objective[pn]
         uniform = len(set(fold.values())) == 1 and len(fold) == len(choice_info)
         if uniform:
             constant = next(iter(fold.values())) * len(W.witnesses)
@@ -183,13 +170,13 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
             merged_ok = True
             merge_map: dict[str, str] = {}
             for (wi, vi), qn in q_names.items():
-                w = W.witnesses[wi]
-                pair = instantiate(head2[mveo[vi]], w)
-                pn = p_names.get(pair.path)
-                if pn is None or pn not in objective:
+                vals = W.witnesses[wi].values
+                pair = tuple((node, tuple(vals[x] for x in node)) for node in head2[mveo[vi]])
+                iid = path_ids.get(pair)
+                if iid is None or p_names[iid] not in objective:
                     merged_ok = False
                     break
-                merge_map[qn] = pn
+                merge_map[qn] = p_names[iid]
             if merged_ok:
                 plan_constraints = [
                     (label, [merge_map[qn] for qn in choices])
@@ -206,10 +193,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
                 }
                 q_names = {}
 
-    q_name_list = [q_names[key] for key in sorted(q_names)] if q_names else []
-    binaries = sorted(set(q_name_list) | set(objective)) if reduce else sorted(
-        set(q_name_list) | set(p_names.values())
-    )
+    binaries = sorted(set(q_names.values()) | set(objective if reduce else p_names))
     model = IlpModel(
         query=q,
         n=len(W.witnesses),
@@ -303,69 +287,38 @@ def model_stats(m: IlpModel) -> dict[str, int]:
 
 
 def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, int]]:
-    """Solve the model exactly by depth-first branch-and-bound over the plan
-    constraints (one choice variable per witness; implications propagated).
+    """Solve the model exactly with the exact engine's branch-and-bound.
 
-    Returns (optimal objective including the folded constant, assignment of
-    1-variables).  Intended for fixture-scale models.  Raises
-    `ModelBudgetExhausted`, carrying the incumbent, when the search is cut
-    off by `budget` before it is complete.
+    Each plan constraint is one item of `exact._search`, each of its choice
+    variables one choice, which uses every variable of its implication
+    closure at that variable's objective weight.  Returns (optimal
+    objective including the folded constant, assignment of 1-variables).
+    Raises `ModelBudgetExhausted`, carrying the incumbent, when `budget`
+    cuts the search off before it is complete.
     """
     implied_by: dict[str, list[str]] = {}
     for pn, qn in m.prefix_constraints:
         implied_by.setdefault(qn, []).append(pn)
+    var_ids: dict[str, int] = {}
 
-    def closure(var: str) -> tuple[str, ...]:
-        out: list[str] = []
+    def closure(var: str) -> list[int]:
         seen = {var}
         stack = [var]
         while stack:
-            cur = stack.pop()
-            out.append(cur)
-            for nxt in implied_by.get(cur, ()):
+            for nxt in implied_by.get(stack.pop(), ()):
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return tuple(sorted(out))
+        return [var_ids.setdefault(v, len(var_ids)) for v in sorted(seen)]
 
-    choice_closure: dict[str, tuple[str, ...]] = {}
-    for _, choices in m.plan_constraints:
-        for c in choices:
-            if c not in choice_closure:
-                choice_closure[c] = closure(c)
-
-    best = [float("inf"), {}]
-    count = {v: 0 for v in m.binaries}
-    nodes = 0
-    truncated = False
-
-    def dfs(level: int, cost: int):
-        nonlocal nodes, truncated
-        if cost >= best[0]:
-            return
-        if level == len(m.plan_constraints):
-            best[0] = cost
-            best[1] = {v: 1 for v, c in count.items() if c > 0}
-            return
-        _, choices = m.plan_constraints[level]
-        for c in choices:
-            if nodes >= budget:
-                truncated = True
-                return
-            nodes += 1
-            added = 0
-            for v in choice_closure[c]:
-                if count[v] == 0:
-                    added += m.objective.get(v, 0)
-                count[v] += 1
-            dfs(level + 1, cost + added)
-            for v in choice_closure[c]:
-                count[v] -= 1
-
-    dfs(0, 0)
-    if truncated:
-        value = None if best[0] == float("inf") else best[0] + m.constant
-        raise ModelBudgetExhausted(value, best[1], nodes)
-    if best[0] == float("inf"):
-        raise RuntimeError("model has no feasible solution")
-    return best[0] + m.constant, best[1]
+    inst_lists = [[closure(c) for c in choices] for _, choices in m.plan_constraints]
+    names = list(var_ids)
+    weights = [m.objective.get(v, 0) for v in names]
+    cost, chosen, nodes, exhausted, _ = _search(
+        inst_lists, weights, range(len(inst_lists)), budget
+    )
+    used = {i for item, c in chosen.items() for i in inst_lists[item][c]}
+    solution = {v: 1 for v in sorted(names[i] for i in used)}
+    if exhausted:
+        raise ModelBudgetExhausted(cost + m.constant, solution, nodes)
+    return cost + m.constant, solution

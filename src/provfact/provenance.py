@@ -13,7 +13,6 @@ nodes, and is freed when `assemble` returns: it forms no reference cycle.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import os
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .cq import Atom, Query
-from .veo import Node, TablePrefix, Veo, prefix_path
+from .veo import Node, Veo
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +42,6 @@ __all__ = [
     "load_database",
     "join_order",
     "compute_witnesses",
-    "instantiate",
     "assemble",
     "verify_equivalence",
     "detect_p4",
@@ -305,45 +303,8 @@ class PrefixInstance:
     def serial(self) -> str:
         return _serial(self.path)
 
-    @cached_property
-    def varset(self) -> frozenset[str]:
-        return frozenset(v for node, _ in self.path for v in node)
-
-    @cached_property
-    def values(self) -> dict[str, str]:
-        return {
-            var: val for node, vals in self.path for var, val in zip(node, vals)
-        }
-
     def __str__(self) -> str:
         return self.serial
-
-
-def instantiate(prefix_or_veo, witness: Witness) -> PrefixInstance:
-    """Substitute witness constants into a table prefix (or path-shaped VEO)."""
-    if isinstance(prefix_or_veo, TablePrefix):
-        path = prefix_or_veo.path
-    elif isinstance(prefix_or_veo, Veo):
-        path = []
-        cur: Veo | None = prefix_or_veo
-        while cur is not None:
-            path.append(cur.node)
-            if len(cur.children) > 1:
-                raise ValueError(
-                    f"{prefix_or_veo} is not path-shaped; instantiate table prefixes instead"
-                )
-            cur = cur.children[0] if cur.children else None
-        path = tuple(path)
-    else:
-        path = tuple(prefix_or_veo)
-    vals = witness.values
-    inst = []
-    for node in path:
-        try:
-            inst.append((node, tuple(vals[v] for v in node)))
-        except KeyError as exc:
-            raise UnboundVariable(f"witness {witness.key} does not bind {exc.args[0]}")
-    return PrefixInstance(tuple(inst))
 
 
 # --------------------------------------------------------------------------

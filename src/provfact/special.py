@@ -487,6 +487,18 @@ def _flow_run(q, W, strict_rp, kernel, ordering=None):
     return fact, res
 
 
+def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] | None:
+    """Run the closed-form solver for the first special shape `cls` has,
+    as (factorization, method); None when it has none."""
+    if "q2star" in cls:
+        return solve_q2star(W), "q2star"
+    if "triangle-unary" in cls:
+        return solve_triangle_unary(W), "triangle-unary"
+    if "two-chain-we" in cls:
+        return solve_two_chain_we(W), "two-chain-we"
+    return None
+
+
 def dispatch(
     q: Query,
     W: WitnessSet,
@@ -556,23 +568,15 @@ def dispatch(
         fact = _best_single_plan(q, W)
         optimal = "hierarchical" in cls
     elif policy == "special":
-        if "q2star" in cls:
-            fact, method = solve_q2star(W), "q2star"
-        elif "triangle-unary" in cls:
-            fact, method = solve_triangle_unary(W), "triangle-unary"
-        elif "two-chain-we" in cls:
-            fact, method = solve_two_chain_we(W), "two-chain-we"
-        else:
+        routed = _special_solve(cls, W)
+        if routed is None:
             raise ShapeMismatch(f"{q.name} matches no special-case solver")
+        fact, method = routed
     else:  # auto
         if "hierarchical" in cls:
             fact, method = _best_single_plan(q, W), "single-plan"
-        elif "q2star" in cls:
-            fact, method = solve_q2star(W), "q2star"
-        elif "triangle-unary" in cls:
-            fact, method = solve_triangle_unary(W), "triangle-unary"
-        elif "two-chain-we" in cls:
-            fact, method = solve_two_chain_we(W), "two-chain-we"
+        elif (routed := _special_solve(cls, W)) is not None:
+            fact, method = routed
         elif cls.k == 2:
             fact, _ = _flow_run(q, W, strict_rp, kernel, ordering)
             method = "flow"

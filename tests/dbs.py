@@ -2,8 +2,11 @@
 
 Each database is written in the sectioned text format the library parses.
 The expected numbers asserted on these instances (lengths, cut values,
-model sizes) are hand-verified in the tests that use them.
+model sizes) are hand-verified in the tests that use them.  The path
+builders at the end make arbitrarily deep instances of two shapes.
 """
+
+from provfact.provenance import Database
 
 # 2-star query R(x), S(x,y), T(y).  Provenance
 #   r1 s11 t1 ∨ r1 s12 t2 ∨ r2 s23 t3 ∨ r3 s33 t3
@@ -91,3 +94,27 @@ SERIAL_COLLISION = """\
 2,1
 z2,1
 """
+
+
+def _c(k):
+    return f"{k:04d}"
+
+
+def path_q2star(n):
+    """Two-star witnesses forming one alternating path x1-y1-x2-y2-…-xn-yn:
+    2n-1 witnesses whose augmenting paths grow to length n."""
+    ks = range(1, n + 1)
+    S = [(_c(1), _c(1))] + [p for k in ks[1:] for p in ((_c(k), _c(k - 1)), (_c(k), _c(k)))]
+    return Database.from_dict({"R": [(_c(k),) for k in ks], "S": S, "T": [(_c(k),) for k in ks]})
+
+
+def path_triangle_unary(n):
+    """Unary-triangle witnesses (k, k, k) and (k+1, k, k): every binary
+    tuple occurs once, and the x / yz graph is one path of 2n-1 edges."""
+    ks = range(1, n + 1)
+    return Database.from_dict({
+        "U": [(_c(k),) for k in ks],
+        "R": [(_c(k), _c(k)) for k in ks] + [(_c(k), _c(k - 1)) for k in ks[1:]],
+        "S": [(_c(k), _c(k)) for k in ks],
+        "T": [(_c(k), _c(k)) for k in ks] + [(_c(k - 1), _c(k)) for k in ks[1:]],
+    })

@@ -209,6 +209,43 @@ def brute_read_once(q, witness_set, plans):
 
 
 # ---------------------------------------------------------------------------
+# Covering model
+# ---------------------------------------------------------------------------
+
+def brute_model_optimum(m):
+    """Optimum of an ``ilp`` covering model by trying every choice per plan
+    constraint.
+
+    A choice sets its variable to 1 and, through the prefix constraints
+    ``p - q >= 0`` followed transitively, every variable it implies; nothing
+    else need be 1, as no weight is negative.  The value is the objective
+    over the union of those variables, plus the folded constant.
+    """
+    implied = {}
+    for p, q in m.prefix_constraints:
+        implied.setdefault(q, []).append(p)
+
+    def ones(var):
+        seen = {var}
+        todo = deque([var])
+        while todo:
+            for p in implied.get(todo.popleft(), ()):
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        return seen
+
+    constraints = [choices for _, choices in m.plan_constraints]
+    closure = {c: ones(c) for choices in constraints for c in choices}
+    best = None
+    for pick in itertools.product(*constraints):
+        value = sum(m.objective.get(v, 0) for v in set().union(*(closure[c] for c in pick)))
+        if best is None or value < best:
+            best = value
+    return best + m.constant
+
+
+# ---------------------------------------------------------------------------
 # Expression leaves
 # ---------------------------------------------------------------------------
 

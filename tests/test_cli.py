@@ -188,7 +188,7 @@ def test_ilp_solve_reports_a_truncated_search(capsys, files, monkeypatch):
     assert rc == 0
     lines = dict(l.split(": ", 1) for l in out.splitlines())
     assert "optimum" not in lines
-    assert lines["best found"] == "47 (budget exhausted; not proven optimal)"
+    assert lines["best found"] == "45 (budget exhausted; not proven optimal)"
 
 
 def test_gen_fixture_roundtrip(capsys, tmp_path):

@@ -1,15 +1,17 @@
 """Covering-model construction, LP export, reductions, exact solving."""
 
 import io
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import dbs
+import oracles
 from provfact.cq import parse_query
 from provfact.exact import solve_exact
-from provfact.gen import GenSpec, fixture_query, gen_random
+from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.ilp import (
     EmptyWitnessSet,
     ModelBudgetExhausted,
@@ -62,8 +64,9 @@ def test_instances_with_equal_serials_get_two_variables():
 
 
 def test_truncated_search_is_not_reported_as_optimum():
-    """On this 60-witness 3chain instance a 200-node search stops at 47,
-    above the optimum 45; it must say so instead of returning 47."""
+    """On this 60-witness 3chain instance a 200-node search holds the
+    optimum 45 but has not proven it; it must say so instead of returning
+    45 as the optimum."""
     q = fixture_query("3chain")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=14, seed=1)))
     assert len(W) == 60
@@ -72,10 +75,51 @@ def test_truncated_search_is_not_reported_as_optimum():
         solve_model(m, budget=200)
     exc = info.value
     assert isinstance(exc, RuntimeError)
-    assert (exc.value, exc.nodes) == (47, 200)
-    assert exc.value > solve_exact(q, W).length == 45
+    assert (exc.value, exc.nodes) == (45, 200)
+    assert exc.value >= solve_exact(q, W).length == 45
     assert all(val == 1 for val in exc.solution.values())
-    assert sum(m.objective.get(v, 0) for v in exc.solution) + m.constant == 47
+    assert sum(m.objective.get(v, 0) for v in exc.solution) + m.constant == 45
+
+
+def test_model_optimum_matches_brute_force():
+    """`solve_model` equals trying every choice of every plan constraint, on
+    each fixture's models (full and reduced) of at most 20,000 choices."""
+    checked = 0
+    for name in FIXTURE_QUERIES:
+        q = fixture_query(name)
+        for seed in range(10):
+            W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=7, seed=seed)))
+            if not W.witnesses:
+                continue
+            for reduce in (False, True):
+                m = build_ilp(q, W, reduce=reduce)
+                if math.prod(len(c) for _, c in m.plan_constraints) > 20_000:
+                    continue
+                value, solution = solve_model(m)
+                assert value == oracles.brute_model_optimum(m), (name, seed, reduce)
+                assert sum(m.objective.get(v, 0) for v in solution) + m.constant == value
+                checked += 1
+    assert checked >= 100
+
+
+def test_model_solve_needs_no_recursion():
+    """The 2,999-witness two-star path: one search level per witness lies
+    far beyond Python's recursion limit."""
+    q = fixture_query("q2star")
+    W = compute_witnesses(q, dbs.path_q2star(1500))
+    assert len(W) == 2999
+    value, _ = solve_model(build_ilp(q, W))
+    assert value == 7498 == 5 * 1500 - 2
+
+
+def test_model_solve_proves_the_3chain_optimum():
+    """On this 68-witness 3chain model the search proves the optimum 53
+    within the default budget."""
+    q = fixture_query("3chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=8, tuples=20, seed=3)))
+    assert len(W) == 68
+    value, _ = solve_model(build_ilp(q, W))
+    assert value == 53 == solve_exact(q, W).length
 
 
 def test_export_lp_format(appb1_db):

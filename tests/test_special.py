@@ -12,7 +12,6 @@ from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.provenance import (
-    Database,
     compute_witnesses,
     parse_database,
     verify_equivalence,
@@ -139,34 +138,10 @@ def test_max_matching_and_cover_are_optimal(seed):
     assert len(match_r) == len(cover_l) + len(cover_r) == brute
 
 
-def _c(k):
-    return f"{k:04d}"
-
-
-def _path_q2star(n):
-    """Two-star witnesses forming one alternating path x1-y1-x2-y2-…-xn-yn:
-    2n-1 witnesses whose augmenting paths grow to length n."""
-    ks = range(1, n + 1)
-    S = [(_c(1), _c(1))] + [p for k in ks[1:] for p in ((_c(k), _c(k - 1)), (_c(k), _c(k)))]
-    return Database.from_dict({"R": [(_c(k),) for k in ks], "S": S, "T": [(_c(k),) for k in ks]})
-
-
-def _path_triangle_unary(n):
-    """Unary-triangle witnesses (k, k, k) and (k+1, k, k): every binary
-    tuple occurs once, and the x / yz graph is one path of 2n-1 edges."""
-    ks = range(1, n + 1)
-    return Database.from_dict({
-        "U": [(_c(k),) for k in ks],
-        "R": [(_c(k), _c(k)) for k in ks] + [(_c(k), _c(k - 1)) for k in ks[1:]],
-        "S": [(_c(k), _c(k)) for k in ks],
-        "T": [(_c(k), _c(k)) for k in ks] + [(_c(k - 1), _c(k)) for k in ks[1:]],
-    })
-
-
 PATH_SHAPES = {
     # fixture, database builder, method, optimal length for n
-    "q2star": (_path_q2star, "q2star", lambda n: 5 * n - 2),
-    "triangle-u": (_path_triangle_unary, "triangle-unary", lambda n: 7 * n - 3),
+    "q2star": (dbs.path_q2star, "q2star", lambda n: 5 * n - 2),
+    "triangle-u": (dbs.path_triangle_unary, "triangle-unary", lambda n: 7 * n - 3),
 }
 
 
