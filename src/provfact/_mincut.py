@@ -1,100 +1,126 @@
-"""Pure-Python max-flow kernel (Dinic's algorithm).
+"""Pure-Python max-flow kernel (Dinic's algorithm over a CSR residual graph).
 
-Kept dependency-free and structurally identical to the compiled kernel in
-_mincut_c.pyx so either can back the flow solver.  Arc order is preserved,
-which makes the residual reachability (and hence the canonical cut) stable
-across runs and across the two kernels.
+The residual graph is stored compressed by row in flat ``array`` buffers:
+the residual arcs leaving node u are ``start[u]`` to ``start[u + 1] - 1``,
+and residual arc e has head ``to[e]``, capacity ``cap[e]`` and reverse arc
+``rev[e]``.  Each node's arcs keep the order of the input (an arc's forward
+copy sits at its tail, its reverse copy at its head), so the kernel needs no
+per-node lists and no per-arc-end int objects.
+
+Each phase levels the residual graph by BFS, stopping once the sink's level
+is set: nodes further away cannot lie on a shortest augmenting path.  A
+blocking flow then follows only arcs one level up.  The last BFS, which
+misses the sink, runs to completion, and its levels mark the source side of
+the cut.
+
+The nodes reachable from s after any maximum flow are the same set, the
+smallest source side of a minimum cut (Picard & Queyranne, 1980).  So this
+kernel and the compiled one in _mincut_c.pyx return the same value and the
+same `reachable`, although they find their flows in different orders.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from itertools import accumulate
 
 __all__ = ["max_flow"]
 
 
 def max_flow(n: int, arcs, s: int, t: int) -> tuple[int, list[bool]]:
-    """Run Dinic on `arcs` = [(u, v, cap), ...] (directed, cap >= 0).
+    """Run Dinic on `arcs`, an iterable of (u, v, cap) (directed, cap >= 0)
+    with a length, over nodes 0..n-1.
 
     Returns (flow value, reachable) where reachable marks the source side of
     the canonical minimum cut: nodes reachable from s in the final residual
     graph.
     """
-    head: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    cap: list[int] = []
-
+    m2 = 2 * len(arcs)
+    degree = array("i", [0]) * n
+    for u, v, _c in arcs:
+        degree[u] += 1
+        degree[v] += 1
+    start = array("i", accumulate(degree, initial=0))
+    del degree
+    to = array("i", [0]) * m2
+    rev = array("i", [0]) * m2
+    cap = array("q", [0]) * m2
+    fill = start[:]
     for u, v, c in arcs:
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0)
+        a = fill[u]
+        fill[u] = a + 1
+        b = fill[v]
+        fill[v] = b + 1
+        to[a] = v
+        cap[a] = c
+        rev[a] = b
+        to[b] = u
+        rev[b] = a
+    del fill
 
-    level = [0] * n
-    it = [0] * n
+    unset = array("i", [-1]) * n
+    level = array("i", unset)
+    queue = array("i", [0]) * n
     flow = 0
-
     while True:
-        for i in range(n):
-            level[i] = -1
+        level[:] = unset
         level[s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for eid in head[u]:
-                v = to[eid]
-                if cap[eid] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    dq.append(v)
+        queue[0] = s
+        qh, qt = 0, 1
+        while qh < qt:
+            u = queue[qh]
+            qh += 1
+            lv = level[u] + 1
+            for e in range(start[u], start[u + 1]):
+                if cap[e] > 0:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = lv
+                        if v == t:
+                            break
+                        queue[qt] = v
+                        qt += 1
+            else:
+                continue
+            break
         if level[t] < 0:
             break
-        for i in range(n):
-            it[i] = 0
 
-        # iterative blocking-flow DFS
+        # blocking flow by iterative DFS; it[u] is u's next untried arc
+        it = start[:]
+        path: list[int] = []
+        u = s
         while True:
-            path: list[int] = []
-            u = s
-            pushed = 0
-            while True:
-                if u == t:
-                    bottleneck = min(cap[eid] for eid in path)
-                    for eid in path:
-                        cap[eid] -= bottleneck
-                        cap[eid ^ 1] += bottleneck
-                    pushed = bottleneck
-                    break
-                advanced = False
-                while it[u] < len(head[u]):
-                    eid = head[u][it[u]]
-                    v = to[eid]
-                    if cap[eid] > 0 and level[v] == level[u] + 1:
-                        path.append(eid)
-                        u = v
-                        advanced = True
+            if u == t:
+                pushed = min(map(cap.__getitem__, path))
+                for e in path:
+                    cap[e] -= pushed
+                    cap[rev[e]] += pushed
+                flow += pushed
+                # resume from the tail of the first saturated arc; the arcs
+                # before it still lead here with capacity left
+                for i, e in enumerate(path):
+                    if not cap[e]:
                         break
-                    it[u] += 1
-                if not advanced:
-                    level[u] = -1
-                    if u == s:
-                        break
-                    eid = path.pop()
-                    u = to[eid ^ 1]
-                    it[u] += 1
-            if pushed == 0:
+                del path[i:]
+                u = to[rev[e]]
+                continue
+            e = it[u]
+            end = start[u + 1]
+            lv = level[u] + 1
+            while e < end and not (cap[e] > 0 and level[to[e]] == lv):
+                e += 1
+            it[u] = e
+            if e < end:
+                path.append(e)
+                u = to[e]
+                continue
+            level[u] = -1  # dead end for the rest of the phase
+            if u == s:
                 break
-            flow += pushed
+            e = path.pop()
+            u = to[rev[e]]
+            it[u] += 1
 
-    reachable = [False] * n
-    reachable[s] = True
-    dq = deque([s])
-    while dq:
-        u = dq.popleft()
-        for eid in head[u]:
-            v = to[eid]
-            if cap[eid] > 0 and not reachable[v]:
-                reachable[v] = True
-                dq.append(v)
-    return flow, reachable
+    # the BFS that missed t ran to completion: its levels mark the source side
+    return flow, [lv >= 0 for lv in level]

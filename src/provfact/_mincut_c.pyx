@@ -1,8 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled max-flow kernel (Dinic's algorithm).
 
-Mirror of _mincut.py with typed buffers; arc order, augmenting order, and
-therefore the final residual reachability match the pure kernel exactly.
+Dinic over typed buffers, with each node's arcs in input order like the
+pure kernel in _mincut.py.  The two find their flows in different orders,
+but the nodes reachable from s after any maximum flow are the same set
+(Picard & Queyranne, 1980), so both return the same value and the same
+reachable list.
 """
 
 from cpython.mem cimport PyMem_Malloc, PyMem_Free

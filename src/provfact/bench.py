@@ -188,8 +188,10 @@ def kernel_compare(
 ) -> list[dict]:
     """Time the pure and compiled max-flow kernels on identical flow graphs.
 
-    Returns one record per (size, kernel) with the min-cut value (asserted
-    equal across kernels) and best-of-reps wall time.
+    Returns one record per (size, kernel) with the min-cut value and
+    best-of-reps wall time.  The kernels must agree on the cut itself, not
+    only on its value: the value and the nodes reachable from the source
+    (the smallest minimum-cut source side) are asserted equal across kernels.
     """
     q = fixture_query("3chain")
     ordering = build_ordering(q, mode="nested-rp")
@@ -202,6 +204,7 @@ def kernel_compare(
         W = compute_witnesses(q, db)
         g = build_flow_graph(q, W, ordering)
         values = {}
+        cuts = {}
         for kernel in kernels:
             best = None
             for _ in range(reps):
@@ -210,6 +213,7 @@ def kernel_compare(
                 dt = (time.perf_counter() - t0) * 1000
                 best = dt if best is None else min(best, dt)
                 values[kernel] = res.value
+                cuts[kernel] = res.reachable
             out.append(
                 {
                     "tuples": size,
@@ -221,6 +225,8 @@ def kernel_compare(
             )
         if len(set(values.values())) > 1:
             raise AssertionError(f"kernel disagreement at size {size}: {values}")
+        if any(reachable != cuts["py"] for reachable in cuts.values()):
+            raise AssertionError(f"kernels cut different node sets at size {size}")
     return out
 
 

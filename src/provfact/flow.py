@@ -27,7 +27,9 @@ only its instance ids.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 from .cq import Query
@@ -45,6 +47,7 @@ from .veo import Node, Ordering, Veo, _chain, prefix_path
 log = logging.getLogger(__name__)
 
 __all__ = [
+    "Arcs",
     "FlowGraph",
     "FlowResult",
     "NonRpOrdering",
@@ -194,26 +197,56 @@ def _skeleton(q: Query, ordering: Ordering) -> _Skeleton:
     return sk
 
 
+class Arcs:
+    """The arcs of a flow network in three typed buffers, indexed by arc:
+    `tail` and `head` node ids (``array("i")``) and `cap` (``array("q")``).
+
+    Sized, and iterates as ``(tail, head, cap)`` triples in insertion order,
+    the form the max-flow kernels take.
+    """
+
+    __slots__ = ("tail", "head", "cap")
+
+    def __init__(self) -> None:
+        self.tail = array("i")
+        self.head = array("i")
+        self.cap = array("q")
+
+    def __len__(self) -> int:
+        return len(self.tail)
+
+    def __iter__(self):
+        return zip(self.tail, self.head, self.cap)
+
+    def extend(self, tails, heads, caps) -> None:
+        """Append the arcs ``zip(tails, heads, caps)``."""
+        self.tail.extend(tails)
+        self.head.extend(heads)
+        self.cap.extend(caps)
+
+
 @dataclass
 class FlowGraph:
     """The contracted flow network of one (query, witnesses, ordering).
 
-    `cap_nodes` maps each capacity-node label to ``(in, out, cap)``: the
-    node is cut when `in` is on the source side and `out` is not.  Labels
-    are ``("q", witness, leaf)`` for a leaf node and ``("p", instance id)``
-    for a shared prefix instance; `in` is the connector itself when the
-    node has one entry.  Instance ids index `instances` (path template id
-    and the witness's binding pairs of that path) and `payer` (the label
-    of the cap node that carries the instance's weight: its own, or the
-    leaf it was folded into).  `slots` holds each witness's instance ids,
-    ``len(skeleton.slot_paths)`` per witness.
+    `arcs` holds every arc as ``(tail, head, cap)`` in flat buffers (see
+    `Arcs`); an uncuttable arc has capacity `inf`.  `cap_nodes` maps each
+    capacity-node label to ``(in, out, cap)``: the node is cut when `in` is
+    on the source side and `out` is not.  Labels are ``("q", witness,
+    leaf)`` for a leaf node and ``("p", instance id)`` for a shared prefix
+    instance; `in` is the connector itself when the node has one entry.
+    Instance ids index `instances` (path template id and the witness's
+    binding pairs of that path) and `payer` (the label of the cap node that
+    carries the instance's weight: its own, or the leaf it was folded
+    into).  `slots` is an ``array("i")`` of every witness's instance ids,
+    ``len(skeleton.slot_paths)`` per witness, in witness order.
     """
 
     query: Query
     witnesses: WitnessSet
     ordering: Ordering
     node_count: int
-    arcs: list[tuple[int, int, int]]
+    arcs: Arcs
     source: int
     sink: int
     cap_nodes: dict[tuple, tuple[int, int, int]]  # label -> (in_id, out_id, cap)
@@ -221,7 +254,7 @@ class FlowGraph:
     skeleton: _Skeleton
     instances: list[tuple[int, tuple]]
     payer: list[tuple]
-    slots: list[int]
+    slots: array
 
     def instance(self, iid: int) -> PrefixInstance:
         """The prefix instance with id `iid`."""
@@ -294,73 +327,91 @@ def build_flow_graph(
     var_names = itemgetter(0)
 
     # pass 1: intern every witness's instances and merge their sites into
-    # runs; per instance, `runs` lists (left, right, leaf label or None)
+    # runs.  A run spans connectors run_left -> run_right; run_leaf is the
+    # index ``wi * len(sk.leaves) + leaf`` of its leaf node, or -1 when it is
+    # no leaf site or was extended.  An instance's runs are chained from
+    # first[iid] to last[iid] through run_next (-1 ends the chain).
+    nleaves = len(sk.leaves)
     ids: dict[tuple[int, tuple], int] = {}
     weights: list[int] = []
-    runs: list[list[tuple[int, int, tuple | None]]] = []
-    slots: list[int] = []
-    q_caps: dict[tuple, int] = {}  # leaf label -> weight folded into it
+    first, last = array("i"), array("i")
+    run_left, run_right = array("i"), array("i")
+    run_leaf, run_next = array("i"), array("i")
+    slots = array("i")
     for wi, w in enumerate(W.witnesses):
         binding = w.binding
         if tuple(map(var_names, binding)) != names:
             missing = sorted(set(names) - set(map(var_names, binding)))
             raise UnboundVariable(f"witness {w.key} does not bind {missing}")
         off = wi * k
-        labels = [("q", wi, li) for li in range(len(sk.leaves))]
-        q_caps.update(dict.fromkeys(labels, 0))
+        qoff = wi * nleaves
         for tid, get, a, b, leaf in plan:
+            if a > _T:
+                a += off
+            if b > _T:
+                b += off
             key = (tid, get(binding))
             iid = ids.get(key)
             if iid is None:
                 iid = ids[key] = len(weights)
                 weights.append(sk.weights[tid])
-                runs.append([])
-            slots.append(iid)
-            if a > _T:
-                a += off
-            if b > _T:
-                b += off
-            r = runs[iid]
-            if r and r[-1][1] == a:  # adjacent to the previous run: extend it
-                r[-1] = (r[-1][0], b, None)
+                first.append(len(run_left))
+                last.append(len(run_left))
             else:
-                r.append((a, b, None if leaf is None else labels[leaf]))
+                r = last[iid]
+                if run_right[r] == a:  # adjacent to the previous run: extend it
+                    run_right[r] = b
+                    run_leaf[r] = -1
+                    slots.append(iid)
+                    continue
+                run_next[r] = last[iid] = len(run_left)
+            slots.append(iid)
+            run_left.append(a)
+            run_right.append(b)
+            run_leaf.append(-1 if leaf is None else qoff + leaf)
+            run_next.append(-1)
 
     # fold instances touched by exactly one leaf globally into that leaf's q
+    q_labels = [("q", wi, li) for wi in range(len(W.witnesses)) for li in range(nleaves)]
+    q_caps = [0] * len(q_labels)
     payer: list[tuple] = [()] * len(weights)
-    for iid, r in enumerate(runs):
-        if len(r) == 1 and r[0][2] is not None:
-            payer[iid] = r[0][2]
-            q_caps[r[0][2]] += weights[iid]
+    for iid, r in enumerate(first):
+        if r == last[iid] and run_leaf[r] >= 0:
+            payer[iid] = q_labels[run_leaf[r]]
+            q_caps[run_leaf[r]] += weights[iid]
 
     inf = sum(weights) + 1
     next_id = 2 + len(W.witnesses) * k
     cap_nodes: dict[tuple, tuple[int, int, int]] = {}
-    arcs: list[tuple[int, int, int]] = []
-    for label, cap in q_caps.items():
+    arcs = Arcs()
+    for label, cap in zip(q_labels, q_caps):
         wi, li = label[1], label[2]
         a, b = (c if c <= _T else c + wi * k for c in sk.leaves[li])
         cap_nodes[label] = (a, next_id, cap)
-        arcs.append((a, next_id, cap))
-        arcs.append((next_id, b, inf))
+        arcs.extend((a, next_id), (next_id, b), (cap, inf))
         next_id += 1
 
-    for iid, r in enumerate(runs):
+    for iid, r in enumerate(first):
         if payer[iid]:
             continue
         label = payer[iid] = ("p", iid)
-        lefts = dict.fromkeys(a for a, _, _ in r)
+        lefts: dict[int, None] = {}
+        rights: dict[int, None] = {}
+        while r >= 0:
+            lefts[run_left[r]] = None
+            rights[run_right[r]] = None
+            r = run_next[r]
         if len(lefts) == 1:
-            nin = r[0][0]
+            (nin,) = lefts
         else:
             nin = next_id
             next_id += 1
-            arcs.extend((a, nin, inf) for a in lefts)
+            arcs.extend(lefts, repeat(nin, len(lefts)), repeat(inf, len(lefts)))
         nout = next_id
         next_id += 1
         cap_nodes[label] = (nin, nout, weights[iid])
-        arcs.append((nin, nout, weights[iid]))
-        arcs.extend((nout, b, inf) for b in dict.fromkeys(b for _, b, _ in r))
+        arcs.extend((nin,), (nout,), (weights[iid],))
+        arcs.extend(repeat(nout, len(rights)), rights, repeat(inf, len(rights)))
 
     g = FlowGraph(
         query=q,

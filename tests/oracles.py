@@ -319,6 +319,116 @@ def brute_min_node_cut(g) -> int:
     return best
 
 
+def brute_min_cut(n: int, arcs, s: int, t: int) -> tuple[int, list[bool]]:
+    """Minimum s-t cut by enumerating every source side (2^(n-2) of them).
+
+    Returns (cut value, smallest minimum-cut source side as a bool list).
+    The source sides of minimum cuts are closed under intersection, so the
+    intersection of all of them is the unique smallest one.
+    """
+    assert n <= 16, "brute-force cut blowup; shrink the graph"
+    others = [v for v in range(n) if v not in (s, t)]
+    best, smallest = None, None
+    for size in range(len(others) + 1):
+        for chosen in itertools.combinations(others, size):
+            side = set(chosen) | {s}
+            value = sum(c for u, v, c in arcs if u in side and v not in side)
+            if best is None or value < best:
+                best, smallest = value, side
+            elif value == best:
+                smallest = smallest & side
+    return best, [v in smallest for v in range(n)]
+
+
+def reference_max_flow(n: int, arcs, s: int, t: int) -> tuple[int, list[bool]]:
+    """List-based Dinic, one Python list per node (the earlier py kernel).
+
+    Run Dinic on `arcs` = [(u, v, cap), ...] (directed, cap >= 0).
+
+    Returns (flow value, reachable) where reachable marks the source side of
+    the canonical minimum cut: nodes reachable from s in the final residual
+    graph.
+    """
+    head: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+
+    for u, v, c in arcs:
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+
+    level = [0] * n
+    it = [0] * n
+    flow = 0
+
+    while True:
+        for i in range(n):
+            level[i] = -1
+        level[s] = 0
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for eid in head[u]:
+                v = to[eid]
+                if cap[eid] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    dq.append(v)
+        if level[t] < 0:
+            break
+        for i in range(n):
+            it[i] = 0
+
+        # iterative blocking-flow DFS
+        while True:
+            path: list[int] = []
+            u = s
+            pushed = 0
+            while True:
+                if u == t:
+                    bottleneck = min(cap[eid] for eid in path)
+                    for eid in path:
+                        cap[eid] -= bottleneck
+                        cap[eid ^ 1] += bottleneck
+                    pushed = bottleneck
+                    break
+                advanced = False
+                while it[u] < len(head[u]):
+                    eid = head[u][it[u]]
+                    v = to[eid]
+                    if cap[eid] > 0 and level[v] == level[u] + 1:
+                        path.append(eid)
+                        u = v
+                        advanced = True
+                        break
+                    it[u] += 1
+                if not advanced:
+                    level[u] = -1
+                    if u == s:
+                        break
+                    eid = path.pop()
+                    u = to[eid ^ 1]
+                    it[u] += 1
+            if pushed == 0:
+                break
+            flow += pushed
+
+    reachable = [False] * n
+    reachable[s] = True
+    dq = deque([s])
+    while dq:
+        u = dq.popleft()
+        for eid in head[u]:
+            v = to[eid]
+            if cap[eid] > 0 and not reachable[v]:
+                reachable[v] = True
+                dq.append(v)
+    return flow, reachable
+
+
 # ---------------------------------------------------------------------------
 # Graphs (for the hardness-gadget identity)
 # ---------------------------------------------------------------------------
