@@ -154,31 +154,46 @@ def load_database(source: str | os.PathLike) -> Database:
     return parse_database(p.read_text())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
-    """One satisfying valuation: a variable binding plus its matched tuples."""
+    """One satisfying valuation: a variable binding plus its matched tuples.
+
+    Slotted, so a witness carries no ``__dict__``.  `key`, the binding's
+    serialization (``x1_y2``), is set when the witness is made and is not
+    compared; `values`, `tuple_set` and `tuple_ids` are computed on each
+    access and cache nothing, so a loop that reads one of them often binds
+    it once per witness.
+    """
 
     binding: tuple[tuple[str, str], ...]  # sorted (variable, constant)
     tuples: tuple[TupleKey, ...]  # aligned with the query's atoms
+    key: str = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def key(self) -> str:
-        return "_".join(f"{var}{val}" for var, val in self.binding)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", "_".join(f"{var}{val}" for var, val in self.binding))
 
-    @cached_property
+    @property
     def values(self) -> dict[str, str]:
         return dict(self.binding)
 
-    @cached_property
+    @property
     def tuple_set(self) -> frozenset[TupleKey]:
         return frozenset(self.tuples)
 
-    @cached_property
+    @property
     def tuple_ids(self) -> tuple[str, ...]:
         return tuple(tuple_id(rel, vals) for rel, vals in self.tuples)
 
     def __str__(self) -> str:
         return " ".join(sorted(self.tuple_ids))
+
+
+def _interned(table: dict, items) -> tuple:
+    """`items` as a tuple of `table`'s copies of them; an item the table
+    lacks becomes its own copy.  Sharing one table across a witness set
+    makes equal tuple keys and binding pairs one object."""
+    items = tuple(items)
+    return tuple(map(table.setdefault, items, items))
 
 
 @dataclass(frozen=True)
@@ -239,7 +254,13 @@ def _tuple_getter(positions: list[int]):
 
 def compute_witnesses(q: Query, d: Database) -> WitnessSet:
     """All witnesses via hash join over the atoms in `join_order`; the result
-    is sorted by binding serialization for determinism."""
+    is sorted by binding serialization (`Witness.key`) for determinism.
+
+    Each distinct ``(relation, values)`` tuple key and ``(variable,
+    constant)`` pair is made once per result and shared by every witness
+    that holds it, and through them by the `Expr` leaves and assembly rows
+    built from it; the constants are the database's own strings.
+    """
     for atom in q.atoms:
         for row in d.relations.get(atom.relation, ()):
             if len(row) != len(atom.vars):
@@ -269,10 +290,11 @@ def compute_witnesses(q: Query, d: Database) -> WitnessSet:
     names = sorted(slot)
     name_values = _tuple_getter([slot[v] for v in names])
     atom_values = [(a.relation, _tuple_getter([slot[v] for v in a.vars])) for a in q.atoms]
+    table: dict = {}  # pairs and tuple keys never compare equal
     witnesses = [
         Witness(
-            tuple(zip(names, name_values(b))),
-            tuple([(rel, values(b)) for rel, values in atom_values]),
+            _interned(table, zip(names, name_values(b))),
+            _interned(table, [(rel, values(b)) for rel, values in atom_values]),
         )
         for b in bindings
     ]
@@ -582,21 +604,21 @@ def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000
 def detect_p4(W: WitnessSet):
     """Find a P4 pattern (w1, r, w2, s, w3): w2 shares r with w1 and s with w3,
     while w1 lacks s and w3 lacks r.  Returns the pattern or None (read-once)."""
-    ws = W.witnesses
-    for w2 in ws:
-        for w1 in ws:
+    ws = [(w, w.tuple_set) for w in W.witnesses]  # each set made once
+    for w2, t2 in ws:
+        for w1, t1 in ws:
             if w1 is w2:
                 continue
-            shared_r = w1.tuple_set & w2.tuple_set
+            shared_r = t1 & t2
             if not shared_r:
                 continue
-            for w3 in ws:
+            for w3, t3 in ws:
                 if w3 is w2 or w3 is w1:
                     continue
-                shared_s = (w3.tuple_set & w2.tuple_set) - w1.tuple_set
+                shared_s = (t3 & t2) - t1
                 if not shared_s:
                     continue
-                for r in sorted(shared_r - w3.tuple_set):
+                for r in sorted(shared_r - t3):
                     s = min(shared_s)
                     return (w1, r, w2, s, w3)
     return None

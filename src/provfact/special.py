@@ -32,6 +32,7 @@ from .provenance import (
     TupleKey,
     Witness,
     WitnessSet,
+    _interned,
     assemble,
     e_and,
     verify_equivalence,
@@ -269,7 +270,10 @@ def solve_q2star(W: WitnessSet) -> Factorization:
     plan_x = _find_plan(mveo, veo_node((x,), (veo_node((y,)),)))
     plan_y = _find_plan(mveo, veo_node((y,), (veo_node((x,)),)))
 
-    edges = [(("L", w.values[x]), ("R", w.values[y])) for w in W.witnesses]
+    edges = []
+    for w in W.witnesses:
+        vals = w.values
+        edges.append((("L", vals[x]), ("R", vals[y])))
     adj = _adjacency(edges)
     cover_l, cover_r = _koenig_cover(adj, _max_matching(adj))
 
@@ -281,6 +285,7 @@ def solve_q2star(W: WitnessSet) -> Factorization:
             assignment[w] = plan_y
         else:  # both covered: orientation free, keep the x-rooted plan
             assignment[w] = plan_x
+    del edges, adj, cover_l, cover_r  # freed before assembly builds its trie
     return assemble(q, W, assignment)
 
 
@@ -332,23 +337,20 @@ def solve_triangle_unary(
     ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
     tidx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, z)))
 
-    first_type = []
-    second_type = []
-    for w in W.witnesses:
-        if counts[w.tuples[ridx]] > 1 or counts[w.tuples[tidx]] > 1:
-            first_type.append(w)
-        else:
-            second_type.append(w)
-
-    # node spaces: left = xy-instances and x-instances, right = xz and yz
-    forced = {("x", w.values[x]) for w in first_type}
+    # node spaces: left = xy-instances and x-instances, right = xz and yz;
+    # the first-type witnesses' edges come first, then the second type's
     edges: list[tuple[tuple, tuple, Witness]] = []
-    for w in first_type:
-        edges.append(
-            (("xy", w.values[x], w.values[y]), ("xz", w.values[x], w.values[z]), w)
-        )
-    for w in second_type:
-        edges.append((("x", w.values[x]), ("yz", w.values[y], w.values[z]), w))
+    second_type: list[tuple[tuple, tuple, Witness]] = []
+    for w in W.witnesses:
+        vals = w.values
+        vx, vy, vz = vals[x], vals[y], vals[z]
+        if counts[w.tuples[ridx]] > 1 or counts[w.tuples[tidx]] > 1:
+            edges.append((("xy", vx, vy), ("xz", vx, vz), w))
+        else:
+            second_type.append((("x", vx), ("yz", vy, vz), w))
+    forced = {("x", l[1]) for l, _, _ in edges}
+    edges += second_type
+    del second_type
 
     adj = _adjacency((l, r) for l, r, _ in edges if l not in forced)
     cover_l, cover_r = _koenig_cover(adj, _max_matching(adj))
@@ -360,6 +362,7 @@ def solve_triangle_unary(
             assignment[w] = plan_xy if l in cover else plan_xz
         else:
             assignment[w] = plan_xy if l in cover else plan_yz
+    del counts, edges, adj, forced, cover, cover_l, cover_r  # freed before assembly
     return assemble(q, W, assignment)
 
 
@@ -423,9 +426,11 @@ def solve_two_chain_we(
         sub = WitnessSet(q, tuple(rest))
         ordering = build_ordering(q, mode="flat", mveo=omega)
         g = build_flow_graph(q, sub, ordering)
-        res = min_cut(g)
-        _, sub_assign = extract_factorization(g, res)
-        assignment.update(sub_assign)
+        assignment.update(extract_factorization(g, min_cut(g))[1])
+        # the flow network and the remainder's own factorization are freed
+        # before assembly builds its trie
+        del sub, g
+    del counts, rest
     return assemble(q, W, assignment)
 
 
@@ -466,15 +471,18 @@ def _best_single_plan(q: Query, W: WitnessSet) -> Factorization:
 
 
 def _project_witnesses(q: Query, W: WitnessSet, sub: Query) -> WitnessSet:
+    """The distinct restrictions of `W`'s witnesses to the atoms and
+    variables of `sub`, sorted by key, with tuple keys and binding pairs
+    interned per set as in `compute_witnesses`."""
     keep_vars = sorted(sub.variables)
     idx = [i for i, a in enumerate(q.atoms) if a in sub.atoms]
+    table: dict = {}
     seen: dict[tuple, Witness] = {}
     for w in W.witnesses:
-        binding = tuple((v, w.values[v]) for v in keep_vars)
+        vals = w.values
+        binding = _interned(table, [(v, vals[v]) for v in keep_vars])
         if binding not in seen:
-            seen[binding] = Witness(
-                binding=binding, tuples=tuple(w.tuples[i] for i in idx)
-            )
+            seen[binding] = Witness(binding, _interned(table, [w.tuples[i] for i in idx]))
     witnesses = tuple(sorted(seen.values(), key=lambda w: w.key))
     return WitnessSet(sub, witnesses)
 
