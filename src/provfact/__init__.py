@@ -48,7 +48,7 @@ from .provenance import (
     Factorization,
     FormatError,
     IllegalAssignment,
-    PrefixInstance,
+    TemplateTable,
     UnboundVariable,
     Witness,
     WitnessSet,

@@ -15,13 +15,11 @@ import logging
 import time
 from dataclasses import dataclass, asdict
 
-from .cq import Query
-from .exact import solve_exact
-from .flow import build_flow_graph, extract_factorization, kernel_name, min_cut
+from .flow import build_flow_graph, kernel_name, min_cut
 from .gen import GenSpec, fixture_query, gen_random
-from .provenance import Factorization, WitnessSet, compute_witnesses
-from .special import _best_single_plan
-from .veo import build_ordering, enumerate_mveo
+from .provenance import compute_witnesses
+from .special import dispatch, single_plan_baseline
+from .veo import build_ordering
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +41,6 @@ SWEEP_FIELDS = [
     "optimal",
     "penalty_pct",
     "solve_ms",
-    "build_ms",
     "seed",
     "nodes",
 ]
@@ -60,46 +57,17 @@ class BenchRow:
     optimal: bool
     penalty_pct: float | None
     solve_ms: float
-    build_ms: float
     seed: int
     nodes: int
-
-
-def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
-    """Best factorization that uses one plan for every witness."""
-    return _best_single_plan(q, W)
-
-
-def _run_method(q, W, method, budget, kernel):
-    t0 = time.perf_counter()
-    build_ms = 0.0
-    nodes = 0
-    optimal = True
-    if method == "exact":
-        res = solve_exact(q, W, budget=budget)
-        fact, optimal, nodes = res.factorization, res.optimal, res.nodes
-    elif method == "flow":
-        ordering = build_ordering(q, mode="nested-rp")
-        tb = time.perf_counter()
-        g = build_flow_graph(q, W, ordering)
-        build_ms = (time.perf_counter() - tb) * 1000
-        cut = min_cut(g, kernel=kernel)
-        fact, _ = extract_factorization(g, cut)
-        optimal = len(enumerate_mveo(q)) <= 2
-    elif method == "single-plan":
-        fact = single_plan_baseline(q, W)
-        optimal = len(enumerate_mveo(q)) == 1
-    else:
-        raise ValueError(f"unknown bench method {method!r}")
-    solve_ms = (time.perf_counter() - t0) * 1000
-    return fact, optimal, nodes, solve_ms, build_ms
 
 
 def run_sweep(config: dict, out=None) -> list[BenchRow]:
     """Run a sweep from a config dict (or JSON text path already loaded).
 
     Keys: queries (fixture names), d, tuples (list of sizes), reps,
-    methods, seed, budget, kernel.  Writes CSV to `out` when given.
+    methods, seed, budget, kernel.  Each method is a `dispatch` policy,
+    run without verification; a row's `method` is the policy and
+    `solve_ms` the dispatch call's time.  Writes CSV to `out` when given.
     penalty_pct compares each method to the best exact length seen for the
     same instance (None when exact didn't finish optimally).
     """
@@ -120,23 +88,18 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
                 seed = base_seed + 1000 * rep + size
                 db = gen_random(GenSpec(query=q, d=d, tuples=size, seed=seed))
                 W = compute_witnesses(q, db)
+                reports = [
+                    dispatch(q, W, policy=method, budget=budget, kernel=kernel, verify=False)
+                    for method in methods
+                ]
                 exact_len = None
-                per_method = []
-                for method in methods:
-                    fact, optimal, nodes, solve_ms, build_ms = _run_method(
-                        q, W, method, budget, kernel
-                    )
-                    if method == "exact" and optimal:
-                        exact_len = fact.length
-                    per_method.append(
-                        (method, fact, optimal, nodes, solve_ms, build_ms)
-                    )
-                for method, fact, optimal, nodes, solve_ms, build_ms in per_method:
+                for method, r in zip(methods, reports):
+                    if method == "exact" and r.optimal:
+                        exact_len = r.length
+                for method, r in zip(methods, reports):
                     penalty = None
                     if exact_len and exact_len > 0:
-                        penalty = round(
-                            100.0 * (fact.length - exact_len) / exact_len, 3
-                        )
+                        penalty = round(100.0 * (r.length - exact_len) / exact_len, 3)
                     rows.append(
                         BenchRow(
                             query=q.name,
@@ -144,13 +107,12 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
                             tuples=size,
                             witnesses=len(W.witnesses),
                             method=method,
-                            length=fact.length,
-                            optimal=optimal,
+                            length=r.length,
+                            optimal=r.optimal,
                             penalty_pct=penalty,
-                            solve_ms=round(solve_ms, 3),
-                            build_ms=round(build_ms, 3),
+                            solve_ms=round(r.elapsed_ms, 3),
                             seed=seed,
-                            nodes=nodes,
+                            nodes=r.nodes,
                         )
                     )
     if out is not None:

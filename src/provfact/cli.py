@@ -15,8 +15,7 @@ import sys
 from . import __version__
 from .bench import kernel_compare, load_config, rows_to_csv, run_sweep
 from .cq import parse_query
-from .exact import solve_exact
-from .flow import build_flow_graph, extract_factorization, min_cut
+from .flow import build_flow_graph
 from .gen import (
     FIXTURE_QUERIES,
     GenSpec,

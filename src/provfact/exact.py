@@ -2,6 +2,8 @@
 
 Depth-first branch-and-bound: one decision per witness (which minimal plan
 it uses), cost counted over distinct prefix instances via reference counts.
+`_prepare` interns the instances, ``(template id, binding pairs)`` in the
+query's `provenance.TemplateTable`, as integer ids with their weights.
 Witnesses are ordered by decreasing sharing opportunity so conflicts surface
 early, and independent sharing components are solved separately.  Pruning
 uses an admissible sharing-aware bound: private prefix instances count at
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .cq import Query
-from .provenance import Factorization, UnboundVariable, WitnessSet, _serial, assemble
+from .provenance import Factorization, TemplateTable, WitnessSet, assemble
 from .veo import enumerate_mveo, table_prefixes
 
 log = logging.getLogger(__name__)
@@ -64,39 +66,32 @@ def lower_bound(q: Query, witnesses) -> int:
 def _prepare(q: Query, W: WitnessSet):
     """Intern every (witness, plan) prefix-instance list as integer ids.
 
-    An instance is keyed by its path, the table-prefix path with the
-    witness's constants substituted: ((node, values), ...).  Returns the
-    plans, the id lists per witness and plan, the weight of each id and the
-    path -> id map (in id order).
+    An instance is ``(template id, binding pairs)`` in the query's
+    `TemplateTable`.  Returns the plans, the table, the id lists per witness
+    and plan, the weight of each id and the instance -> id map (in id order).
     """
     mveo = enumerate_mveo(q)
-    prefixes = [table_prefixes(v, q) for v in mveo]
-    path_ids: dict = {}  # instance path -> id
+    table = TemplateTable(q)
+    plans = [[(tid, table.getters[tid]) for tid in table.prefixes(v)] for v in mveo]
+    table.check(W)
+    ids: dict[tuple[int, tuple], int] = {}
     weights: list[int] = []
     inst_lists: list[list[list[int]]] = []  # [witness][veo] -> instance ids
-
     for w in W.witnesses:
-        vals = w.values
+        binding = w.binding
         per_veo = []
-        for tps in prefixes:
-            ids = []
-            for tp in tps:
-                try:
-                    path = tuple([(node, tuple([vals[x] for x in node])) for node in tp.path])
-                except KeyError as exc:
-                    raise UnboundVariable(f"witness {w.key} does not bind {exc.args[0]}")
-                iid = path_ids.get(path)
+        for plan in plans:
+            row = []
+            for tid, get in plan:
+                key = (tid, get(binding))
+                iid = ids.get(key)
                 if iid is None:
-                    iid = path_ids[path] = len(weights)
-                    weights.append(tp.weight)
-                elif weights[iid] != tp.weight:
-                    raise AssertionError(
-                        f"inconsistent weight for shared prefix {_serial(path)}"
-                    )
-                ids.append(iid)
-            per_veo.append(ids)
+                    iid = ids[key] = len(weights)
+                    weights.append(table.weights[tid])
+                row.append(iid)
+            per_veo.append(row)
         inst_lists.append(per_veo)
-    return mveo, inst_lists, weights, path_ids
+    return mveo, table, inst_lists, weights, ids
 
 
 def _reduce_plans(inst_lists, weights):
@@ -427,7 +422,7 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         empty = assemble(q, W, {})
         return ExactResult(empty, 0, True, 0, 0)
 
-    mveo, inst_lists, weights, _ = _prepare(q, W)
+    mveo, _, inst_lists, weights, _ = _prepare(q, W)
     total_cost, chosen, total_nodes, exhausted, bound = _search(
         inst_lists, weights, [w.key for w in W.witnesses], budget
     )

@@ -20,8 +20,9 @@ connector (every leaf node, and most instance nodes) is the single arc
 contractions keep every finite cut, so the cut the kernel returns (the
 smallest minimum-cut source side, which is unique) is the same as on the
 uncontracted network.  Prefix instances are interned as integer ids keyed
-by their path; the ordering's shape is walked once, and each witness keeps
-only its instance ids.
+by ``(template id, binding pairs)`` in the query's `TemplateTable`, which
+also gives their weights; the ordering's shape is walked once, and each
+witness keeps only its instance ids.
 """
 
 from __future__ import annotations
@@ -30,18 +31,9 @@ import logging
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
 
 from .cq import Query
-from .provenance import (
-    Factorization,
-    PrefixInstance,
-    UnboundVariable,
-    Witness,
-    WitnessSet,
-    _tuple_getter,
-    assemble,
-)
+from .provenance import Factorization, TemplateTable, Witness, WitnessSet, assemble
 from .veo import Node, Ordering, Veo, _chain, prefix_path
 
 log = logging.getLogger(__name__)
@@ -116,44 +108,21 @@ class _Alt:
 class _Skeleton:
     """The witness-independent shape of the network for one ordering.
 
-    A slot is one prefix instance a witness attaches to the network; slot j
-    of every witness uses the node path ``paths[slot_paths[j]]`` between
-    connectors ``slot_sites[j]``, a leaf site when its third entry is a leaf
-    index.
+    A slot is one prefix instance a witness attaches to the network: slot j
+    of every witness is ``sites[j] = (template id, left, right, leaf)``, an
+    instance of that template of the query's `TemplateTable` between
+    connectors left and right, at a leaf site when `leaf` is a leaf index.
     """
 
     alts: list[_Alt] = field(default_factory=list)
-    paths: list[tuple[Node, ...]] = field(default_factory=list)  # template id -> path
-    weights: list[int] = field(default_factory=list)  # template id -> weight
-    slot_paths: list[int] = field(default_factory=list)
-    slot_sites: list[tuple[int, int, int | None]] = field(default_factory=list)
+    sites: list[tuple[int, int, int, int | None]] = field(default_factory=list)
     leaves: list[tuple[int, int]] = field(default_factory=list)  # leaf -> (left, right)
     connectors: int = 0  # own connectors per witness
 
 
-def _anchored_weight(q: Query, path: tuple[Node, ...]) -> int:
-    pathvars = frozenset(v for node in path for v in node)
-    last = frozenset(path[-1])
-    return sum(
-        1 for a in q.atoms if a.varset <= pathvars and a.varset & last
-    )
-
-
-def _skeleton(q: Query, ordering: Ordering) -> _Skeleton:
+def _skeleton(table: TemplateTable, ordering: Ordering) -> _Skeleton:
     """Walk the ordering once: connectors, slots and leaf groups."""
     sk = _Skeleton()
-    path_id: dict[tuple[Node, ...], int] = {}
-
-    def add_slot(path: tuple[Node, ...], weight: int, a: int, b: int, leaf):
-        tid = path_id.get(path)
-        if tid is None:
-            tid = path_id[path] = len(sk.paths)
-            sk.paths.append(path)
-            sk.weights.append(weight)
-        elif sk.weights[tid] != weight:
-            raise AssertionError(f"inconsistent weight for prefix path {path}")
-        sk.slot_paths.append(tid)
-        sk.slot_sites.append((a, b, leaf))
 
     def walk_seq(alts, a: int, b: int, cum) -> list[_Alt]:
         conns = [a]
@@ -165,26 +134,25 @@ def _skeleton(q: Query, ordering: Ordering) -> _Skeleton:
 
     def walk_alt(alt, a: int, b: int, cum) -> _Alt:
         new_cum = cum + alt.ext
-        start = len(sk.slot_paths)
+        start = len(sk.sites)
         for d in range(len(cum) + 1, len(new_cum) + 1):
-            path = new_cum[:d]
-            wgt = _anchored_weight(q, path)
-            if wgt:
-                add_slot(path, wgt, a, b, None)
+            tid = table.path_id(new_cum[:d])
+            if table.weights[tid]:
+                sk.sites.append((tid, a, b, None))
         leaf = None
         if alt.sub is not None:
             leaf = len(sk.leaves)
             sk.leaves.append((a, b))
             fragment = _chain(new_cum, (alt.sub,)) if new_cum else alt.sub
-            groups: dict[tuple[Node, ...], int] = {}
-            for atom in q.atoms:
-                if atom.varset <= fragment.vars_below:
-                    p = prefix_path(fragment, atom.varset)
-                    if len(p) > len(new_cum):
-                        groups[p] = groups.get(p, 0) + 1
-            for p in sorted(groups):
-                add_slot(p, groups[p], a, b, leaf)
-        node = _Alt(alt.ext, range(start, len(sk.slot_paths)), leaf)
+            paths = {
+                prefix_path(fragment, atom.varset)
+                for atom in table.query.atoms
+                if atom.varset <= fragment.vars_below
+            }
+            for p in sorted(paths):
+                if len(p) > len(new_cum):
+                    sk.sites.append((table.path_id(p), a, b, leaf))
+        node = _Alt(alt.ext, range(start, len(sk.sites)), leaf)
         if alt.sub is not None:
             node.fragment = _chain(alt.ext, (alt.sub,)) if alt.ext else alt.sub
         elif alt.seq:
@@ -235,11 +203,11 @@ class FlowGraph:
     on the source side and `out` is not.  Labels are ``("q", witness,
     leaf)`` for a leaf node and ``("p", instance id)`` for a shared prefix
     instance; `in` is the connector itself when the node has one entry.
-    Instance ids index `instances` (path template id and the witness's
-    binding pairs of that path) and `payer` (the label of the cap node that
-    carries the instance's weight: its own, or the leaf it was folded
-    into).  `slots` is an ``array("i")`` of every witness's instance ids,
-    ``len(skeleton.slot_paths)`` per witness, in witness order.
+    Instance ids index `instances` (``(template id, binding pairs)`` in
+    `templates`, the query's `TemplateTable`) and `payer` (the label of the
+    cap node that carries the instance's weight: its own, or the leaf it was
+    folded into).  `slots` is an ``array("i")`` of every witness's instance ids,
+    ``len(skeleton.sites)`` per witness, in witness order.
     """
 
     query: Query
@@ -252,26 +220,16 @@ class FlowGraph:
     cap_nodes: dict[tuple, tuple[int, int, int]]  # label -> (in_id, out_id, cap)
     inf: int
     skeleton: _Skeleton
+    templates: TemplateTable
     instances: list[tuple[int, tuple]]
     payer: list[tuple]
     slots: array
-
-    def instance(self, iid: int) -> PrefixInstance:
-        """The prefix instance with id `iid`."""
-        tid, pairs = self.instances[iid]
-        vals = iter(pairs)
-        return PrefixInstance(
-            tuple(
-                (node, tuple(next(vals)[1] for _ in node))
-                for node in self.skeleton.paths[tid]
-            )
-        )
 
     def label_text(self, label: tuple) -> str:
         """Readable name of a cap-node label, e.g. ``q3.1`` or ``p[x1 <- y2]``."""
         if label[0] == "q":
             return f"q{label[1]}.{label[2]}"
-        return f"p[{self.instance(label[1]).serial}]"
+        return f"p[{self.templates.serial(*self.instances[label[1]])}]"
 
     def dot(self) -> str:
         """GraphViz rendering of the contracted network (for --dump-graph)."""
@@ -313,18 +271,11 @@ def build_flow_graph(
         raise NonRpOrdering(
             "ordering violates the running-prefixes property in strict mode"
         )
-    sk = _skeleton(q, ordering)
+    table = TemplateTable(q)
+    sk = _skeleton(table, ordering)
+    table.check(W)
     k = sk.connectors
-    names = tuple(sorted(q.variables))
-    position = {v: i for i, v in enumerate(names)}
-    getters = [
-        _tuple_getter([position[v] for node in path for v in node]) for path in sk.paths
-    ]
-    plan = [
-        (tid, getters[tid], a, b, leaf)
-        for tid, (a, b, leaf) in zip(sk.slot_paths, sk.slot_sites)
-    ]
-    var_names = itemgetter(0)
+    plan = [(tid, table.getters[tid], a, b, leaf) for tid, a, b, leaf in sk.sites]
 
     # pass 1: intern every witness's instances and merge their sites into
     # runs.  A run spans connectors run_left -> run_right; run_leaf is the
@@ -340,9 +291,6 @@ def build_flow_graph(
     slots = array("i")
     for wi, w in enumerate(W.witnesses):
         binding = w.binding
-        if tuple(map(var_names, binding)) != names:
-            missing = sorted(set(names) - set(map(var_names, binding)))
-            raise UnboundVariable(f"witness {w.key} does not bind {missing}")
         off = wi * k
         qoff = wi * nleaves
         for tid, get, a, b, leaf in plan:
@@ -354,7 +302,7 @@ def build_flow_graph(
             iid = ids.get(key)
             if iid is None:
                 iid = ids[key] = len(weights)
-                weights.append(sk.weights[tid])
+                weights.append(table.weights[tid])
                 first.append(len(run_left))
                 last.append(len(run_left))
             else:
@@ -424,6 +372,7 @@ def build_flow_graph(
         cap_nodes=cap_nodes,
         inf=inf,
         skeleton=sk,
+        templates=table,
         instances=list(ids),
         payer=payer,
         slots=slots,
@@ -464,7 +413,7 @@ def extract_factorization(
     witness) and assemble it; guaranteed no longer than the cut value."""
     cut = res.cut
     paid = [label in cut for label in g.payer]
-    width = len(g.skeleton.slot_paths)
+    width = len(g.skeleton.sites)
 
     def select(alt: _Alt, wi: int, ids: list[int]) -> Veo | None:
         """Fragment below the parent's cumulative path, or None if not selected."""

@@ -5,10 +5,10 @@ p per table-prefix instance, shared across witnesses.  Objective: minimize
 the weighted sum of selected prefix instances.  Constraints: every witness
 selects at least one plan; selecting a plan selects all its prefix
 instances.  The p variables are the prefix instances of the exact engine's
-table (`exact._prepare`), so both count the same instances.  The module
-also exports LP text and solves its own models (no external solver) with
-the exact engine's branch-and-bound, `exact._search`, run over the choice
-variables' implication closures.
+table (`exact._prepare`, keyed by template id and binding pairs), so both
+count the same instances.  The module also exports LP text and solves its
+own models (no external solver) with the exact engine's branch-and-bound,
+`exact._search`, run over the choice variables' implication closures.
 """
 
 from __future__ import annotations
@@ -106,22 +106,22 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     two-node prefixes where the plan set is a family of linear chains."""
     if not W.witnesses:
         raise EmptyWitnessSet("cannot build a model over zero witnesses")
-    mveo, inst_lists, weights, path_ids = _prepare(q, W)
+    mveo, table, inst_lists, weights, instance_ids = _prepare(q, W)
     register = _name_registry()
 
     # one p variable per prefix instance of the exact engine's table, in id order
     objective: dict[str, int] = {}
     p_names: list[str] = []
     full: set[str] = set()  # p variables of full-variable prefixes
-    for path, iid in path_ids.items():
+    for key, iid in instance_ids.items():
         token = "__".join(
-            "".join(f"{var}{_sanitize(val)}" for var, val in zip(node, vals))
-            for node, vals in path
+            "".join(f"{var}{_sanitize(val)}" for var, val in part)
+            for part in table.split(*key)
         )
-        pn = register(f"p_{token}", ("p", path))
+        pn = register(f"p_{token}", key)
         p_names.append(pn)
         objective[pn] = weights[iid]
-        if frozenset(x for node, _ in path for x in node) == q.variables:
+        if len(key[1]) == len(table.names):
             full.add(pn)
 
     plan_constraints: list[tuple[str, list[str]]] = []
@@ -164,15 +164,14 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
             and _is_chain(v)
             for v in mveo
         )
-        head2 = {v: _head_path(v, 2) for v in mveo}
-        injective = len(set(head2.values())) == len(mveo)
+        head2 = [table.path_id(_head_path(v, 2)) for v in mveo]
+        injective = len(set(head2)) == len(mveo)
         if uniform and linear and injective and len(q.variables) >= 3:
             merged_ok = True
             merge_map: dict[str, str] = {}
             for (wi, vi), qn in q_names.items():
-                vals = W.witnesses[wi].values
-                pair = tuple((node, tuple(vals[x] for x in node)) for node in head2[mveo[vi]])
-                iid = path_ids.get(pair)
+                tid = head2[vi]
+                iid = instance_ids.get((tid, table.getters[tid](W.witnesses[wi].binding)))
                 if iid is None or p_names[iid] not in objective:
                     merged_ok = False
                     break

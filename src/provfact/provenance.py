@@ -1,13 +1,18 @@
-"""Databases, witnesses, and factorization assembly/measurement.
+"""Databases, witnesses, prefix templates, and factorization assembly.
 
 The provenance of a Boolean CQ over a database is a DNF with one product
 term per witness.  A factorization is an equivalent nested AND/OR
 expression (`Expr`); its length counts literal leaves only and is fixed
-when each node is made.  Assembly builds the expression for a
-witness→plan assignment by merging shared table-prefix instances in a
-trie, so that equal instances — even across different plans — are
-written once.  The trie interns each instance as an integer id keyed by
-(parent id, node, values), holds the witnesses' own tuple keys at its
+when each node is made.  Its cost model is the weighted count of distinct
+prefix instances.  `TemplateTable` is the one place that says what an
+instance is and what it weighs: it interns each plan root path as a
+template id with its anchored atoms and their count, and an instance is
+``(template id, binding pairs)``; `exact`, `ilp` and `flow` key their
+instances so.  Assembly builds the expression for a witness→plan
+assignment by merging shared instances in a trie, so that equal instances
+— even across different plans — are written once.  The trie interns each
+node as an integer id keyed by (parent id, node, values), takes the atoms
+anchored there from the table, holds the witnesses' own tuple keys at its
 nodes, and is freed when `assemble` returns: it forms no reference cycle.
 """
 
@@ -21,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .cq import Atom, Query
-from .veo import Node, Veo
+from .veo import Node, Veo, table_prefixes
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +34,7 @@ __all__ = [
     "Database",
     "Witness",
     "WitnessSet",
-    "PrefixInstance",
+    "TemplateTable",
     "Expr",
     "Factorization",
     "FormatError",
@@ -302,31 +307,96 @@ def compute_witnesses(q: Query, d: Database) -> WitnessSet:
     return WitnessSet(q, tuple(witnesses))
 
 
-InstancePath = tuple[tuple[Node, tuple[str, ...]], ...]
+class TemplateTable:
+    """The plan root paths of one query, interned as template ids.
 
+    Ids are given in first-seen order; `child(parent, node)` is the id of
+    the parent's path extended by `node` (parent -1 is the empty path above
+    a root).  Per id the table keeps the node path, the indices of the atoms
+    anchored at its last node (those whose variables lie on the path and meet
+    that node) in relation-name order, their count as the template's weight,
+    and a getter that reads the path's binding pairs, in path order, off a
+    `Witness.binding`.  A prefix instance is ``(template id, pairs)``.
 
-def _serial(path: InstancePath) -> str:
-    return " <- ".join(
-        "".join(f"{var}{val}" for var, val in zip(node, vals)) for node, vals in path
-    )
-
-
-@dataclass(frozen=True)
-class PrefixInstance:
-    """A table-prefix path with constants substituted; equality is by path.
-
-    `serial` is for display and ordering only: it concatenates variables
-    and constants without an escape, so distinct instances can share it.
+    An atom is anchored at a root path's last node exactly when the path is
+    the atom's table prefix in a legal plan the path lies on, so a
+    template's weight is the weight `veo.table_prefixes` gives the path, or
+    0 on a path that is no table prefix; `prefixes` checks it.
     """
 
-    path: InstancePath
+    __slots__ = ("query", "names", "paths", "atoms", "weights", "getters", "_ids", "_slot")
 
-    @cached_property
-    def serial(self) -> str:
-        return _serial(self.path)
+    def __init__(self, q: Query) -> None:
+        self.query = q
+        self.names = tuple(sorted(q.variables))
+        self._slot = {v: i for i, v in enumerate(self.names)}
+        self.paths: list[tuple[Node, ...]] = []
+        self.atoms: list[tuple[int, ...]] = []
+        self.weights: list[int] = []
+        self.getters: list = []
+        self._ids: dict[tuple[int, Node], int] = {}
 
-    def __str__(self) -> str:
-        return self.serial
+    def child(self, parent: int, node: Node) -> int:
+        """The id of the path of `parent` (-1: the empty path) plus `node`."""
+        tid = self._ids.get((parent, node))
+        if tid is None:
+            path = (self.paths[parent] if parent >= 0 else ()) + (node,)
+            pathvars = {v for nd in path for v in nd}
+            atoms = self.query.atoms
+            hits = [
+                i for i, a in enumerate(atoms) if a.varset <= pathvars and a.varset & set(node)
+            ]
+            tid = self._ids[parent, node] = len(self.paths)
+            self.paths.append(path)
+            self.atoms.append(tuple(sorted(hits, key=lambda i: atoms[i].relation)))
+            self.weights.append(len(hits))
+            self.getters.append(_tuple_getter([self._slot[v] for nd in path for v in nd]))
+        return tid
+
+    def path_id(self, path: tuple[Node, ...]) -> int:
+        """The id of a whole root path."""
+        tid = -1
+        for node in path:
+            tid = self.child(tid, node)
+        return tid
+
+    def prefixes(self, v: Veo) -> list[int]:
+        """The ids of `v`'s table prefixes, in `table_prefixes` order."""
+        out = []
+        for tp in table_prefixes(v, self.query):
+            tid = self.path_id(tp.path)
+            if self.weights[tid] != tp.weight:
+                raise AssertionError(
+                    f"prefix {tp} of plan {v} has weight {tp.weight},"
+                    f" {self.weights[tid]} atoms anchor there"
+                )
+            out.append(tid)
+        return out
+
+    def check(self, W: WitnessSet) -> None:
+        """Raise `UnboundVariable` unless every witness binds exactly the
+        query's variables, the binding layout the getters read."""
+        names, var_of = self.names, itemgetter(0)
+        for w in W.witnesses:
+            if tuple(map(var_of, w.binding)) != names:
+                missing = sorted(set(names) - set(map(var_of, w.binding)))
+                raise UnboundVariable(f"witness {w.key} does not bind {missing}")
+
+    def split(self, tid: int, pairs: tuple) -> list[tuple]:
+        """An instance's pairs, one tuple per node of its path."""
+        out, i = [], 0
+        for node in self.paths[tid]:
+            out.append(pairs[i:i + len(node)])
+            i += len(node)
+        return out
+
+    def serial(self, tid: int, pairs: tuple) -> str:
+        """Display text of an instance, e.g. ``x1 <- y2``; it concatenates
+        variables and constants without an escape, so distinct instances
+        can share it."""
+        return " <- ".join(
+            "".join(f"{var}{val}" for var, val in part) for part in self.split(tid, pairs)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -468,20 +538,6 @@ class Factorization:
 # {child node: child ids}; the signature () marks a plan that ends there.
 _TrieRow = tuple[Node, tuple[str, ...], tuple[TupleKey, ...], dict]
 
-# The empty template above a root: (template id, node path, atom indices).
-_NO_TEMPLATE: tuple[int, tuple[Node, ...], tuple[int, ...]] = (-1, (), ())
-
-
-def _anchored_atoms(q: Query, template: tuple[Node, ...]) -> tuple[int, ...]:
-    """Indices of the atoms charged to the last node of a path template:
-    those whose variables lie on the path and meet its last node, in
-    relation-name order (one atom per relation in a self-join-free query)."""
-    pathvars = {v for node in template for v in node}
-    last = set(template[-1])
-    hits = [i for i, a in enumerate(q.atoms) if a.varset <= pathvars and a.varset & last]
-    return tuple(sorted(hits, key=lambda i: q.atoms[i].relation))
-
-
 def _order(row: _TrieRow) -> tuple:
     """Sort key of sibling (or root) instances: the last node's serialization,
     then the node and its values.  Siblings share the parent path, so this is
@@ -492,11 +548,12 @@ def _order(row: _TrieRow) -> tuple:
 
 def _path_serial(trie: list[_TrieRow], ids: dict, tid: int) -> str:
     parent_of = {i: key[0] for key, i in ids.items()}
-    path = []
+    nodes = []
     while tid >= 0:
-        path.append(trie[tid][:2])
+        node, values = trie[tid][:2]
+        nodes.append("".join(f"{var}{val}" for var, val in zip(node, values)))
         tid = parent_of[tid]
-    return _serial(tuple(reversed(path)))
+    return " <- ".join(reversed(nodes))
 
 
 def _build(trie: list[_TrieRow], ids: dict, tid: int) -> Expr:
@@ -540,9 +597,9 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
     Trie nodes are interned as integer ids keyed by (parent id, node,
     values); a node keeps its node, values, anchored tuples (the witness's
     own tuple keys) and child groups.  Which atoms anchor at a node depends
-    on its path template (the nodes from the root) only, so it is worked
-    out once per template.  Plans are walked iteratively and the expression
-    is built by a module-level recursion, so the trie is freed on return.
+    on its path template only, which the query's `TemplateTable` gives.
+    Plans are walked iteratively and the expression is built by a
+    module-level recursion, so the trie is freed on return.
     """
     if set(assignment) != set(W.witnesses):
         raise IllegalAssignment("assignment must cover exactly the witness set")
@@ -551,16 +608,16 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
 
     trie: list[_TrieRow] = []
     ids: dict[tuple[int, Node, tuple[str, ...]], int] = {}
-    # (parent template id, node) -> (template id, node path, anchored atoms)
-    templates: dict[tuple[int, Node], tuple[int, tuple[Node, ...], tuple[int, ...]]] = {}
+    table = TemplateTable(q)
+    child, anchored = table.child, table.atoms
     roots: set[int] = set()
     items = tuple(sorted(assignment.items(), key=lambda kv: kv[0].key))
     for w, v in items:
         if v.vars_below != q.variables:
             raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
         vals = w.values
-        # (subtree, parent id, parent template, parent's branches), preorder
-        stack = [(v, -1, _NO_TEMPLATE, None)]
+        # (subtree, parent id, parent template id, parent's branches), preorder
+        stack = [(v, -1, -1, None)]
         while stack:
             t, parent, ptpl, branches = stack.pop()
             node = t.node
@@ -568,15 +625,12 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
                 values = tuple([vals[x] for x in node])
             except KeyError as exc:
                 raise IllegalAssignment(f"witness {w.key} does not bind {exc.args[0]}")
-            tpl = templates.get((ptpl[0], node))
-            if tpl is None:
-                path = ptpl[1] + (node,)
-                tpl = templates[ptpl[0], node] = (len(templates), path, _anchored_atoms(q, path))
+            tpl = child(ptpl, node)
             key = (parent, node, values)
             tid = ids.get(key)
             if tid is None:
                 tid = ids[key] = len(trie)
-                trie.append((node, values, tuple([w.tuples[i] for i in tpl[2]]), {}))
+                trie.append((node, values, tuple([w.tuples[i] for i in anchored[tpl]]), {}))
             if branches is None:
                 roots.add(tid)
             else:

@@ -50,6 +50,7 @@ __all__ = [
     "solve_q2star",
     "solve_triangle_unary",
     "solve_two_chain_we",
+    "single_plan_baseline",
     "dispatch",
 ]
 
@@ -453,13 +454,15 @@ class RunReport:
     elapsed_ms: float = 0.0
     notes: tuple[str, ...] = ()
     verified: bool | None = None
+    nodes: int = 0  # exact search nodes; 0 when the exact search did not run
 
     @property
     def expression(self) -> Expr | None:
         return self.factorization.expression if self.factorization else None
 
 
-def _best_single_plan(q: Query, W: WitnessSet) -> Factorization:
+def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
+    """Best factorization that uses one plan for every witness."""
     best = None
     for v in enumerate_mveo(q):
         f = assemble(q, W, {w: v for w in W.witnesses})
@@ -507,6 +510,9 @@ def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] 
     return None
 
 
+_POLICIES = ("auto", "exact", "flow", "single-plan", "special")
+
+
 def dispatch(
     q: Query,
     W: WitnessSet,
@@ -519,11 +525,15 @@ def dispatch(
 ) -> RunReport:
     """Route to a solving method and return a uniform report.
 
-    policy: auto | exact | flow | single-plan | special.
+    policy: auto | exact | flow | single-plan | special; any other value
+    raises `ValueError`.
     """
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; options: {', '.join(_POLICIES)}")
     start = time.perf_counter()
     notes: list[str] = []
     lower = None
+    nodes = 0
 
     if not W.witnesses:
         fact = assemble(q, W, {})
@@ -560,11 +570,12 @@ def dispatch(
             optimal=all(p.optimal for p in parts), factorization=fact,
             elapsed_ms=(time.perf_counter() - start) * 1000,
             notes=tuple(f"{p.query}: {p.method}" for p in parts),
+            nodes=sum(p.nodes for p in parts),
         )
 
     if policy == "exact":
         res = solve_exact(q, W, budget=budget)
-        fact, optimal, lower = res.factorization, res.optimal, res.lower_bound
+        fact, optimal, lower, nodes = res.factorization, res.optimal, res.lower_bound, res.nodes
         if not res.optimal:
             notes.append(f"budget exhausted after {res.nodes} nodes")
     elif policy == "flow":
@@ -573,7 +584,7 @@ def dispatch(
         if not optimal:
             notes.append(f"cut value {cut.value}; optimality not guaranteed")
     elif policy == "single-plan":
-        fact = _best_single_plan(q, W)
+        fact = single_plan_baseline(q, W)
         optimal = "hierarchical" in cls
     elif policy == "special":
         routed = _special_solve(cls, W)
@@ -582,7 +593,7 @@ def dispatch(
         fact, method = routed
     else:  # auto
         if "hierarchical" in cls:
-            fact, method = _best_single_plan(q, W), "single-plan"
+            fact, method = single_plan_baseline(q, W), "single-plan"
         elif (routed := _special_solve(cls, W)) is not None:
             fact, method = routed
         elif cls.k == 2:
@@ -590,6 +601,7 @@ def dispatch(
             method = "flow"
         else:
             res = solve_exact(q, W, budget=budget)
+            nodes = res.nodes
             if res.optimal:
                 fact, method, lower = res.factorization, "exact", res.lower_bound
             else:
@@ -633,4 +645,5 @@ def dispatch(
         elapsed_ms=(time.perf_counter() - start) * 1000,
         notes=tuple(notes),
         verified=verified,
+        nodes=nodes,
     )

@@ -249,7 +249,7 @@ def test_bench_set_overrides(capsys):
     )
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "query,d,tuples,witnesses,method,length,optimal,penalty_pct,solve_ms,build_ms,seed,nodes"
+    assert lines[0] == "query,d,tuples,witnesses,method,length,optimal,penalty_pct,solve_ms,seed,nodes"
     assert len(lines) >= 2
     assert lines[1].startswith("q2star,5,6,")
 

@@ -17,7 +17,10 @@ from provfact.provenance import (
     ExpansionTooLarge,
     FormatError,
     IllegalAssignment,
+    TemplateTable,
+    UnboundVariable,
     Witness,
+    WitnessSet,
     assemble,
     compute_witnesses,
     detect_p4,
@@ -28,8 +31,11 @@ from provfact.provenance import (
     tuple_id,
     verify_equivalence,
 )
+from provfact.exact import solve_exact
+from provfact.flow import build_flow_graph
+from provfact.ilp import build_ilp
 from provfact.special import _project_witnesses
-from provfact.veo import enumerate_mveo
+from provfact.veo import build_ordering, enumerate_mveo, enumerate_veos, table_prefixes
 
 
 def test_parse_database(fig2a_db):
@@ -320,3 +326,69 @@ def test_fact_decision(fig2a_db, fig2a_s13_db):
     assert not fact_decision(q, fig2a_s13_db, 0)  # needs one repeat
     assert fact_decision(q, fig2a_s13_db, 1)
     assert fact_decision(q, Database.from_dict({"R": [], "S": [], "T": []}), 0)
+
+
+# --- the template table --------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_template_weight_is_the_table_prefix_weight(name):
+    """On every root path of every minimal plan, the atoms anchored at the
+    path's last node are those `table_prefixes` maps to the path (none when
+    it is no table prefix)."""
+    q = fixture_query(name)
+    table = TemplateTable(q)
+    checked = 0
+    for v in enumerate_mveo(q):
+        weight = {tp.path: tp.weight for tp in table_prefixes(v, q)}
+        for path in sorted(v.root_paths):
+            tid = table.path_id(path)
+            assert table.paths[tid] == path
+            assert table.weights[tid] == len(table.atoms[tid]) == weight.get(path, 0)
+            checked += 1
+        assert [table.paths[t] for t in table.prefixes(v)] == [tp.path for tp in table_prefixes(v, q)]
+    assert checked >= len(q.variables)
+
+
+def test_template_ids_are_first_seen_and_shared_by_plans():
+    q = fixture_query("3chain")
+    table = TemplateTable(q)
+    y = table.child(-1, ("y",))
+    assert (y, table.child(y, ("z",))) == (0, 1)
+    assert table.path_id((("y",), ("z",))) == 1 and len(table.paths) == 2
+    for v in enumerate_veos(q):
+        for path in v.root_paths:
+            tid = table.path_id(path)
+            relations = [q.atoms[i].relation for i in table.atoms[tid]]
+            assert relations == sorted(relations)
+
+
+def test_template_getter_reads_path_pairs(fig2a_db):
+    q = fixture_query("q2star")
+    W = compute_witnesses(q, fig2a_db)
+    table = TemplateTable(q)
+    tid = table.path_id((("y",), ("x",)))
+    for w in W.witnesses:
+        pairs = table.getters[tid](w.binding)
+        assert pairs == (("y", w.values["y"]), ("x", w.values["x"]))
+        assert table.serial(tid, pairs) == f"y{w.values['y']} <- x{w.values['x']}"
+
+
+@pytest.mark.parametrize("name", ["2chain", "triangle", "4chain"])
+def test_witness_missing_a_variable_is_unbound(name):
+    """A hand-made witness without one query variable raises UnboundVariable
+    from the exact search, the ILP and the flow graph alike."""
+    q = fixture_query(name)
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=10, seed=3)))
+    assert len(W) >= 2
+    w0 = W.witnesses[0]
+    short = Witness(w0.binding[1:], w0.tuples)
+    for bad in (
+        WitnessSet(q, (short,) + W.witnesses[1:]),
+        WitnessSet(q, W.witnesses[1:] + (short,)),
+    ):
+        with pytest.raises(UnboundVariable, match=w0.binding[0][0]):
+            solve_exact(q, bad)
+        with pytest.raises(UnboundVariable):
+            build_ilp(q, bad)
+        with pytest.raises(UnboundVariable):
+            build_flow_graph(q, bad, build_ordering(q))

@@ -12,6 +12,7 @@ from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.provenance import (
+    WitnessSet,
     compute_witnesses,
     parse_database,
     verify_equivalence,
@@ -276,3 +277,20 @@ def test_dispatch_tells_apart_instances_with_equal_serials(policy):
     assert rep.verified
     assert rep.length == 6
     assert rep.factorization.pretty() == "r_11 s_1_z2 t_z2_1 ∨ r_1_1z s_1z_2 t_21"
+
+
+def test_dispatch_rejects_an_unknown_policy():
+    q = fixture_query("2chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=8, seed=1)))
+    with pytest.raises(ValueError, match="exatc.*auto, exact, flow, single-plan, special"):
+        dispatch(q, W, policy="exatc")
+    with pytest.raises(ValueError):  # checked before the empty-set shortcut
+        dispatch(q, WitnessSet(q, ()), policy="")
+
+
+def test_dispatch_reports_exact_search_nodes(fig2a_db):
+    q = fixture_query("q2star")
+    W = compute_witnesses(q, fig2a_db)
+    assert dispatch(q, W, policy="exact").nodes == solve_exact(q, W).nodes > 0
+    assert dispatch(q, W, policy="flow").nodes == 0
+    assert dispatch(q, W, policy="single-plan").nodes == 0
