@@ -5,7 +5,8 @@ the residual arcs leaving node u are ``start[u]`` to ``start[u + 1] - 1``,
 and residual arc e has head ``to[e]``, capacity ``cap[e]`` and reverse arc
 ``rev[e]``.  Each node's arcs keep the order of the input (an arc's forward
 copy sits at its tail, its reverse copy at its head), so the kernel needs no
-per-node lists and no per-arc-end int objects.
+per-node lists and no per-arc-end int objects.  No residual capacity exceeds
+its arc's, so below 2**31 they are kept as 32-bit ints.
 
 Each phase levels the residual graph by BFS, stopping once the sink's level
 is set: nodes further away cannot lie on a shortest augmenting path.  A
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
+from operator import itemgetter
 
 __all__ = ["max_flow"]
 
@@ -44,7 +46,8 @@ def max_flow(n: int, arcs, s: int, t: int) -> tuple[int, list[bool]]:
     del degree
     to = array("i", [0]) * m2
     rev = array("i", [0]) * m2
-    cap = array("q", [0]) * m2
+    wide = max(map(itemgetter(2), arcs), default=0) >= 2**31
+    cap = array("q" if wide else "i", [0]) * m2
     fill = start[:]
     for u, v, c in arcs:
         a = fill[u]

@@ -99,9 +99,9 @@ def cmd_factorize(args) -> int:
         ordering = build_ordering(q, mode=mode, perm=perm)
 
     if args.dump_graph:
-        g = build_flow_graph(q, W, ordering, strict_rp=args.strict_rp)
+        # the graph is dropped before dispatch builds its own
         with open(args.dump_graph, "w") as fh:
-            fh.write(g.dot())
+            fh.write(build_flow_graph(q, W, ordering, strict_rp=args.strict_rp).dot())
         log.info("wrote flow graph to %s", args.dump_graph)
 
     rep = dispatch(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, count, repeat
 
 from .cq import Query
 from .provenance import Factorization, TemplateTable, Witness, WitnessSet, assemble
@@ -198,16 +198,17 @@ class FlowGraph:
     """The contracted flow network of one (query, witnesses, ordering).
 
     `arcs` holds every arc as ``(tail, head, cap)`` in flat buffers (see
-    `Arcs`); an uncuttable arc has capacity `inf`.  `cap_nodes` maps each
-    capacity-node label to ``(in, out, cap)``: the node is cut when `in` is
-    on the source side and `out` is not.  Labels are ``("q", witness,
-    leaf)`` for a leaf node and ``("p", instance id)`` for a shared prefix
-    instance; `in` is the connector itself when the node has one entry.
-    Instance ids index `instances` (``(template id, binding pairs)`` in
-    `templates`, the query's `TemplateTable`) and `payer` (the label of the
-    cap node that carries the instance's weight: its own, or the leaf it was
-    folded into).  `slots` is an ``array("i")`` of every witness's instance ids,
-    ``len(skeleton.sites)`` per witness, in witness order.
+    `Arcs`); an uncuttable arc has capacity `inf`.  Capacity node c is arc c
+    ``(in, out, cap)`` of `caps`, cut when `in` is on the source side and
+    `out` is not (`in` is the connector when the node has one entry): leaf
+    node ``wi * nleaves + leaf`` of witness wi, then one node per unfolded
+    prefix instance, whose id `p_instance` gives.  Instance ids index
+    `instances` (``(template id, binding pairs)`` in the query's
+    `TemplateTable` `templates`) and `payer` (the cap node that carries the
+    instance's weight: its own, or the leaf it was folded into).  `slots`
+    holds each witness's instance ids, ``len(skeleton.sites)`` per witness.
+    `cap_nodes` is a read-only view by label (``("q", witness, leaf)``,
+    ``("p", instance id)``), built on each access.
     """
 
     query: Query
@@ -217,13 +218,25 @@ class FlowGraph:
     arcs: Arcs
     source: int
     sink: int
-    cap_nodes: dict[tuple, tuple[int, int, int]]  # label -> (in_id, out_id, cap)
+    caps: Arcs
+    p_instance: array
     inf: int
     skeleton: _Skeleton
     templates: TemplateTable
     instances: list[tuple[int, tuple]]
-    payer: list[tuple]
+    payer: array
     slots: array
+
+    def label(self, c: int) -> tuple:
+        """The label of cap node `c`."""
+        nq = len(self.caps) - len(self.p_instance)
+        if c < nq:
+            return ("q", *divmod(c, len(self.skeleton.leaves)))
+        return ("p", self.p_instance[c - nq])
+
+    @property
+    def cap_nodes(self) -> dict[tuple, tuple[int, int, int]]:
+        return {self.label(c): node for c, node in enumerate(self.caps)}
 
     def label_text(self, label: tuple) -> str:
         """Readable name of a cap-node label, e.g. ``q3.1`` or ``p[x1 <- y2]``."""
@@ -238,8 +251,8 @@ class FlowGraph:
         names = {self.source: "S", self.sink: "T"}
         for nid in range(2, first_cap):
             names[nid] = f"c{(nid - 2) // k}.{(nid - 2) % k}"
-        for label, (nin, nout, _cap) in self.cap_nodes.items():
-            text = self.label_text(label)
+        for c, (nin, nout) in enumerate(zip(self.caps.tail, self.caps.head)):
+            text = self.label_text(self.label(c))
             if nin >= first_cap:  # a separate entry node
                 names[nin] = f"{text}.in"
                 text += ".out"
@@ -257,10 +270,19 @@ class FlowGraph:
 
 @dataclass
 class FlowResult:
+    """A maximum flow's value and canonical cut: `reachable` marks the source
+    side, and `cut_mask` holds a 1 per cut cap node of `graph`.  `cut` is a
+    read-only view of it by label, built on each access."""
+
     value: int
-    cut: set[tuple]  # cap-node keys on the cut frontier
+    cut_mask: bytearray
     kernel: str
     reachable: list[bool]
+    graph: FlowGraph = field(repr=False, compare=False)
+
+    @property
+    def cut(self) -> set[tuple]:
+        return set(map(self.graph.label, compress(count(), self.cut_mask)))
 
 
 def build_flow_graph(
@@ -319,30 +341,29 @@ def build_flow_graph(
             run_leaf.append(-1 if leaf is None else qoff + leaf)
             run_next.append(-1)
 
-    # fold instances touched by exactly one leaf globally into that leaf's q
-    q_labels = [("q", wi, li) for wi in range(len(W.witnesses)) for li in range(nleaves)]
-    q_caps = [0] * len(q_labels)
-    payer: list[tuple] = [()] * len(weights)
+    # fold instances touched by exactly one leaf globally into that leaf's node
+    q_caps = array("q", [0]) * (len(W.witnesses) * nleaves)
+    payer = array("i", [-1]) * len(weights)
     for iid, r in enumerate(first):
         if r == last[iid] and run_leaf[r] >= 0:
-            payer[iid] = q_labels[run_leaf[r]]
+            payer[iid] = run_leaf[r]
             q_caps[run_leaf[r]] += weights[iid]
 
     inf = sum(weights) + 1
     next_id = 2 + len(W.witnesses) * k
-    cap_nodes: dict[tuple, tuple[int, int, int]] = {}
-    arcs = Arcs()
-    for label, cap in zip(q_labels, q_caps):
-        wi, li = label[1], label[2]
-        a, b = (c if c <= _T else c + wi * k for c in sk.leaves[li])
-        cap_nodes[label] = (a, next_id, cap)
+    caps, arcs, p_instance = Arcs(), Arcs(), array("i")
+    for c, cap in enumerate(q_caps):
+        wi, li = divmod(c, nleaves)
+        a, b = (x if x <= _T else x + wi * k for x in sk.leaves[li])
+        caps.extend((a,), (next_id,), (cap,))
         arcs.extend((a, next_id), (next_id, b), (cap, inf))
         next_id += 1
 
     for iid, r in enumerate(first):
-        if payer[iid]:
+        if payer[iid] >= 0:
             continue
-        label = payer[iid] = ("p", iid)
+        payer[iid] = len(caps)
+        p_instance.append(iid)
         lefts: dict[int, None] = {}
         rights: dict[int, None] = {}
         while r >= 0:
@@ -357,7 +378,7 @@ def build_flow_graph(
             arcs.extend(lefts, repeat(nin, len(lefts)), repeat(inf, len(lefts)))
         nout = next_id
         next_id += 1
-        cap_nodes[label] = (nin, nout, weights[iid])
+        caps.extend((nin,), (nout,), (weights[iid],))
         arcs.extend((nin,), (nout,), (weights[iid],))
         arcs.extend(repeat(nout, len(rights)), rights, repeat(inf, len(rights)))
 
@@ -369,7 +390,8 @@ def build_flow_graph(
         arcs=arcs,
         source=_S,
         sink=_T,
-        cap_nodes=cap_nodes,
+        caps=caps,
+        p_instance=p_instance,
         inf=inf,
         skeleton=sk,
         templates=table,
@@ -381,8 +403,8 @@ def build_flow_graph(
         "flow graph: %d nodes, %d arcs, %d instance nodes, %d folded",
         g.node_count,
         len(arcs),
-        len(cap_nodes) - len(q_caps),
-        len(weights) - (len(cap_nodes) - len(q_caps)),
+        len(p_instance),
+        len(weights) - len(p_instance),
     )
     return g
 
@@ -393,17 +415,14 @@ def min_cut(g: FlowGraph, kernel: str = "auto") -> FlowResult:
     """
     fn, used = _load_kernel(kernel)
     value, reachable = fn(g.node_count, g.arcs, g.source, g.sink)
-    cut = {
-        key
-        for key, (nin, nout, cap) in g.cap_nodes.items()
-        if reachable[nin] and not reachable[nout]
-    }
-    cut_weight = sum(g.cap_nodes[key][2] for key in cut)
+    caps = g.caps
+    mask = bytearray([reachable[a] and not reachable[b] for a, b in zip(caps.tail, caps.head)])
+    cut_weight = sum(compress(caps.cap, mask))
     if cut_weight != value:
         raise AssertionError(
             f"cut frontier weight {cut_weight} != flow value {value}"
         )
-    return FlowResult(value=int(value), cut=cut, kernel=used, reachable=reachable)
+    return FlowResult(int(value), mask, used, reachable, g)
 
 
 def extract_factorization(
@@ -411,16 +430,17 @@ def extract_factorization(
 ) -> tuple[Factorization, dict[Witness, Veo]]:
     """Read a plan assignment off the cut (leftmost selected alternative per
     witness) and assemble it; guaranteed no longer than the cut value."""
-    cut = res.cut
-    paid = [label in cut for label in g.payer]
+    cut = res.cut_mask
+    paid = bytearray(map(cut.__getitem__, g.payer))  # per instance id
     width = len(g.skeleton.sites)
+    nleaves = len(g.skeleton.leaves)
 
-    def select(alt: _Alt, wi: int, ids: list[int]) -> Veo | None:
+    def select(alt: _Alt, wi: int, ids: array) -> Veo | None:
         """Fragment below the parent's cumulative path, or None if not selected."""
         if not all(paid[ids[j]] for j in alt.slots):
             return None
         if alt.leaf is not None:
-            return alt.fragment if ("q", wi, alt.leaf) in cut else None
+            return alt.fragment if cut[wi * nleaves + alt.leaf] else None
         if alt.children:
             for child in alt.children:
                 frag = select(child, wi, ids)

@@ -11,17 +11,19 @@ template id with its anchored atoms and their count, and an instance is
 instances so.  Assembly builds the expression for a witness→plan
 assignment by merging shared instances in a trie, so that equal instances
 — even across different plans — are written once.  The trie interns each
-node as an integer id keyed by (parent id, node, values), takes the atoms
-anchored there from the table, holds the witnesses' own tuple keys at its
-nodes, and is freed when `assemble` returns: it forms no reference cycle.
+node as an integer row keyed by (parent row, node, values), keeps its rows
+in columns, reads their anchored tuple keys off the witness that made them,
+and is freed when `assemble` returns: it forms no reference cycle.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -485,31 +487,42 @@ def e_or(children: list[Expr]) -> Expr:
     return Expr("or", children=tuple(flat))
 
 
+def _product_terms(e: Expr, max_terms: int):
+    """Yield `e`'s DNF product terms as frozensets, repeats included.  An AND
+    node expands every child but its last in full (at most `max_terms`
+    partial products, else `ExpansionTooLarge`) and streams the last."""
+    if e.op == "var":
+        yield frozenset([e.key])
+    elif e.op == "or":
+        for c in e.children:
+            yield from _product_terms(c, max_terms)
+    elif e.op == "and":
+        head = [frozenset()]
+        for c in e.children[:-1]:
+            terms = (a | b for b in _product_terms(c, max_terms) for a in head)
+            head = list(islice(terms, max_terms + 1))
+            if len(head) > max_terms:
+                raise ExpansionTooLarge(f"more than {max_terms} product terms")
+        for b in _product_terms(e.children[-1], max_terms):
+            for a in head:
+                yield a | b
+
+
+def _stream(e: Expr, max_terms: int):
+    """`_product_terms`, raising `ExpansionTooLarge` past `max_terms` terms
+    (repeats counted) or on an expression too deep to expand."""
+    try:
+        for n, term in enumerate(_product_terms(e, max_terms), 1):
+            if n > max_terms:
+                raise ExpansionTooLarge(f"more than {max_terms} product terms")
+            yield term
+    except RecursionError:
+        raise ExpansionTooLarge("expression too deep to expand") from None
+
+
 def expand(e: Expr, max_terms: int = 200_000) -> set[frozenset[TupleKey]]:
     """Distribute into DNF product terms, guarded by a term-count cap."""
-    if e.op == "false":
-        return set()
-    if e.op == "var":
-        return {frozenset([e.key])}
-    child_terms = [expand(c, max_terms) for c in e.children]
-    if e.op == "or":
-        out: set[frozenset[TupleKey]] = set()
-        for ts in child_terms:
-            out |= ts
-            if len(out) > max_terms:
-                raise ExpansionTooLarge(f"more than {max_terms} product terms")
-        return out
-    # and: cross product
-    terms: set[frozenset[TupleKey]] = {frozenset()}
-    for ts in child_terms:
-        nxt = set()
-        for a in terms:
-            for b in ts:
-                nxt.add(a | b)
-                if len(nxt) > max_terms:
-                    raise ExpansionTooLarge(f"more than {max_terms} product terms")
-        terms = nxt
-    return terms
+    return set(_stream(e, max_terms))
 
 
 @dataclass(frozen=True)
@@ -533,57 +546,93 @@ class Factorization:
 # Assembly
 # --------------------------------------------------------------------------
 
-# One trie node: (node, values, anchored tuple keys, groups).  `groups`
-# maps a branch signature (the sorted nodes of a plan's children there) to
-# {child node: child ids}; the signature () marks a plan that ends there.
-_TrieRow = tuple[Node, tuple[str, ...], tuple[TupleKey, ...], dict]
+class _Trie:
+    """The assembly trie of a witness→plan assignment, in columns.
 
-def _order(row: _TrieRow) -> tuple:
-    """Sort key of sibling (or root) instances: the last node's serialization,
-    then the node and its values.  Siblings share the parent path, so this is
-    the order of the whole paths by serialization, then by path."""
-    node, values = row[0], row[1]
-    return "".join(f"{var}{val}" for var, val in zip(node, values)), node, values
+    A row is an instance node, keyed by ``(parent row, node, values)`` in
+    `keys` (parent -1 at a root).  Per row, `maker` (``array("i")``) is the
+    index in `items` of the witness that made it, `tpl` its template id,
+    whose anchored atoms give its tuple keys off that witness, and `ends`
+    a 1 where a plan ends.  `groups` has the inner rows only: row ->
+    {branch signature (its plans' sorted child nodes): {child node: rows}}.
+    """
 
+    __slots__ = ("items", "anchored", "keys", "maker", "tpl", "ends", "groups", "roots")
 
-def _path_serial(trie: list[_TrieRow], ids: dict, tid: int) -> str:
-    parent_of = {i: key[0] for key, i in ids.items()}
-    nodes = []
-    while tid >= 0:
-        node, values = trie[tid][:2]
-        nodes.append("".join(f"{var}{val}" for var, val in zip(node, values)))
-        tid = parent_of[tid]
-    return " <- ".join(reversed(nodes))
+    def __init__(self, q: Query, items: tuple[tuple[Witness, Veo], ...]) -> None:
+        table = TemplateTable(q)
+        child, self.items, self.anchored = table.child, items, table.atoms
+        ids: dict[tuple[int, Node, tuple[str, ...]], int] = {}
+        maker, tpls, ends = self.maker, self.tpl, self.ends = array("i"), array("i"), bytearray()
+        groups: dict[int, dict] = {}
+        roots = self.roots = set()
+        for wi, (w, v) in enumerate(items):
+            if v.vars_below != q.variables:
+                raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
+            vals = w.values
+            # (subtree, parent row, parent template id, parent's branches), preorder
+            stack = [(v, -1, -1, None)]
+            while stack:
+                t, parent, ptpl, branches = stack.pop()
+                node = t.node
+                try:
+                    values = tuple([vals[x] for x in node])
+                except KeyError as exc:
+                    raise IllegalAssignment(f"witness {w.key} does not bind {exc.args[0]}")
+                tpl = child(ptpl, node)
+                key = (parent, node, values)
+                r = ids.get(key)
+                if r is None:
+                    r = ids[key] = len(maker)
+                    maker.append(wi)
+                    tpls.append(tpl)
+                    ends.append(0)
+                (roots if branches is None else branches.setdefault(node, set())).add(r)
+                if t.children:
+                    sig = tuple(sorted(c.node for c in t.children))
+                    kids = groups.setdefault(r, {}).setdefault(sig, {})
+                    stack.extend((c, r, tpl, kids) for c in reversed(t.children))
+                else:
+                    ends[r] = 1
+        self.keys, self.groups = list(ids), groups
 
+    def order(self, r: int) -> tuple:
+        """Sort key of sibling (or root) rows: the last node's serialization,
+        then the node and its values.  Siblings share the parent path, so
+        this is the order of the whole paths by serialization, then by path."""
+        _, node, values = self.keys[r]
+        return "".join(f"{var}{val}" for var, val in zip(node, values)), node, values
 
-def _build(trie: list[_TrieRow], ids: dict, tid: int) -> Expr:
-    """Node `tid`'s tuples AND the OR over its branch signatures, each an AND
-    over branches of the OR over the child instances.  Recursion depth is the
-    plan depth."""
-    _, _, tuples, groups = trie[tid]
-    parts: list[Expr] = [e_var(t) for t in tuples]
-    group_exprs: list[Expr] = []
-    for sig in sorted(groups):
-        if not sig:
-            continue
-        branches = groups[sig]
-        group_exprs.append(e_and([
-            e_or([
-                _build(trie, ids, c)
-                for c in sorted(branches[bn], key=lambda c: _order(trie[c]))
-            ])
-            for bn in sorted(branches)
-        ]))
-    if group_exprs:
-        if () in groups:
-            # a plan ends here while others continue below, as legal plans
-            # y <- (x, z) and y <- x <- z do at an instance of y <- x; the
-            # trie has no expression for that, so it is rejected.
-            raise IllegalAssignment(
-                f"node {_path_serial(trie, ids, tid)} mixes terminal and continuing plans"
-            )
-        parts.append(e_or(group_exprs))
-    return e_and(parts) if parts else Expr("false")
+    def serial(self, r: int) -> str:
+        nodes = []
+        while r >= 0:
+            r, node, values = self.keys[r]
+            nodes.append("".join(f"{var}{val}" for var, val in zip(node, values)))
+        return " <- ".join(reversed(nodes))
+
+    def build(self, r: int) -> Expr:
+        """Row `r`'s tuples AND the OR over its branch signatures, each an AND
+        over branches of the OR over the child rows.  Recursion depth is the
+        plan depth."""
+        tuples = self.items[self.maker[r]][0].tuples
+        parts: list[Expr] = [e_var(tuples[i]) for i in self.anchored[self.tpl[r]]]
+        groups = self.groups.get(r)
+        if groups:
+            if self.ends[r]:
+                # a plan ends here while others continue below, as legal plans
+                # y <- (x, z) and y <- x <- z do at an instance of y <- x; the
+                # trie has no expression for that, so it is rejected.
+                raise IllegalAssignment(
+                    f"node {self.serial(r)} mixes terminal and continuing plans"
+                )
+            parts.append(e_or([
+                e_and([
+                    e_or([self.build(c) for c in sorted(branches[bn], key=self.order)])
+                    for bn in sorted(branches)
+                ])
+                for _, branches in sorted(groups.items())
+            ]))
+        return e_and(parts) if parts else Expr("false")
 
 
 def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factorization:
@@ -592,67 +641,35 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
     The expression is a trie over prefix instances: at each node, AND the
     tuples anchored there with, per branch signature, an AND over branches
     of ORs over child instances.  Instances shared across witnesses (and
-    across different plans) merge.
-
-    Trie nodes are interned as integer ids keyed by (parent id, node,
-    values); a node keeps its node, values, anchored tuples (the witness's
-    own tuple keys) and child groups.  Which atoms anchor at a node depends
-    on its path template only, which the query's `TemplateTable` gives.
-    Plans are walked iteratively and the expression is built by a
-    module-level recursion, so the trie is freed on return.
+    across different plans) merge.  The trie (see `_Trie`) is stored in
+    columns, one row per instance node, and is freed on return.
     """
     if set(assignment) != set(W.witnesses):
         raise IllegalAssignment("assignment must cover exactly the witness set")
     if not W.witnesses:
         return Factorization((), Expr("false"), 0, 0)
-
-    trie: list[_TrieRow] = []
-    ids: dict[tuple[int, Node, tuple[str, ...]], int] = {}
-    table = TemplateTable(q)
-    child, anchored = table.child, table.atoms
-    roots: set[int] = set()
-    items = tuple(sorted(assignment.items(), key=lambda kv: kv[0].key))
-    for w, v in items:
-        if v.vars_below != q.variables:
-            raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
-        vals = w.values
-        # (subtree, parent id, parent template id, parent's branches), preorder
-        stack = [(v, -1, -1, None)]
-        while stack:
-            t, parent, ptpl, branches = stack.pop()
-            node = t.node
-            try:
-                values = tuple([vals[x] for x in node])
-            except KeyError as exc:
-                raise IllegalAssignment(f"witness {w.key} does not bind {exc.args[0]}")
-            tpl = child(ptpl, node)
-            key = (parent, node, values)
-            tid = ids.get(key)
-            if tid is None:
-                tid = ids[key] = len(trie)
-                trie.append((node, values, tuple([w.tuples[i] for i in anchored[tpl]]), {}))
-            if branches is None:
-                roots.add(tid)
-            else:
-                branches.setdefault(node, set()).add(tid)
-            groups = trie[tid][3]
-            if t.children:
-                kids = groups.setdefault(tuple(sorted(c.node for c in t.children)), {})
-                stack.extend((c, tid, tpl, kids) for c in reversed(t.children))
-            else:
-                groups.setdefault((), None)
-
-    expr = e_or([_build(trie, ids, r) for r in sorted(roots, key=lambda r: _order(trie[r]))])
-    return Factorization(items, expr, expr.length, expr.length - len(expr.tuple_keys))
+    trie = _Trie(q, tuple(sorted(assignment.items(), key=lambda kv: kv[0].key)))
+    expr = e_or([trie.build(r) for r in sorted(trie.roots, key=trie.order)])
+    return Factorization(trie.items, expr, expr.length, expr.length - len(expr.tuple_keys))
 
 
 def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000) -> bool:
-    """Expand the expression to DNF terms and compare with the witness terms."""
-    try:
-        terms = expand(f.expression, max_terms)
-    except RecursionError:
-        raise ExpansionTooLarge("expression too deep to expand")
-    return terms == W.dnf_terms()
+    """Whether the expression's DNF terms are exactly the witness terms.
+
+    The product terms are streamed (see `expand`); each, in relation order,
+    must be found in an index of the witnesses' `tuples`, and one byte per
+    witness term records that it was produced.  Neither the expansion nor
+    `W.dnf_terms()` is held whole.  Raises `ExpansionTooLarge` as `expand`.
+    """
+    rank = {a.relation: i for i, a in enumerate(W.query.atoms)}.get
+    index = {t: i for i, t in enumerate(dict.fromkeys(w.tuples for w in W.witnesses))}
+    hit = bytearray(len(index))
+    for term in _stream(f.expression, max_terms):
+        wi = index.get(tuple(sorted(term, key=lambda key: rank(key[0], -1))))
+        if wi is None:
+            return False
+        hit[wi] = 1
+    return 0 not in hit
 
 
 def detect_p4(W: WitnessSet):

@@ -490,12 +490,12 @@ def _project_witnesses(q: Query, W: WitnessSet, sub: Query) -> WitnessSet:
     return WitnessSet(sub, witnesses)
 
 
-def _flow_run(q, W, strict_rp, kernel, ordering=None):
+def _flow_run(q, W, strict_rp, kernel, ordering=None) -> tuple[Factorization, int]:
+    """(factorization, cut value); the graph and the cut are freed on return."""
     ordering = ordering or build_ordering(q, mode="nested-rp")
     g = build_flow_graph(q, W, ordering, strict_rp=strict_rp)
     res = min_cut(g, kernel=kernel)
-    fact, _ = extract_factorization(g, res)
-    return fact, res
+    return extract_factorization(g, res)[0], res.value
 
 
 def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] | None:
@@ -579,10 +579,10 @@ def dispatch(
         if not res.optimal:
             notes.append(f"budget exhausted after {res.nodes} nodes")
     elif policy == "flow":
-        fact, cut = _flow_run(q, W, strict_rp, kernel, ordering)
+        fact, cut_value = _flow_run(q, W, strict_rp, kernel, ordering)
         optimal = cls.k is not None and (cls.k <= 2 or "hierarchical" in cls)
         if not optimal:
-            notes.append(f"cut value {cut.value}; optimality not guaranteed")
+            notes.append(f"cut value {cut_value}; optimality not guaranteed")
     elif policy == "single-plan":
         fact = single_plan_baseline(q, W)
         optimal = "hierarchical" in cls
@@ -597,7 +597,7 @@ def dispatch(
         elif (routed := _special_solve(cls, W)) is not None:
             fact, method = routed
         elif cls.k == 2:
-            fact, _ = _flow_run(q, W, strict_rp, kernel, ordering)
+            fact = _flow_run(q, W, strict_rp, kernel, ordering)[0]
             method = "flow"
         else:
             res = solve_exact(q, W, budget=budget)
@@ -612,7 +612,7 @@ def dispatch(
                     f" lower bound {res.lower_bound}"
                 )
                 try:
-                    flow_fact, _ = _flow_run(q, W, strict_rp, kernel, ordering)
+                    flow_fact = _flow_run(q, W, strict_rp, kernel, ordering)[0]
                 except ExtractionFailure:
                     flow_fact = None
                     notes.append("flow extraction failed")

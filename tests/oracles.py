@@ -273,6 +273,36 @@ def leaf_multiset(expr):
     return tuple(sorted(out))
 
 
+def reference_expand(e, max_terms: int = 200_000):
+    """Set-based DNF expansion, the reference for ``provenance.expand``:
+    each node's whole term set, built bottom-up by set union and cross
+    product, capped at `max_terms` distinct terms per intermediate set."""
+    from provfact.provenance import ExpansionTooLarge
+
+    if e.op == "false":
+        return set()
+    if e.op == "var":
+        return {frozenset([e.key])}
+    child_terms = [reference_expand(c, max_terms) for c in e.children]
+    if e.op == "or":
+        out = set()
+        for ts in child_terms:
+            out |= ts
+            if len(out) > max_terms:
+                raise ExpansionTooLarge(f"more than {max_terms} product terms")
+        return out
+    terms = {frozenset()}
+    for ts in child_terms:
+        nxt = set()
+        for a in terms:
+            for b in ts:
+                nxt.add(a | b)
+                if len(nxt) > max_terms:
+                    raise ExpansionTooLarge(f"more than {max_terms} product terms")
+        terms = nxt
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # Minimum node cut (for the flow heuristic)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Flow-graph heuristic: graph construction, min cut, extraction, kernels."""
 
+import gc
 import itertools
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given
@@ -191,6 +194,32 @@ def test_flow_result_invariants(fig7d_db):
     for label in res.cut:
         nin, nout, _cap = g.cap_nodes[label]
         assert res.reachable[nin] and not res.reachable[nout]
+    # the mask is the cut by cap-node index; the labels are a view of it
+    assert isinstance(res.cut_mask, bytearray) and len(res.cut_mask) == len(g.caps)
+    assert res.cut == {g.label(c) for c, cut in enumerate(res.cut_mask) if cut}
+    assert list(g.cap_nodes) == [g.label(c) for c in range(len(g.caps))]
+
+
+def test_flow_graph_memory_per_witness():
+    """Cap nodes live in typed arrays addressed by index: the network of
+    3chain d=30 t=200 seed 1 (6,090 witnesses) retains at most 400 B per
+    witness (tracemalloc; about 330 B, and about 850 B when the cap nodes
+    were a dict keyed by label tuples)."""
+    q = fixture_query("3chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=30, tuples=200, seed=1)))
+    ordering = build_ordering(q)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_flow_graph(q, W, ordering)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    bufs = (g.caps.tail, g.caps.head, g.caps.cap, g.p_instance, g.payer, g.slots)
+    assert all(isinstance(buf, array) for buf in bufs)
+    assert len(W) > 5000
+    assert held / len(W) <= 400, f"{held / len(W):.0f} B/witness"
 
 
 def test_kernels_agree(fig7d_db, leakage_db):

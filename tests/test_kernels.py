@@ -52,6 +52,17 @@ def test_max_flow_matches_brute_force_cut(kind, graph):
 
 
 @pytest.mark.parametrize("kind", KERNELS)
+@given(graph=digraphs())
+def test_max_flow_with_capacities_past_32_bits(kind, graph):
+    """Scaling every capacity by 2**31 scales the cut value and keeps the
+    source side; the pure kernel then keeps 64-bit residuals."""
+    n, arcs, s, t = graph
+    value, reachable = brute_min_cut(n, arcs, s, t)
+    wide = [(u, v, c << 31) for u, v, c in arcs]
+    assert _load_kernel(kind)[0](n, wide, s, t) == (value << 31, reachable)
+
+
+@pytest.mark.parametrize("kind", KERNELS)
 @pytest.mark.parametrize("name,d,t", [("q2star", 6, 10), ("3chain", 5, 9), ("triangle", 6, 14)])
 def test_max_flow_matches_reference_on_seeded_batch(kind, name, d, t):
     q = fixture_query(name)
