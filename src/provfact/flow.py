@@ -22,7 +22,9 @@ smallest minimum-cut source side, which is unique) is the same as on the
 uncontracted network.  Prefix instances are interned as integer ids keyed
 by ``(template id, binding pairs)`` in the query's `TemplateTable`, which
 also gives their weights; the ordering's shape is walked once, and each
-witness keeps only its instance ids.
+witness keeps only its instance ids.  A capacity node is addressed only by
+its index and stored only as its arc.  Extraction hands each witness one of
+the ordering's own plan objects: the first whose needs the cut meets.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, product, repeat
 
 from .cq import Query
 from .provenance import Factorization, TemplateTable, Witness, WitnessSet, assemble
-from .veo import Node, Ordering, Veo, _chain, prefix_path
+from .veo import Ordering, Veo
 
 log = logging.getLogger(__name__)
 
@@ -93,18 +95,6 @@ _S, _T = 0, 1
 
 
 @dataclass
-class _Alt:
-    """One ordering alternative, the same for every witness."""
-
-    ext: tuple[Node, ...]
-    slots: range  # instance slots of its ext prefixes and leaf groups
-    leaf: int | None = None  # leaf index when the alternative is a leaf
-    fragment: Veo | None = None  # the leaf's plan fragment below the parent
-    children: list["_Alt"] = field(default_factory=list)
-    comps: list[list["_Alt"]] = field(default_factory=list)
-
-
-@dataclass
 class _Skeleton:
     """The witness-independent shape of the network for one ordering.
 
@@ -112,56 +102,61 @@ class _Skeleton:
     of every witness is ``sites[j] = (template id, left, right, leaf)``, an
     instance of that template of the query's `TemplateTable` between
     connectors left and right, at a leaf site when `leaf` is a leaf index.
+    ``needs[i] = (slots, leaves)`` says when a witness may take plan i of
+    ``ordering.veos``: the cut pays the instances of those slots and cuts
+    those leaves.
     """
 
-    alts: list[_Alt] = field(default_factory=list)
     sites: list[tuple[int, int, int, int | None]] = field(default_factory=list)
     leaves: list[tuple[int, int]] = field(default_factory=list)  # leaf -> (left, right)
+    needs: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
     connectors: int = 0  # own connectors per witness
 
 
 def _skeleton(table: TemplateTable, ordering: Ordering) -> _Skeleton:
-    """Walk the ordering once: connectors, slots and leaf groups."""
+    """Walk the ordering once: connectors, slots, leaf groups and needs."""
     sk = _Skeleton()
 
-    def walk_seq(alts, a: int, b: int, cum) -> list[_Alt]:
+    def walk_seq(alts, a: int, b: int, cum) -> list[tuple[tuple, tuple]]:
         conns = [a]
         for _ in range(len(alts) - 1):
             conns.append(2 + sk.connectors)
             sk.connectors += 1
         conns.append(b)
-        return [walk_alt(alt, conns[i], conns[i + 1], cum) for i, alt in enumerate(alts)]
+        return [
+            need for i, alt in enumerate(alts) for need in walk_alt(alt, conns[i], conns[i + 1], cum)
+        ]
 
-    def walk_alt(alt, a: int, b: int, cum) -> _Alt:
+    def walk_alt(alt, a: int, b: int, cum) -> list[tuple[tuple, tuple]]:
+        """The needs of ``alt.fragments()``, in that order."""
         new_cum = cum + alt.ext
         start = len(sk.sites)
         for d in range(len(cum) + 1, len(new_cum) + 1):
             tid = table.path_id(new_cum[:d])
             if table.weights[tid]:
                 sk.sites.append((tid, a, b, None))
-        leaf = None
         if alt.sub is not None:
+            # the plan's root paths below new_cum are new_cum + the sub's
             leaf = len(sk.leaves)
             sk.leaves.append((a, b))
-            fragment = _chain(new_cum, (alt.sub,)) if new_cum else alt.sub
-            paths = {
-                prefix_path(fragment, atom.varset)
-                for atom in table.query.atoms
-                if atom.varset <= fragment.vars_below
-            }
-            for p in sorted(paths):
-                if len(p) > len(new_cum):
-                    sk.sites.append((table.path_id(p), a, b, leaf))
-        node = _Alt(alt.ext, range(start, len(sk.sites)), leaf)
-        if alt.sub is not None:
-            node.fragment = _chain(alt.ext, (alt.sub,)) if alt.ext else alt.sub
-        elif alt.seq:
-            node.children = walk_seq(alt.seq, a, b, new_cum)
-        else:
-            node.comps = [walk_seq(comp, a, b, new_cum) for comp in alt.par]
-        return node
+            for p in sorted(alt.sub.root_paths):
+                tid = table.path_id(new_cum + p)
+                if table.weights[tid]:
+                    sk.sites.append((tid, a, b, leaf))
+            return [(tuple(range(start, len(sk.sites))), (leaf,))]
+        own = tuple(range(start, len(sk.sites)))
+        if alt.seq:
+            return [(own + slots, leaves) for slots, leaves in walk_seq(alt.seq, a, b, new_cum)]
+        # a par segment takes one plan per component, in `fragments` order
+        comps = [walk_seq(comp, a, b, new_cum) for comp in alt.par]
+        return [
+            (own + sum((c[0] for c in combo), ()), sum((c[1] for c in combo), ()))
+            for combo in product(*comps)
+        ]
 
-    sk.alts = walk_seq(ordering.alts, _S, _T, ())
+    sk.needs = walk_seq(ordering.alts, _S, _T, ())
+    if len(sk.needs) != len(ordering.veos):
+        raise AssertionError(f"{len(sk.needs)} needs for {len(ordering.veos)} plans")
     return sk
 
 
@@ -198,17 +193,16 @@ class FlowGraph:
     """The contracted flow network of one (query, witnesses, ordering).
 
     `arcs` holds every arc as ``(tail, head, cap)`` in flat buffers (see
-    `Arcs`); an uncuttable arc has capacity `inf`.  Capacity node c is arc c
-    ``(in, out, cap)`` of `caps`, cut when `in` is on the source side and
-    `out` is not (`in` is the connector when the node has one entry): leaf
-    node ``wi * nleaves + leaf`` of witness wi, then one node per unfolded
-    prefix instance, whose id `p_instance` gives.  Instance ids index
-    `instances` (``(template id, binding pairs)`` in the query's
-    `TemplateTable` `templates`) and `payer` (the cap node that carries the
-    instance's weight: its own, or the leaf it was folded into).  `slots`
-    holds each witness's instance ids, ``len(skeleton.sites)`` per witness.
-    `cap_nodes` is a read-only view by label (``("q", witness, leaf)``,
-    ``("p", instance id)``), built on each access.
+    `Arcs`); an uncuttable arc has capacity `inf`.  Capacity nodes are
+    addressed by index only: cap node c is arc ``cap_arc[c]`` of `arcs`
+    ``(in, out, cap)``, cut when `in` is on the source side and `out` is not
+    (`in` is the connector when the node has one entry): leaf node
+    ``wi * nleaves + leaf`` of witness wi, then one node per unfolded prefix
+    instance, whose id `p_instance` gives.  Instance ids index `instances`
+    (``(template id, binding pairs)`` in the query's `TemplateTable`
+    `templates`) and `payer` (the cap node that carries the instance's
+    weight: its own, or the leaf it was folded into).  `slots` holds each
+    witness's instance ids, ``len(skeleton.sites)`` per witness.
     """
 
     query: Query
@@ -218,7 +212,7 @@ class FlowGraph:
     arcs: Arcs
     source: int
     sink: int
-    caps: Arcs
+    cap_arc: array
     p_instance: array
     inf: int
     skeleton: _Skeleton
@@ -227,22 +221,12 @@ class FlowGraph:
     payer: array
     slots: array
 
-    def label(self, c: int) -> tuple:
-        """The label of cap node `c`."""
-        nq = len(self.caps) - len(self.p_instance)
+    def cap_text(self, c: int) -> str:
+        """Readable name of cap node `c`, e.g. ``q3.1`` or ``p[x1 <- y2]``."""
+        nq = len(self.cap_arc) - len(self.p_instance)
         if c < nq:
-            return ("q", *divmod(c, len(self.skeleton.leaves)))
-        return ("p", self.p_instance[c - nq])
-
-    @property
-    def cap_nodes(self) -> dict[tuple, tuple[int, int, int]]:
-        return {self.label(c): node for c, node in enumerate(self.caps)}
-
-    def label_text(self, label: tuple) -> str:
-        """Readable name of a cap-node label, e.g. ``q3.1`` or ``p[x1 <- y2]``."""
-        if label[0] == "q":
-            return f"q{label[1]}.{label[2]}"
-        return f"p[{self.templates.serial(*self.instances[label[1]])}]"
+            return "q{}.{}".format(*divmod(c, len(self.skeleton.leaves)))
+        return f"p[{self.templates.serial(*self.instances[self.p_instance[c - nq]])}]"
 
     def dot(self) -> str:
         """GraphViz rendering of the contracted network (for --dump-graph)."""
@@ -251,15 +235,17 @@ class FlowGraph:
         names = {self.source: "S", self.sink: "T"}
         for nid in range(2, first_cap):
             names[nid] = f"c{(nid - 2) // k}.{(nid - 2) % k}"
-        for c, (nin, nout) in enumerate(zip(self.caps.tail, self.caps.head)):
-            text = self.label_text(self.label(c))
-            if nin >= first_cap:  # a separate entry node
-                names[nin] = f"{text}.in"
+        tail, head = self.arcs.tail, self.arcs.head
+        for c, i in enumerate(self.cap_arc):
+            text = self.cap_text(c)
+            if tail[i] >= first_cap:  # a separate entry node
+                names[tail[i]] = f"{text}.in"
                 text += ".out"
-            names[nout] = text
+            names[head[i]] = text
         lines = ["digraph flow {", "  rankdir=LR;"]
         for nid in range(self.node_count):
-            lines.append(f'  n{nid} [label="{names[nid]}"];')
+            name = names[nid].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{nid} [label="{name}"];')
         for u, v, c in self.arcs:
             style = "" if c < self.inf else " [style=dashed]"
             cap = str(c) if c < self.inf else "inf"
@@ -271,18 +257,12 @@ class FlowGraph:
 @dataclass
 class FlowResult:
     """A maximum flow's value and canonical cut: `reachable` marks the source
-    side, and `cut_mask` holds a 1 per cut cap node of `graph`.  `cut` is a
-    read-only view of it by label, built on each access."""
+    side, and `cut_mask` holds a 1 per cut cap node, by index."""
 
     value: int
     cut_mask: bytearray
     kernel: str
     reachable: list[bool]
-    graph: FlowGraph = field(repr=False, compare=False)
-
-    @property
-    def cut(self) -> set[tuple]:
-        return set(map(self.graph.label, compress(count(), self.cut_mask)))
 
 
 def build_flow_graph(
@@ -351,18 +331,18 @@ def build_flow_graph(
 
     inf = sum(weights) + 1
     next_id = 2 + len(W.witnesses) * k
-    caps, arcs, p_instance = Arcs(), Arcs(), array("i")
+    arcs, cap_arc, p_instance = Arcs(), array("i"), array("i")
     for c, cap in enumerate(q_caps):
         wi, li = divmod(c, nleaves)
         a, b = (x if x <= _T else x + wi * k for x in sk.leaves[li])
-        caps.extend((a,), (next_id,), (cap,))
+        cap_arc.append(len(arcs))
         arcs.extend((a, next_id), (next_id, b), (cap, inf))
         next_id += 1
 
     for iid, r in enumerate(first):
         if payer[iid] >= 0:
             continue
-        payer[iid] = len(caps)
+        payer[iid] = len(cap_arc)
         p_instance.append(iid)
         lefts: dict[int, None] = {}
         rights: dict[int, None] = {}
@@ -378,7 +358,7 @@ def build_flow_graph(
             arcs.extend(lefts, repeat(nin, len(lefts)), repeat(inf, len(lefts)))
         nout = next_id
         next_id += 1
-        caps.extend((nin,), (nout,), (weights[iid],))
+        cap_arc.append(len(arcs))
         arcs.extend((nin,), (nout,), (weights[iid],))
         arcs.extend(repeat(nout, len(rights)), rights, repeat(inf, len(rights)))
 
@@ -390,7 +370,7 @@ def build_flow_graph(
         arcs=arcs,
         source=_S,
         sink=_T,
-        caps=caps,
+        cap_arc=cap_arc,
         p_instance=p_instance,
         inf=inf,
         skeleton=sk,
@@ -415,62 +395,39 @@ def min_cut(g: FlowGraph, kernel: str = "auto") -> FlowResult:
     """
     fn, used = _load_kernel(kernel)
     value, reachable = fn(g.node_count, g.arcs, g.source, g.sink)
-    caps = g.caps
-    mask = bytearray([reachable[a] and not reachable[b] for a, b in zip(caps.tail, caps.head)])
-    cut_weight = sum(compress(caps.cap, mask))
+    tail, head, cap = g.arcs.tail, g.arcs.head, g.arcs.cap
+    mask = bytearray([reachable[tail[i]] and not reachable[head[i]] for i in g.cap_arc])
+    cut_weight = sum(map(cap.__getitem__, compress(g.cap_arc, mask)))
     if cut_weight != value:
         raise AssertionError(
             f"cut frontier weight {cut_weight} != flow value {value}"
         )
-    return FlowResult(int(value), mask, used, reachable, g)
+    return FlowResult(int(value), mask, used, reachable)
 
 
 def extract_factorization(
     g: FlowGraph, res: FlowResult
 ) -> tuple[Factorization, dict[Witness, Veo]]:
-    """Read a plan assignment off the cut (leftmost selected alternative per
-    witness) and assemble it; guaranteed no longer than the cut value."""
+    """Give each witness the first plan of the ordering whose needs the cut
+    meets (the leftmost selected alternative) and assemble the assignment;
+    guaranteed no longer than the cut value."""
     cut = res.cut_mask
     paid = bytearray(map(cut.__getitem__, g.payer))  # per instance id
     width = len(g.skeleton.sites)
     nleaves = len(g.skeleton.leaves)
-
-    def select(alt: _Alt, wi: int, ids: array) -> Veo | None:
-        """Fragment below the parent's cumulative path, or None if not selected."""
-        if not all(paid[ids[j]] for j in alt.slots):
-            return None
-        if alt.leaf is not None:
-            return alt.fragment if cut[wi * nleaves + alt.leaf] else None
-        if alt.children:
-            for child in alt.children:
-                frag = select(child, wi, ids)
-                if frag is not None:
-                    return _chain(alt.ext, (frag,)) if alt.ext else frag
-            return None
-        tails = []
-        for comp in alt.comps:
-            for child in comp:
-                frag = select(child, wi, ids)
-                if frag is not None:
-                    tails.append(frag)
-                    break
-            else:
-                return None
-        return _chain(alt.ext, tuple(tails))
-
+    plans = list(zip(g.ordering.veos, g.skeleton.needs))
     assignment: dict[Witness, Veo] = {}
     for wi, w in enumerate(g.witnesses.witnesses):
         ids = g.slots[wi * width:(wi + 1) * width]
-        chosen = None
-        for alt in g.skeleton.alts:
-            chosen = select(alt, wi, ids)
-            if chosen is not None:
+        qoff = wi * nleaves
+        for plan, (slots, leaves) in plans:
+            if all(paid[ids[j]] for j in slots) and all(cut[qoff + leaf] for leaf in leaves):
+                assignment[w] = plan
                 break
-        if chosen is None:
+        else:
             raise ExtractionFailure(
                 f"no plan for witness {w.key} is fully covered by the cut"
             )
-        assignment[w] = chosen
     fact = assemble(g.query, g.witnesses, assignment)
     if fact.length > res.value:
         raise AssertionError(

@@ -131,7 +131,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     for wi, w in enumerate(W.witnesses):
         choices = []
         for vi, ids in enumerate(inst_lists[wi]):
-            qn = register(f"q_v{vi + 1}__{_sanitize(w.key)}", f"q:{vi}:{w.key}")
+            qn = register(f"q_v{vi + 1}__{_sanitize(w.key)}", ("q", wi, vi))
             q_names[(wi, vi)] = qn
             choice_info[qn] = (w.key, vi)
             choices.append(qn)

@@ -95,6 +95,25 @@ SERIAL_COLLISION = """\
 z2,1
 """
 
+# 2-star query R(x), S(x,y), T(y).  Witnesses (x=1_y2, y=3) and (x=1, y=2_y3)
+# both have the key `x1_y2_y3`; each needs its own choice variables, so the
+# model optimum is 10, not 11.
+WITNESS_KEY_COLLISION = """\
+[R]
+1_y2
+1
+7
+[S]
+1_y2,3
+1_y2,5
+1,2_y3
+7,2_y3
+[T]
+3
+5
+2_y3
+"""
+
 
 def _c(k):
     return f"{k:04d}"

@@ -313,12 +313,12 @@ def brute_min_node_cut(g) -> int:
     Enumerates subsets of the finite-capacity internal arcs; all structural
     arcs are uncuttable.  Exponential — keep the instance tiny.
     """
-    labels = sorted(g.cap_nodes)
-    assert len(labels) <= 18, "brute-force cut blowup; shrink the instance"
+    arcs = g.arcs
+    caps = range(len(g.cap_arc))
+    assert len(caps) <= 18, "brute-force cut blowup; shrink the instance"
     internal = {}
-    for label in labels:
-        nin, nout, cap = g.cap_nodes[label]
-        internal[label] = ((nin, nout), cap)
+    for c, i in enumerate(g.cap_arc):
+        internal[c] = ((arcs.tail[i], arcs.head[i]), arcs.cap[i])
     adjacency = {}
     for u, v, _cap in g.arcs:
         adjacency.setdefault(u, []).append(v)
@@ -338,15 +338,125 @@ def brute_min_node_cut(g) -> int:
         return True
 
     best = None
-    for size in range(len(labels) + 1):
-        for subset in itertools.combinations(labels, size):
-            weight = sum(internal[l][1] for l in subset)
+    for size in range(len(caps) + 1):
+        for subset in itertools.combinations(caps, size):
+            weight = sum(internal[c][1] for c in subset)
             if best is not None and weight >= best:
                 continue
-            if disconnected({internal[l][0] for l in subset}):
+            if disconnected({internal[c][0] for c in subset}):
                 best = weight
     assert best is not None, "sink not disconnectable by capacitated nodes"
     return best
+
+
+# ---------------------------------------------------------------------------
+# Flow extraction (the per-witness recursive selector)
+# ---------------------------------------------------------------------------
+
+def _hang(ext, tails):
+    """The plan that hangs the plans `tails` below the node path `ext`."""
+    from provfact.veo import veo_node
+
+    if not ext:
+        (only,) = tails
+        return only
+    cur = veo_node(ext[-1], tails)
+    for node in reversed(ext[:-1]):
+        cur = veo_node(node, (cur,))
+    return cur
+
+
+def reference_flow_skeleton(q, ordering):
+    """Sites, leaf groups, connector count and alternative tree of the flow
+    network of `ordering`, walked as `flow._skeleton` documents it.
+
+    A leaf's sites are the distinct `anchor_path`s of the atoms under its
+    full plan that are longer than its cumulative path, sorted.  Each
+    alternative is a dict: its `ext`, its `slots` (a range of site indices),
+    its `leaf` index and the plan `fragment` below its parent for a leaf,
+    its `children` for a sequence and its `comps` for parallel components.
+    """
+    from provfact.provenance import TemplateTable
+
+    table = TemplateTable(q)
+    sites, leaves = [], []
+    connectors = 0
+
+    def walk_seq(alts, a, b, cum):
+        nonlocal connectors
+        conns = [a] + [2 + connectors + i for i in range(len(alts) - 1)] + [b]
+        connectors += len(alts) - 1
+        return [walk_alt(alt, conns[i], conns[i + 1], cum) for i, alt in enumerate(alts)]
+
+    def walk_alt(alt, a, b, cum):
+        new_cum = cum + alt.ext
+        start = len(sites)
+        for d in range(len(cum) + 1, len(new_cum) + 1):
+            tid = table.path_id(new_cum[:d])
+            if table.weights[tid]:
+                sites.append((tid, a, b, None))
+        node = {"ext": alt.ext, "leaf": None, "children": [], "comps": []}
+        if alt.sub is not None:
+            node["leaf"] = leaf = len(leaves)
+            leaves.append((a, b))
+            plan = _hang(new_cum, (alt.sub,))
+            paths = {
+                anchor_path(plan, atom.varset)
+                for atom in q.atoms
+                if atom.varset <= plan.vars_below
+            }
+            for p in sorted(paths):
+                if len(p) > len(new_cum):
+                    sites.append((table.path_id(p), a, b, leaf))
+            node["fragment"] = _hang(alt.ext, (alt.sub,))
+        node["slots"] = range(start, len(sites))
+        if alt.seq:
+            node["children"] = walk_seq(alt.seq, a, b, new_cum)
+        elif alt.sub is None:
+            node["comps"] = [walk_seq(comp, a, b, new_cum) for comp in alt.par]
+        return node
+
+    alts = walk_seq(ordering.alts, 0, 1, ())
+    return sites, leaves, connectors, alts
+
+
+def reference_select(g, cut_mask, alts):
+    """Each witness's plan under `cut_mask`, picked recursively: the first
+    alternative whose slots are all paid and, at a leaf, whose leaf node is
+    cut; one such alternative per parallel component.  Returns the plans
+    in witness order, or the message of the first witness left without one.
+    """
+    paid = [cut_mask[c] for c in g.payer]
+    width = len(g.skeleton.sites)
+    nleaves = len(g.skeleton.leaves)
+
+    def select(alt, wi, ids):
+        if not all(paid[ids[j]] for j in alt["slots"]):
+            return None
+        if alt["leaf"] is not None:
+            return alt["fragment"] if cut_mask[wi * nleaves + alt["leaf"]] else None
+        if alt["children"]:
+            for child in alt["children"]:
+                frag = select(child, wi, ids)
+                if frag is not None:
+                    return _hang(alt["ext"], (frag,))
+            return None
+        tails = []
+        for comp in alt["comps"]:
+            frag = next(filter(None, (select(child, wi, ids) for child in comp)), None)
+            if frag is None:
+                return None
+            tails.append(frag)
+        return _hang(alt["ext"], tuple(tails))
+
+    plans = []
+    for wi, w in enumerate(g.witnesses.witnesses):
+        ids = g.slots[wi * width:(wi + 1) * width]
+        plan = next(filter(None, (select(alt, wi, ids) for alt in alts)), None)
+        if plan is None:
+            return f"no plan for witness {w.key} is fully covered by the cut"
+        plans.append(plan)
+    return plans
 
 
 def brute_min_cut(n: int, arcs, s: int, t: int) -> tuple[int, list[bool]]:

@@ -1,7 +1,11 @@
 """Flow-graph heuristic: graph construction, min cut, extraction, kernels."""
 
+import dataclasses
 import gc
 import itertools
+import random
+import re
+import sys
 import tracemalloc
 from array import array
 
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from provfact.exact import solve_exact
 from provfact.flow import (
+    ExtractionFailure,
     NonRpOrdering,
     build_flow_graph,
     extract_factorization,
@@ -123,7 +128,7 @@ def test_cut_value_matches_brute_force(seed):
     if not (1 <= len(W.witnesses) <= 4):
         return
     g = build_flow_graph(q, W, build_ordering(q))
-    if len(g.cap_nodes) > 14:
+    if len(g.cap_arc) > 14:
         return
     assert min_cut(g).value == oracles.brute_min_node_cut(g)
 
@@ -159,7 +164,7 @@ def test_cut_value_matches_brute_force_on_every_fixture(name, mode):
             continue
         for i, ordering in enumerate(orderings):
             g = build_flow_graph(q, W, ordering)
-            if len(g.cap_nodes) > 14:
+            if len(g.cap_arc) > 14:
                 continue
             assert min_cut(g).value == oracles.brute_min_node_cut(g)
             checked[i] += 1
@@ -186,18 +191,23 @@ def test_flow_result_invariants(fig7d_db):
     W = compute_witnesses(q, fig7d_db)
     g = build_flow_graph(q, W, build_ordering(q))
     res = min_cut(g)
-    assert sum(g.cap_nodes[label][2] for label in res.cut) == res.value
+    tail, head, cap = g.arcs.tail, g.arcs.head, g.arcs.cap
+    # the mask is the cut by cap-node index, one entry per cap node
+    assert isinstance(res.cut_mask, bytearray) and len(res.cut_mask) == len(g.cap_arc)
+    cut = [i for c, i in enumerate(g.cap_arc) if res.cut_mask[c]]
+    assert sum(cap[i] for i in cut) == res.value
     # reachable is indexed by node id over the residual graph
     assert res.reachable[g.source]
     assert not res.reachable[g.sink]
-    # cut labels separate: every cut node's tail is reachable, head is not
-    for label in res.cut:
-        nin, nout, _cap = g.cap_nodes[label]
-        assert res.reachable[nin] and not res.reachable[nout]
-    # the mask is the cut by cap-node index; the labels are a view of it
-    assert isinstance(res.cut_mask, bytearray) and len(res.cut_mask) == len(g.caps)
-    assert res.cut == {g.label(c) for c, cut in enumerate(res.cut_mask) if cut}
-    assert list(g.cap_nodes) == [g.label(c) for c in range(len(g.caps))]
+    # a cap node is cut exactly when its arc's tail is reachable and its head is not
+    for c, i in enumerate(g.cap_arc):
+        assert res.cut_mask[c] == (res.reachable[tail[i]] and not res.reachable[head[i]])
+    # each cap node is one finite arc; leaf nodes come first, then instances
+    assert list(g.cap_arc) == sorted(set(g.cap_arc))
+    assert all(cap[i] < g.inf for i in g.cap_arc)
+    nq = len(g.cap_arc) - len(g.p_instance)
+    assert nq == len(W) * len(g.skeleton.leaves)
+    assert all(g.payer[iid] == nq + k for k, iid in enumerate(g.p_instance))
 
 
 def test_flow_graph_memory_per_witness():
@@ -216,7 +226,7 @@ def test_flow_graph_memory_per_witness():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    bufs = (g.caps.tail, g.caps.head, g.caps.cap, g.p_instance, g.payer, g.slots)
+    bufs = (g.cap_arc, g.p_instance, g.payer, g.slots)
     assert all(isinstance(buf, array) for buf in bufs)
     assert len(W) > 5000
     assert held / len(W) <= 400, f"{held / len(W):.0f} B/witness"
@@ -233,7 +243,7 @@ def test_kernels_agree(fig7d_db, leakage_db):
             c = min_cut(g, kernel="c")
             assert c.kernel == "c"
             assert c.value == py.value
-            assert sorted(c.cut) == sorted(py.cut)
+            assert c.cut_mask == py.cut_mask
 
 
 def test_kernel_name():
@@ -259,7 +269,79 @@ def test_dot_names_source_sink_and_every_cap_node(leakage_db):
     dot = g.dot()
     assert '[label="S"]' in dot and '[label="T"]' in dot
     assert dot.count(" [label=") == g.node_count + len(g.arcs)
-    texts = {g.label_text(label) for label in g.cap_nodes}
+    texts = {g.cap_text(c) for c in range(len(g.cap_arc))}
     assert {"q0.0", "q3.2", "p[x0z0]", "p[x2y1]"} <= texts
     for text in texts:
         assert f'[label="{text}"]' in dot or f'[label="{text}.out"]' in dot
+
+
+def test_dot_labels_are_quoted_strings():
+    """Constants holding a quote and a backslash, each shared by two
+    witnesses, stay inside their labels' quotes, escaped."""
+    q = fixture_query("q2star")
+    db = parse_database('[R]\na"1\nb\\2\n[S]\na"1,1\na"1,2\nb\\2,1\nb\\2,2\n[T]\n1\n2\n')
+    W = compute_witnesses(q, db)
+    g = build_flow_graph(q, W, build_ordering(q))
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    node_line = re.compile(rf"  n\d+ \[label={quoted}\];")
+    arc_line = re.compile(rf"  n\d+ -> n\d+ \[label={quoted}\]( \[style=dashed\])?;")
+    names = []
+    for line in g.dot().splitlines()[2:-1]:
+        m = node_line.fullmatch(line) or arc_line.fullmatch(line)
+        assert m, line
+        names.append(re.sub(r"\\(.)", r"\1", m.group(1)))
+    texts = {g.cap_text(c) for c in range(len(g.cap_arc))}
+    assert {'p[xa"1]', "p[xb\\2]"} <= texts
+    assert all(t in names or f"{t}.out" in names for t in texts)
+
+
+def _plan_orderings(q):
+    """The nested-rp and flat orderings of q and, past two plans, of each plan pair."""
+    plans = enumerate_mveo(q)
+    out = [build_ordering(q), build_ordering(q, mode="flat")]
+    if len(plans) > 2:
+        for pair in itertools.combinations(plans, 2):
+            out += [build_ordering(q, mveo=pair), build_ordering(q, mode="flat", mveo=pair)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_flow_tail_matches_the_reference(name):
+    """Leaf sites come from the template table, and each witness gets the
+    first plan of `ordering.veos` whose needs hold.  Both agree with the
+    per-atom derivation and the recursive selector of `oracles`.
+
+    The cases cover every fixture, under the real cut and random masks; the
+    masks reach the parallel choices of 4chain that real cuts may not.  The
+    cut value is lifted, so a mask's longer extraction is read, not rejected."""
+    q = fixture_query(name)
+    rng = random.Random(name)
+    for ordering in _plan_orderings(q):
+        sites, leaves, connectors, alts = oracles.reference_flow_skeleton(q, ordering)
+        index = {id(v): i for i, v in enumerate(ordering.veos)}
+        chosen = set()
+        for seed, (d, t) in itertools.product(range(8), ((3, 5), (4, 8))):
+            W = compute_witnesses(q, gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed)))
+            if not W.witnesses:
+                continue
+            g = build_flow_graph(q, W, ordering)
+            sk = g.skeleton
+            assert (sk.sites, sk.leaves, sk.connectors) == (sites, leaves, connectors)
+            res = min_cut(g)
+            masks = [res.cut_mask] + [
+                bytearray(rng.random() < p for _ in res.cut_mask) for p in (0.6, 0.8, 0.9)
+            ]
+            for mask in masks:
+                expected = oracles.reference_select(g, mask, alts)
+                trial = dataclasses.replace(res, cut_mask=mask, value=sys.maxsize)
+                if isinstance(expected, str):
+                    with pytest.raises(ExtractionFailure) as err:
+                        extract_factorization(g, trial)
+                    assert str(err.value) == expected
+                    continue
+                _, asg = extract_factorization(g, trial)
+                assert [asg[w] for w in W.witnesses] == expected
+                # every witness holds one of the ordering's own plan objects
+                chosen.update(index[id(asg[w])] for w in W.witnesses)
+        if ordering.has_parallel:
+            assert chosen == set(range(len(ordering.veos)))

@@ -63,6 +63,17 @@ def test_instances_with_equal_serials_get_two_variables():
     assert value == 6 == solve_exact(q, W).length
 
 
+@pytest.mark.parametrize("reduce", [False, True])
+def test_witnesses_with_equal_keys_get_their_own_choices(reduce):
+    """Two witnesses share the key `x1_y2_y3`; merging their choice
+    variables would merge their plan constraints (optimum 11, not 10)."""
+    q = parse_query("Q :- R(x), S(x,y), T(y)")
+    W = compute_witnesses(q, parse_database(dbs.WITNESS_KEY_COLLISION))
+    assert len({w.key for w in W.witnesses}) < len(W.witnesses)
+    value, _ = solve_model(build_ilp(q, W, reduce=reduce))
+    assert value == 10 == solve_exact(q, W).length
+
+
 def test_truncated_search_is_not_reported_as_optimum():
     """On this 60-witness 3chain instance a 200-node search holds the
     optimum 45 but has not proven it; it must say so instead of returning
