@@ -12,7 +12,8 @@ witnesses that could still use them.
 
 `_search` sees only integer id lists (one list per choice per item), so the
 covering model of `ilp` is solved by the same search over its choice
-variables' implication closures.
+variables' implication closures.  `fact_decision` answers "at most k
+repeats?" only where the search's length or certified bound settles it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,19 @@ import math
 from dataclasses import dataclass
 
 from .cq import Query
-from .provenance import Factorization, TemplateTable, WitnessSet, assemble
+from .provenance import (
+    Database,
+    Factorization,
+    TemplateTable,
+    WitnessSet,
+    assemble,
+    compute_witnesses,
+)
 from .veo import enumerate_mveo, table_prefixes
 
 log = logging.getLogger(__name__)
 
-__all__ = ["ExactResult", "solve_exact", "lower_bound"]
+__all__ = ["ExactResult", "solve_exact", "lower_bound", "fact_decision"]
 
 _EPS = 1e-6
 
@@ -446,3 +454,20 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         nodes=total_nodes,
         lower_bound=bound,
     )
+
+
+def fact_decision(q: Query, d: Database, k: int, budget: int = 500_000) -> bool | None:
+    """Is there a factorization with at most k repeated literals?
+
+    True when the incumbent has at most k repeats, False when the certified
+    lower bound has more; None when an exhausted `budget` leaves k between
+    the two.
+    """
+    W = compute_witnesses(q, d)
+    res = solve_exact(q, W, budget)
+    distinct = len(W.distinct_tuples)
+    if res.length - distinct <= k:
+        return True
+    if res.lower_bound - distinct > k:
+        return False
+    return None

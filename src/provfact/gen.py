@@ -73,16 +73,19 @@ def gen_random(spec: GenSpec) -> Database:
 
     Draws are with replacement and deduplicated, so relations may end up
     slightly smaller than requested; identical specs yield identical data.
+    Equal constants are one object.
     """
-    rng = random.Random(spec.seed)
-    rels: dict[str, list[tuple[str, ...]]] = {}
+    if spec.d < 1 and spec.tuples > 0:
+        raise ValueError(f"cannot draw rows from an empty domain (d={spec.d})")
+    choice = random.Random(spec.seed).choice
+    consts = [str(c) for c in range(spec.d)]
+    rels: dict[str, tuple[tuple[str, ...], ...]] = {}
     for atom in spec.query.atoms:
-        rows = {
-            tuple(str(rng.randrange(spec.d)) for _ in atom.vars)
-            for _ in range(spec.tuples)
-        }
-        rels[atom.relation] = sorted(rows)
-    return Database.from_dict(rels)
+        arity = len(atom.vars)
+        draws = iter([choice(consts) for _ in range(arity * spec.tuples)])
+        rows = set(zip(*[draws] * arity))  # each row takes the next `arity` draws
+        rels[atom.relation] = tuple(sorted(rows))
+    return Database(rels)
 
 
 @dataclass(frozen=True)

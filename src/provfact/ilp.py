@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cq import Query
 from .exact import _prepare, _search
@@ -73,8 +73,6 @@ class IlpModel:
     prefix_constraints: list[tuple[str, str]]  # (p, q): p - q >= 0
     binaries: list[str]
     reduced: bool = False
-    # provenance: choice variable -> (witness key, veo index)
-    choice_info: dict[str, tuple[str, int]] = field(default_factory=dict)
 
     @property
     def var_count(self) -> int:
@@ -126,14 +124,12 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
 
     plan_constraints: list[tuple[str, list[str]]] = []
     prefix_constraints: list[tuple[str, str]] = []
-    choice_info: dict[str, tuple[str, int]] = {}
     q_names: dict[tuple[int, int], str] = {}
     for wi, w in enumerate(W.witnesses):
         choices = []
         for vi, ids in enumerate(inst_lists[wi]):
             qn = register(f"q_v{vi + 1}__{_sanitize(w.key)}", ("q", wi, vi))
             q_names[(wi, vi)] = qn
-            choice_info[qn] = (w.key, vi)
             choices.append(qn)
             prefix_constraints.extend((p_names[i], qn) for i in ids)
         plan_constraints.append((f"plan_w{wi + 1}", choices))
@@ -151,7 +147,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         ]
         for pn in full:
             del objective[pn]
-        uniform = len(set(fold.values())) == 1 and len(fold) == len(choice_info)
+        uniform = len(set(fold.values())) == 1 and len(fold) == len(q_names)
         if uniform:
             constant = next(iter(fold.values())) * len(W.witnesses)
         else:
@@ -187,9 +183,6 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
                 prefix_constraints = [
                     (pn, cn) for pn, cn in prefix_constraints if pn != cn
                 ]
-                choice_info = {
-                    merge_map[qn]: info for qn, info in choice_info.items()
-                }
                 q_names = {}
 
     binaries = sorted(set(q_names.values()) | set(objective if reduce else p_names))
@@ -204,7 +197,6 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         prefix_constraints=prefix_constraints,
         binaries=binaries,
         reduced=reduce,
-        choice_info=choice_info,
     )
     log.debug(
         "built %s model: %d vars, %d constraints",

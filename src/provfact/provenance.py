@@ -52,7 +52,6 @@ __all__ = [
     "assemble",
     "verify_equivalence",
     "detect_p4",
-    "fact_decision",
 ]
 
 TupleKey = tuple[str, tuple[str, ...]]
@@ -93,6 +92,8 @@ class Database:
 
     @staticmethod
     def from_dict(rels: dict[str, list[tuple[str, ...]] | set[tuple[str, ...]]]) -> "Database":
+        """Normalise rows of any constants: each through `str`, deduplicated
+        and sorted.  The parser and `gen.gen_random` build theirs directly."""
         clean = {
             name: tuple(sorted({tuple(str(c) for c in row) for row in rows}))
             for name, rows in rels.items()
@@ -111,28 +112,37 @@ class Database:
         return "\n".join(lines) + "\n"
 
 
+def _read_row(line: str, intern) -> tuple[str, ...] | None:
+    """Split a stripped line into its stripped constants, each passed through
+    `intern` (a dict's ``setdefault``, one per database, so that equal
+    constants are one object); None when a constant is empty."""
+    row = tuple(map(str.strip, line.split(",")))
+    return None if "" in row else tuple(map(intern, row, row))
+
+
 def parse_database(text: str) -> Database:
     """Parse the sectioned text format: ``[Rel]`` headers, one comma-separated
     row per line; ``#`` starts a comment."""
+    intern = {}.setdefault
     rels: dict[str, set[tuple[str, ...]]] = {}
-    current: str | None = None
+    rows: set[tuple[str, ...]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1].strip()
+            if not name:
                 raise FormatError(f"line {lineno}: empty relation name")
-            rels.setdefault(current, set())
+            rows = rels.setdefault(name, set())
             continue
-        if current is None:
+        if rows is None:
             raise FormatError(f"line {lineno}: row before any [Relation] header")
-        row = tuple(c.strip() for c in line.split(","))
-        if any(not c for c in row):
+        row = _read_row(line, intern)
+        if row is None:
             raise FormatError(f"line {lineno}: empty constant in row {line!r}")
-        rels[current].add(row)
-    return Database.from_dict(rels)
+        rows.add(row)
+    return Database({name: tuple(sorted(rows)) for name, rows in rels.items()})
 
 
 def load_database(source: str | os.PathLike) -> Database:
@@ -140,22 +150,21 @@ def load_database(source: str | os.PathLike) -> Database:
     ``Rel.csv`` files (headerless, comma-separated rows)."""
     p = Path(source)
     if p.is_dir():
+        intern = {}.setdefault
         rels: dict[str, set[tuple[str, ...]]] = {}
         for csv_path in sorted(p.glob("*.csv")):
-            name = csv_path.stem
-            rows = set()
+            rows = rels[csv_path.stem] = set()
             for lineno, raw in enumerate(csv_path.read_text().splitlines(), start=1):
                 line = raw.strip()
                 if not line:
                     continue
-                row = tuple(c.strip() for c in line.split(","))
-                if any(not c for c in row):
+                row = _read_row(line, intern)
+                if row is None:
                     raise FormatError(f"{csv_path.name}:{lineno}: empty constant")
                 rows.add(row)
-            rels[name] = rows
         if not rels:
             raise FormatError(f"{p}: no .csv files found")
-        return Database.from_dict(rels)
+        return Database({name: tuple(sorted(rows)) for name, rows in rels.items()})
     if not p.exists():
         raise FormatError(f"{p}: no such file or directory")
     return parse_database(p.read_text())
@@ -694,13 +703,3 @@ def detect_p4(W: WitnessSet):
                     return (w1, r, w2, s, w3)
     return None
 
-
-def fact_decision(q: Query, d: Database, k: int) -> bool:
-    """Is there a factorization with at most k repeated literals?"""
-    from .exact import solve_exact  # local import to avoid a module cycle
-
-    W = compute_witnesses(q, d)
-    if not W.witnesses:
-        return True
-    res = solve_exact(q, W)
-    return (res.length - len(W.distinct_tuples)) <= k

@@ -14,6 +14,29 @@ from collections import deque
 
 
 # ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+def reference_gen_random(spec):
+    """The two-pass generator, the reference for ``gen.gen_random``: draw
+    each constant with ``randrange(d)`` into a set, sort, and normalise the
+    rows again through ``Database.from_dict``."""
+    import random
+
+    from provfact.provenance import Database
+
+    rng = random.Random(spec.seed)
+    rels = {}
+    for atom in spec.query.atoms:
+        rows = {
+            tuple(str(rng.randrange(spec.d)) for _ in atom.vars)
+            for _ in range(spec.tuples)
+        }
+        rels[atom.relation] = sorted(rows)
+    return Database.from_dict(rels)
+
+
+# ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from provfact.provenance import (
     e_or,
     e_var,
     expand,
-    fact_decision,
     join_order,
     load_database,
     parse_database,
@@ -38,7 +37,7 @@ from provfact.provenance import (
     Expr,
     verify_equivalence,
 )
-from provfact.exact import solve_exact
+from provfact.exact import fact_decision, solve_exact
 from provfact.flow import build_flow_graph
 from provfact.ilp import build_ilp
 from provfact.special import _project_witnesses, dispatch, solve_triangle_unary
@@ -425,6 +424,20 @@ def test_fact_decision(fig2a_db, fig2a_s13_db):
     assert not fact_decision(q, fig2a_s13_db, 0)  # needs one repeat
     assert fact_decision(q, fig2a_s13_db, 1)
     assert fact_decision(q, Database.from_dict({"R": [], "S": [], "T": []}), 0)
+
+
+def test_fact_decision_is_undecided_when_the_budget_runs_out():
+    q = fixture_query("q2star")
+    db = gen_random(GenSpec(query=q, d=4, tuples=6, seed=7))
+    W = compute_witnesses(q, db)
+    distinct = len(W.distinct_tuples)
+    truncated = solve_exact(q, W, budget=1)
+    # a read-once instance whose truncated incumbent has two repeats
+    assert not truncated.optimal and truncated.length - distinct == 2
+    assert fact_decision(q, db, 0, budget=1) is None
+    assert fact_decision(q, db, 0) is True  # read-once
+    assert fact_decision(q, db, 2, budget=1) is True
+    assert fact_decision(q, db, -1, budget=1) is False  # the certified bound decides
 
 
 # --- the template table --------------------------------------------------
