@@ -1,4 +1,4 @@
-"""Pure-Python max-flow kernel (Dinic's algorithm over a CSR residual graph).
+"""The max-flow kernel: Dinic's algorithm over a CSR residual graph.
 
 The residual graph is stored compressed by row in flat ``array`` buffers:
 the residual arcs leaving node u are ``start[u]`` to ``start[u + 1] - 1``,
@@ -15,9 +15,10 @@ misses the sink, runs to completion, and its levels mark the source side of
 the cut.
 
 The nodes reachable from s after any maximum flow are the same set, the
-smallest source side of a minimum cut (Picard & Queyranne, 1980).  So this
-kernel and the compiled one in _mincut_c.pyx return the same value and the
-same `reachable`, although they find their flows in different orders.
+smallest source side of a minimum cut (Picard & Queyranne, 1980).  So
+`reachable` depends on the graph alone, not on the order in which the
+augmenting paths are found, and any other maximum-flow algorithm must return
+the same value and the same `reachable`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
-"""Benchmarks: method sweeps over seeded random instances and a kernel
-micro-benchmark comparing the compiled and pure-Python max-flow cores.
+"""Benchmarks: method sweeps over seeded random instances.
 
 Sweep output is CSV with one row per (instance, method) run.  The timing
 columns obviously vary between machines; everything else is deterministic
@@ -11,23 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
-import time
 from dataclasses import dataclass, asdict
 
-from .flow import build_flow_graph, kernel_name, min_cut
 from .gen import GenSpec, fixture_query, gen_random
 from .provenance import compute_witnesses
-from .special import dispatch, single_plan_baseline
-from .veo import build_ordering
-
-log = logging.getLogger(__name__)
+from .special import dispatch
 
 __all__ = [
     "BenchRow",
-    "single_plan_baseline",
     "run_sweep",
-    "kernel_compare",
     "SWEEP_FIELDS",
 ]
 
@@ -65,7 +56,7 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
     """Run a sweep from a config dict (or JSON text path already loaded).
 
     Keys: queries (fixture names), d, tuples (list of sizes), reps,
-    methods, seed, budget, kernel.  Each method is a `dispatch` policy,
+    methods, seed, budget.  Each method is a `dispatch` policy,
     run without verification; a row's `method` is the policy and
     `solve_ms` the dispatch call's time.  Writes CSV to `out` when given.
     penalty_pct compares each method to the best exact length seen for the
@@ -78,7 +69,6 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
     methods = config.get("methods", ["exact", "flow", "single-plan"])
     base_seed = config.get("seed", 0)
     budget = config.get("budget", 500_000)
-    kernel = config.get("kernel", "auto")
 
     rows: list[BenchRow] = []
     for qname in queries:
@@ -89,7 +79,7 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
                 db = gen_random(GenSpec(query=q, d=d, tuples=size, seed=seed))
                 W = compute_witnesses(q, db)
                 reports = [
-                    dispatch(q, W, policy=method, budget=budget, kernel=kernel, verify=False)
+                    dispatch(q, W, policy=method, budget=budget, verify=False)
                     for method in methods
                 ]
                 exact_len = None
@@ -143,53 +133,6 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
     buf = io.StringIO()
     _write_csv(rows, buf)
     return buf.getvalue()
-
-
-def kernel_compare(
-    sizes=(10, 20, 40), d: int = 8, seed: int = 0, reps: int = 3
-) -> list[dict]:
-    """Time the pure and compiled max-flow kernels on identical flow graphs.
-
-    Returns one record per (size, kernel) with the min-cut value and
-    best-of-reps wall time.  The kernels must agree on the cut itself, not
-    only on its value: the value and the nodes reachable from the source
-    (the smallest minimum-cut source side) are asserted equal across kernels.
-    """
-    q = fixture_query("3chain")
-    ordering = build_ordering(q, mode="nested-rp")
-    out = []
-    kernels = ["py"]
-    if kernel_name("auto") == "c":
-        kernels.append("c")
-    for size in sizes:
-        db = gen_random(GenSpec(query=q, d=d, tuples=size, seed=seed + size))
-        W = compute_witnesses(q, db)
-        g = build_flow_graph(q, W, ordering)
-        values = {}
-        cuts = {}
-        for kernel in kernels:
-            best = None
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                res = min_cut(g, kernel=kernel)
-                dt = (time.perf_counter() - t0) * 1000
-                best = dt if best is None else min(best, dt)
-                values[kernel] = res.value
-                cuts[kernel] = res.reachable
-            out.append(
-                {
-                    "tuples": size,
-                    "witnesses": len(W.witnesses),
-                    "kernel": kernel,
-                    "cut": values[kernel],
-                    "ms": round(best, 3),
-                }
-            )
-        if len(set(values.values())) > 1:
-            raise AssertionError(f"kernel disagreement at size {size}: {values}")
-        if any(reachable != cuts["py"] for reachable in cuts.values()):
-            raise AssertionError(f"kernels cut different node sets at size {size}")
-    return out
 
 
 def load_config(path) -> dict:

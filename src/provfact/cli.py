@@ -13,7 +13,7 @@ import logging
 import sys
 
 from . import __version__
-from .bench import kernel_compare, load_config, rows_to_csv, run_sweep
+from .bench import load_config, rows_to_csv, run_sweep
 from .cq import parse_query
 from .flow import build_flow_graph
 from .gen import (
@@ -111,7 +111,6 @@ def cmd_factorize(args) -> int:
         budget=args.budget,
         strict_rp=args.strict_rp,
         ordering=ordering,
-        kernel=args.kernel,
     )
     print(f"query: {q.name}")
     print(f"witnesses: {rep.n}")
@@ -190,14 +189,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.kernels:
-        rows = kernel_compare()
-        print("tuples,witnesses,kernel,cut,ms")
-        for r in rows:
-            print(
-                f"{r['tuples']},{r['witnesses']},{r['kernel']},{r['cut']},{r['ms']}"
-            )
-        return 0
     config = load_config(args.config) if args.config else {}
     if args.set:
         for pair in args.set:
@@ -251,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="nested-rp",
         help="flow ordering: nested-rp or flat:v1,v2,... (plan numbers from `mveo`)",
     )
-    p.add_argument("--kernel", default="auto", choices=["auto", "py", "c"])
     p.add_argument("--dump-graph", metavar="PATH", help="write the flow graph as DOT")
     p.set_defaults(fn=cmd_factorize)
 
@@ -276,11 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", help="sweeps and kernel comparison")
+    p = sub.add_parser("bench", help="method sweeps")
     p.add_argument("--config", help="JSON sweep config")
     p.add_argument("--set", action="append", metavar="KEY=JSON", help="config override")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--kernels", action="store_true", help="compare max-flow kernels")
     p.set_defaults(fn=cmd_bench)
 
     return ap

@@ -17,7 +17,7 @@ and ends at the sink themselves, so only the connectors between its
 alternatives are nodes.  A capacity node whose entries all leave one
 connector (every leaf node, and most instance nodes) is the single arc
 ``connector -> out``; only the others keep a separate entry node.  Both
-contractions keep every finite cut, so the cut the kernel returns (the
+contractions keep every finite cut, so the cut `min_cut` returns (the
 smallest minimum-cut source side, which is unique) is the same as on the
 uncontracted network.  Prefix instances are interned as integer ids keyed
 by ``(template id, binding pairs)`` in the query's `TemplateTable`, which
@@ -34,6 +34,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import compress, product, repeat
 
+from ._mincut import max_flow
 from .cq import Query
 from .provenance import Factorization, TemplateTable, Witness, WitnessSet, assemble
 from .veo import Ordering, Veo
@@ -46,7 +47,6 @@ __all__ = [
     "FlowResult",
     "NonRpOrdering",
     "ExtractionFailure",
-    "KernelUnavailable",
     "build_flow_graph",
     "min_cut",
     "extract_factorization",
@@ -62,29 +62,10 @@ class ExtractionFailure(RuntimeError):
     """No plan assignment could be read off the minimum cut."""
 
 
-class KernelUnavailable(ImportError):
-    """The requested max-flow kernel is not importable."""
-
-
-def _load_kernel(kind: str = "auto"):
-    if kind in ("auto", "c"):
-        try:
-            from . import _mincut_c  # type: ignore[attr-defined]
-
-            return _mincut_c.max_flow, "c"
-        except ImportError:
-            if kind == "c":
-                raise KernelUnavailable("compiled kernel _mincut_c is not built")
-    if kind in ("auto", "py"):
-        from . import _mincut
-
-        return _mincut.max_flow, "py"
-    raise ValueError(f"unknown kernel {kind!r}")
-
-
 def kernel_name(kind: str = "auto") -> str:
-    """Which kernel `kind` resolves to ("c" or "py")."""
-    return _load_kernel(kind)[1]
+    """The max-flow kernel's name for benchmark records: always "py", the
+    pure-Python `_mincut`, which is the only one."""
+    return "py"
 
 
 # Node ids: 0 is the source S, 1 the sink T, then every witness's own
@@ -165,7 +146,7 @@ class Arcs:
     `tail` and `head` node ids (``array("i")``) and `cap` (``array("q")``).
 
     Sized, and iterates as ``(tail, head, cap)`` triples in insertion order,
-    the form the max-flow kernels take.
+    the form `_mincut.max_flow` takes.
     """
 
     __slots__ = ("tail", "head", "cap")
@@ -261,7 +242,6 @@ class FlowResult:
 
     value: int
     cut_mask: bytearray
-    kernel: str
     reachable: list[bool]
 
 
@@ -389,12 +369,11 @@ def build_flow_graph(
     return g
 
 
-def min_cut(g: FlowGraph, kernel: str = "auto") -> FlowResult:
+def min_cut(g: FlowGraph) -> FlowResult:
     """Max-flow / min-cut over the graph; the cut is the canonical residual
     frontier (cap nodes whose entry is reachable from S but whose exit is not).
     """
-    fn, used = _load_kernel(kernel)
-    value, reachable = fn(g.node_count, g.arcs, g.source, g.sink)
+    value, reachable = max_flow(g.node_count, g.arcs, g.source, g.sink)
     tail, head, cap = g.arcs.tail, g.arcs.head, g.arcs.cap
     mask = bytearray([reachable[tail[i]] and not reachable[head[i]] for i in g.cap_arc])
     cut_weight = sum(map(cap.__getitem__, compress(g.cap_arc, mask)))
@@ -402,7 +381,7 @@ def min_cut(g: FlowGraph, kernel: str = "auto") -> FlowResult:
         raise AssertionError(
             f"cut frontier weight {cut_weight} != flow value {value}"
         )
-    return FlowResult(int(value), mask, used, reachable)
+    return FlowResult(int(value), mask, reachable)
 
 
 def extract_factorization(

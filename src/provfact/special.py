@@ -311,9 +311,7 @@ def _triangle_roles(q: Query) -> tuple[str, str, str]:
     return x, y, z
 
 
-def solve_triangle_unary(
-    W: WitnessSet, counts: dict[TupleKey, int] | None = None
-) -> Factorization:
+def solve_triangle_unary(W: WitnessSet) -> Factorization:
     """Optimal factorization for the unary triangle.
 
     A witness whose x-y or x-z binary tuple repeats must take a linear plan
@@ -333,8 +331,7 @@ def solve_triangle_unary(
     )
     plan_yz = _find_plan(mveo, veo_node((y, z), (veo_node((x,)),)))
 
-    if counts is None:
-        counts = _tuple_counts(W)
+    counts = _tuple_counts(W)
     ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
     tidx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, z)))
 
@@ -387,9 +384,7 @@ def _two_chain_roles(q: Query) -> tuple[str, str, str]:
     return x, y, z
 
 
-def solve_two_chain_we(
-    W: WitnessSet, counts: dict[TupleKey, int] | None = None
-) -> Factorization:
+def solve_two_chain_we(W: WitnessSet) -> Factorization:
     """Optimal factorization for the endpoint two-chain.
 
     Witnesses whose x-y tuple and y-z tuple both repeat take the branching
@@ -410,8 +405,7 @@ def solve_two_chain_we(
         _find_plan(mveo, chain(z, x, y)),
     )
 
-    if counts is None:
-        counts = _tuple_counts(W)
+    counts = _tuple_counts(W)
     ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
     sidx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((y, z)))
 
@@ -490,11 +484,11 @@ def _project_witnesses(q: Query, W: WitnessSet, sub: Query) -> WitnessSet:
     return WitnessSet(sub, witnesses)
 
 
-def _flow_run(q, W, strict_rp, kernel, ordering=None) -> tuple[Factorization, int]:
+def _flow_run(q, W, strict_rp, ordering=None) -> tuple[Factorization, int]:
     """(factorization, cut value); the graph and the cut are freed on return."""
     ordering = ordering or build_ordering(q, mode="nested-rp")
     g = build_flow_graph(q, W, ordering, strict_rp=strict_rp)
-    res = min_cut(g, kernel=kernel)
+    res = min_cut(g)
     return extract_factorization(g, res)[0], res.value
 
 
@@ -520,7 +514,6 @@ def dispatch(
     budget: int = 500_000,
     strict_rp: bool = False,
     ordering=None,
-    kernel: str = "auto",
     verify: bool = True,
 ) -> RunReport:
     """Route to a solving method and return a uniform report.
@@ -555,7 +548,7 @@ def dispatch(
             sub_W = _project_witnesses(q, W, sub)
             rep = dispatch(
                 sub, sub_W, policy="auto", budget=budget,
-                strict_rp=strict_rp, kernel=kernel, verify=False,
+                strict_rp=strict_rp, verify=False,
             )
             parts.append(rep)
         expr = e_and([p.factorization.expression for p in parts])
@@ -579,7 +572,7 @@ def dispatch(
         if not res.optimal:
             notes.append(f"budget exhausted after {res.nodes} nodes")
     elif policy == "flow":
-        fact, cut_value = _flow_run(q, W, strict_rp, kernel, ordering)
+        fact, cut_value = _flow_run(q, W, strict_rp, ordering)
         optimal = cls.k is not None and (cls.k <= 2 or "hierarchical" in cls)
         if not optimal:
             notes.append(f"cut value {cut_value}; optimality not guaranteed")
@@ -597,7 +590,7 @@ def dispatch(
         elif (routed := _special_solve(cls, W)) is not None:
             fact, method = routed
         elif cls.k == 2:
-            fact = _flow_run(q, W, strict_rp, kernel, ordering)[0]
+            fact = _flow_run(q, W, strict_rp, ordering)[0]
             method = "flow"
         else:
             res = solve_exact(q, W, budget=budget)
@@ -612,7 +605,7 @@ def dispatch(
                     f" lower bound {res.lower_bound}"
                 )
                 try:
-                    flow_fact = _flow_run(q, W, strict_rp, kernel, ordering)[0]
+                    flow_fact = _flow_run(q, W, strict_rp, ordering)[0]
                 except ExtractionFailure:
                     flow_fact = None
                     notes.append("flow extraction failed")

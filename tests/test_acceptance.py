@@ -32,7 +32,7 @@ import pytest
 
 import oracles
 from conftest import seeded_witness_sets
-from provfact.bench import run_sweep, single_plan_baseline
+from provfact.bench import run_sweep
 from provfact.exact import solve_exact
 from provfact.flow import build_flow_graph, extract_factorization, min_cut
 from provfact.gen import (
@@ -45,7 +45,13 @@ from provfact.gen import (
 )
 from provfact.ilp import build_ilp, model_stats, solve_model
 from provfact.provenance import compute_witnesses, detect_p4, verify_equivalence
-from provfact.special import dispatch, solve_q2star, solve_triangle_unary, solve_two_chain_we
+from provfact.special import (
+    dispatch,
+    single_plan_baseline,
+    solve_q2star,
+    solve_triangle_unary,
+    solve_two_chain_we,
+)
 from provfact.veo import build_ordering, enumerate_mveo
 
 

@@ -3,10 +3,11 @@
 import io
 
 import oracles
-from provfact.bench import SWEEP_FIELDS, load_config, rows_to_csv, run_sweep, single_plan_baseline
+from provfact.bench import SWEEP_FIELDS, load_config, rows_to_csv, run_sweep
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.provenance import compute_witnesses, verify_equivalence
+from provfact.special import single_plan_baseline
 from provfact.veo import enumerate_mveo
 
 

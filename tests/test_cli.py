@@ -324,3 +324,15 @@ def test_global_flags_must_precede_subcommand(files):
     with pytest.raises(SystemExit) as exc:
         main(["factorize", files["q2star.q"], files["fig2a.db"], "--ascii"])
     assert exc.value.code == 2
+
+
+def test_there_is_no_kernel_option(capsys, files):
+    # one max-flow kernel, so neither subcommand takes a kernel option
+    for argv in (
+        ["factorize", files["q2star.q"], files["fig2a.db"], "--kernel", "py"],
+        ["bench", "--kernels"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
