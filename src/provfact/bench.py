@@ -36,6 +36,8 @@ SWEEP_FIELDS = [
     "nodes",
 ]
 
+_CONFIG_KEYS = ("queries", "d", "tuples", "reps", "methods", "seed", "budget")
+
 
 @dataclass
 class BenchRow:
@@ -60,8 +62,12 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
     run without verification; a row's `method` is the policy and
     `solve_ms` the dispatch call's time.  Writes CSV to `out` when given.
     penalty_pct compares each method to the best exact length seen for the
-    same instance (None when exact didn't finish optimally).
+    same instance (None when exact didn't finish optimally).  Any other key
+    raises `ValueError`.
     """
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}; keys: {', '.join(_CONFIG_KEYS)}")
     queries = config.get("queries", ["3chain"])
     d = config.get("d", 10)
     sizes = config.get("tuples", [20])

@@ -8,12 +8,10 @@ diagnostics go to stderr (and only with --verbose).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
 from . import __version__
-from .bench import load_config, rows_to_csv, run_sweep
 from .cq import parse_query
 from .flow import build_flow_graph
 from .gen import (
@@ -25,10 +23,9 @@ from .gen import (
     gen_random,
     gen_triad_gadget,
 )
-from .ilp import ModelBudgetExhausted, build_ilp, export_lp, model_stats, solve_model
-from .provenance import compute_witnesses, load_database
+from .provenance import TemplateTable, compute_witnesses, load_database
 from .special import classify, dispatch
-from .veo import build_ordering, dissociation_of, enumerate_mveo
+from .veo import build_ordering, dissociation_of
 
 log = logging.getLogger("provfact")
 
@@ -59,7 +56,7 @@ def _parse_order(spec: str):
 
 def cmd_mveo(args) -> int:
     q = _load_query(args.query)
-    for i, v in enumerate(enumerate_mveo(q), start=1):
+    for i, v in enumerate(TemplateTable.of(q).plans, start=1):
         print(f"v{i}: {v.serial}")
         if args.verbose:
             d = dissociation_of(v, q)
@@ -96,7 +93,7 @@ def cmd_factorize(args) -> int:
     ordering = None
     if args.order != "nested-rp" or args.dump_graph:
         mode, perm = _parse_order(args.order)
-        ordering = build_ordering(q, mode=mode, perm=perm)
+        ordering = build_ordering(q, mode=mode, perm=perm, mveo=TemplateTable.of(q).plans)
 
     if args.dump_graph:
         # the graph is dropped before dispatch builds its own
@@ -129,6 +126,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_ilp(args) -> int:
+    from .ilp import ModelBudgetExhausted, build_ilp, export_lp, model_stats, solve_model
+
     q = _load_query(args.query)
     db = load_database(args.database)
     W = compute_witnesses(q, db)
@@ -189,6 +188,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import json
+
+    from .bench import load_config, rows_to_csv, run_sweep
+
     config = load_config(args.config) if args.config else {}
     if args.set:
         for pair in args.set:

@@ -31,7 +31,6 @@ from .provenance import (
     assemble,
     compute_witnesses,
 )
-from .veo import enumerate_mveo, table_prefixes
 
 log = logging.getLogger(__name__)
 
@@ -61,13 +60,12 @@ def lower_bound(q: Query, witnesses) -> int:
     """Admissible bound: per witness, the cheapest full-variable prefix load
     over its plans.  Full-variable instances are value-determined by the
     witness and can never be shared with another witness."""
-    mveo = enumerate_mveo(q)
-    allvars = q.variables
-    full = []
-    for v in mveo:
-        full.append(
-            sum(tp.weight for tp in table_prefixes(v, q) if tp.varset == allvars)
-        )
+    table = TemplateTable.of(q)
+    nvars = len(table.names)
+    full = [
+        sum(table.weights[t] for t in ids if sum(map(len, table.paths[t])) == nvars)
+        for ids in table.prefix_ids
+    ]
     return sum(min(full) for _ in witnesses) if witnesses else 0
 
 
@@ -75,12 +73,12 @@ def _prepare(q: Query, W: WitnessSet):
     """Intern every (witness, plan) prefix-instance list as integer ids.
 
     An instance is ``(template id, binding pairs)`` in the query's
-    `TemplateTable`.  Returns the plans, the table, the id lists per witness
-    and plan, the weight of each id and the instance -> id map (in id order).
+    `TemplateTable`.  Returns the table, the id lists per witness and plan
+    (in `table.plans` order), the weight of each id and the instance -> id
+    map (in id order).
     """
-    mveo = enumerate_mveo(q)
-    table = TemplateTable(q)
-    plans = [[(tid, table.getters[tid]) for tid in table.prefixes(v)] for v in mveo]
+    table = TemplateTable.of(q)
+    plans = [[(tid, table.getters[tid]) for tid in ids] for ids in table.prefix_ids]
     table.check(W)
     ids: dict[tuple[int, tuple], int] = {}
     weights: list[int] = []
@@ -99,7 +97,7 @@ def _prepare(q: Query, W: WitnessSet):
                 row.append(iid)
             per_veo.append(row)
         inst_lists.append(per_veo)
-    return mveo, table, inst_lists, weights, ids
+    return table, inst_lists, weights, ids
 
 
 def _reduce_plans(inst_lists, weights):
@@ -430,12 +428,12 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         empty = assemble(q, W, {})
         return ExactResult(empty, 0, True, 0, 0)
 
-    mveo, _, inst_lists, weights, _ = _prepare(q, W)
+    table, inst_lists, weights, _ = _prepare(q, W)
     total_cost, chosen, total_nodes, exhausted, bound = _search(
         inst_lists, weights, [w.key for w in W.witnesses], budget
     )
 
-    assignment = {W.witnesses[wi]: mveo[vi] for wi, vi in chosen.items()}
+    assignment = {W.witnesses[wi]: table.plans[vi] for wi, vi in chosen.items()}
     fact = assemble(q, W, assignment)
     if fact.length != total_cost:
         raise AssertionError(

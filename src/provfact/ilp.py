@@ -104,7 +104,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     two-node prefixes where the plan set is a family of linear chains."""
     if not W.witnesses:
         raise EmptyWitnessSet("cannot build a model over zero witnesses")
-    mveo, table, inst_lists, weights, instance_ids = _prepare(q, W)
+    table, inst_lists, weights, instance_ids = _prepare(q, W)
     register = _name_registry()
 
     # one p variable per prefix instance of the exact engine's table, in id order
@@ -158,10 +158,10 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         linear = all(
             len(v.root_paths) == len(v.vars_below) and all(len(n) == 1 for n in v.node)
             and _is_chain(v)
-            for v in mveo
+            for v in table.plans
         )
-        head2 = [table.path_id(_head_path(v, 2)) for v in mveo]
-        injective = len(set(head2)) == len(mveo)
+        head2 = [table.path_id(_head_path(v, 2)) for v in table.plans]
+        injective = len(set(head2)) == len(table.plans)
         if uniform and linear and injective and len(q.variables) >= 3:
             merged_ok = True
             merge_map: dict[str, str] = {}
@@ -189,7 +189,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     model = IlpModel(
         query=q,
         n=len(W.witnesses),
-        k=len(mveo),
+        k=len(table.plans),
         m=q.m,
         objective=objective,
         constant=constant,

@@ -22,13 +22,13 @@ import logging
 import os
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
 from .cq import Atom, Query
-from .veo import Node, Veo, table_prefixes
+from .veo import Node, Ordering, Veo, build_ordering, enumerate_mveo, table_prefixes
 
 log = logging.getLogger(__name__)
 
@@ -319,23 +319,26 @@ def compute_witnesses(q: Query, d: Database) -> WitnessSet:
 
 
 class TemplateTable:
-    """The plan root paths of one query, interned as template ids.
+    """The plan root paths of one query, interned as template ids, and its
+    minimal `plans` (the `enumerate_mveo` tuple), each plan's table-prefix
+    ids `prefix_ids` and the nested-rp `ordering`, derived on first read.
 
-    Ids are given in first-seen order; `child(parent, node)` is the id of
-    the parent's path extended by `node` (parent -1 is the empty path above
-    a root).  Per id the table keeps the node path, the indices of the atoms
-    anchored at its last node (those whose variables lie on the path and meet
-    that node) in relation-name order, their count as the template's weight,
-    and a getter that reads the path's binding pairs, in path order, off a
-    `Witness.binding`.  A prefix instance is ``(template id, pairs)``.
+    Ids are given in first-seen order; reading `plans` gives every plan
+    root path its id, plan by plan, and `of` does so first, so the shared
+    table's ids depend on the query alone.  `child(parent, node)` is the id
+    of the parent's path extended by `node` (parent -1 is the empty path
+    above a root).  Per id the table keeps the node path, the indices of the
+    atoms anchored at its last node (those whose variables lie on the path
+    and meet that node) in relation-name order, their count as the
+    template's weight, and a getter that reads the path's binding pairs, in
+    path order, off a `Witness.binding`.  A prefix instance is
+    ``(template id, pairs)``.
 
     An atom is anchored at a root path's last node exactly when the path is
     the atom's table prefix in a legal plan the path lies on, so a
     template's weight is the weight `veo.table_prefixes` gives the path, or
-    0 on a path that is no table prefix; `prefixes` checks it.
+    0 on a path that is no table prefix; `prefix_ids` checks it.
     """
-
-    __slots__ = ("query", "names", "paths", "atoms", "weights", "getters", "_ids", "_slot")
 
     def __init__(self, q: Query) -> None:
         self.query = q
@@ -346,6 +349,44 @@ class TemplateTable:
         self.weights: list[int] = []
         self.getters: list = []
         self._ids: dict[tuple[int, Node], int] = {}
+
+    @classmethod
+    @lru_cache(maxsize=512)
+    def of(cls, q: Query) -> "TemplateTable":
+        """The table every call with `q` shares (512 kept: all 309 connected
+        self-join-free queries with 2-5 variables, 2-4 atoms and arity 1-3
+        fit, in 3.2 MB of tables)."""
+        table = cls(q)
+        table.plans
+        return table
+
+    @cached_property
+    def plans(self) -> tuple[Veo, ...]:
+        plans = enumerate_mveo(self.query)
+        for v in plans:
+            for path in sorted(v.root_paths):
+                self.path_id(path)
+        return plans
+
+    @cached_property
+    def prefix_ids(self) -> tuple[tuple[int, ...], ...]:
+        out = []
+        for v in self.plans:
+            ids = []
+            for tp in table_prefixes(v, self.query):
+                tid = self.path_id(tp.path)
+                if self.weights[tid] != tp.weight:
+                    raise AssertionError(
+                        f"prefix {tp} of plan {v} has weight {tp.weight},"
+                        f" {self.weights[tid]} atoms anchor there"
+                    )
+                ids.append(tid)
+            out.append(tuple(ids))
+        return tuple(out)
+
+    @cached_property
+    def ordering(self) -> Ordering:
+        return build_ordering(self.query, mveo=self.plans)
 
     def child(self, parent: int, node: Node) -> int:
         """The id of the path of `parent` (-1: the empty path) plus `node`."""
@@ -370,19 +411,6 @@ class TemplateTable:
         for node in path:
             tid = self.child(tid, node)
         return tid
-
-    def prefixes(self, v: Veo) -> list[int]:
-        """The ids of `v`'s table prefixes, in `table_prefixes` order."""
-        out = []
-        for tp in table_prefixes(v, self.query):
-            tid = self.path_id(tp.path)
-            if self.weights[tid] != tp.weight:
-                raise AssertionError(
-                    f"prefix {tp} of plan {v} has weight {tp.weight},"
-                    f" {self.weights[tid]} atoms anchor there"
-                )
-            out.append(tid)
-        return out
 
     def check(self, W: WitnessSet) -> None:
         """Raise `UnboundVariable` unless every witness binds exactly the

@@ -1,7 +1,8 @@
 """Query classification and special-case solvers.
 
 Three query shapes admit dedicated polynomial algorithms (matched up to
-renaming of relations and variables):
+renaming of relations and variables and reordering of atoms, by one role
+matcher per shape):
 
 * two-star   A(x), B(x,y), C(y)        — orient witness edges away from a
   maximum independent set of the bipartite value graph;
@@ -18,7 +19,6 @@ flow heuristic elsewhere.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ from .flow import ExtractionFailure, build_flow_graph, extract_factorization, mi
 from .provenance import (
     Expr,
     Factorization,
+    TemplateTable,
     TupleKey,
     Witness,
     WitnessSet,
@@ -38,7 +39,7 @@ from .provenance import (
     verify_equivalence,
     ExpansionTooLarge,
 )
-from .veo import Veo, build_ordering, enumerate_mveo, veo_node, TooManyVariables
+from .veo import Veo, build_ordering, veo_node, TooManyVariables
 
 log = logging.getLogger(__name__)
 
@@ -63,42 +64,6 @@ class ShapeMismatch(ValueError):
 # classification
 # ---------------------------------------------------------------------------
 
-_SHAPES = {
-    "q2star": (frozenset([0]), frozenset([0, 1]), frozenset([1])),
-    "triangle-unary": (
-        frozenset([0]),
-        frozenset([0, 1]),
-        frozenset([1, 2]),
-        frozenset([2, 0]),
-    ),
-    "two-chain-we": (
-        frozenset([0]),
-        frozenset([0, 1]),
-        frozenset([1, 2]),
-        frozenset([2]),
-    ),
-}
-
-
-def _shape_signature(q: Query) -> tuple | None:
-    """Canonical atom-varset multiset under variable renaming (small queries)."""
-    variables = sorted(q.variables)
-    if len(variables) > 6:
-        return None
-    best = None
-    for perm in itertools.permutations(range(len(variables))):
-        idx = {v: perm[i] for i, v in enumerate(variables)}
-        sig = tuple(
-            sorted(
-                (frozenset(idx[v] for v in a.vars) for a in q.atoms),
-                key=lambda s: (len(s), sorted(s)),
-            )
-        )
-        if best is None or sig < best:
-            best = sig
-    return best
-
-
 @dataclass(frozen=True)
 class QueryClass:
     """Structural tags steering method selection."""
@@ -111,6 +76,8 @@ class QueryClass:
 
 
 def classify(q: Query) -> QueryClass:
+    """Structural tags of `q`; a special shape's tag is set exactly when its
+    role matcher (`_q2star_roles`, `_triangle_roles`, `_two_chain_roles`) accepts `q`."""
     tags = set()
     if is_hierarchical(q):
         tags.add("hierarchical")
@@ -118,15 +85,19 @@ def classify(q: Query) -> QueryClass:
         tags.add("triad")
     else:
         tags.add("linear")
-    sig = _shape_signature(q)
-    for name, shape in _SHAPES.items():
-        if sig is not None and sig == tuple(
-            sorted(shape, key=lambda s: (len(s), sorted(s)))
-        ):
-            tags.add(name)
+    for tag, roles in (
+        ("q2star", _q2star_roles),
+        ("triangle-unary", _triangle_roles),
+        ("two-chain-we", _two_chain_roles),
+    ):
+        try:
+            roles(q)
+        except ShapeMismatch:
+            continue
+        tags.add(tag)
     k = None
     try:
-        k = len(enumerate_mveo(q))
+        k = len(TemplateTable.of(q).plans)
         if k == 2:
             tags.add("two-mveo")
     except TooManyVariables:
@@ -144,8 +115,8 @@ def _tuple_counts(W: WitnessSet) -> dict[TupleKey, int]:
     return counts
 
 
-def _find_plan(mveo: tuple[Veo, ...], plan: Veo) -> Veo:
-    for v in mveo:
+def _find_plan(q: Query, plan: Veo) -> Veo:
+    for v in TemplateTable.of(q).plans:
         if v == plan:
             return v
     raise AssertionError(f"constructed plan {plan} not among minimal plans")
@@ -247,9 +218,11 @@ def _koenig_cover(adj: dict, match_r: dict) -> tuple[set, set]:
 
 
 def _q2star_roles(q: Query) -> tuple[str, str]:
+    """(x, y) of ``A(x), B(x,y), C(y)`` under any renaming and atom order;
+    `ShapeMismatch` for any other query."""
     unary = sorted((a for a in q.atoms if len(a.vars) == 1), key=lambda a: a.relation)
     binary = [a for a in q.atoms if len(a.vars) == 2]
-    if len(unary) != 2 or len(binary) != 1:
+    if len(q.atoms) != 3 or len(unary) != 2 or len(binary) != 1:
         raise ShapeMismatch(f"{q.name} is not a two-star query")
     x, y = unary[0].vars[0], unary[1].vars[0]
     if binary[0].varset != frozenset((x, y)):
@@ -267,9 +240,8 @@ def solve_q2star(W: WitnessSet) -> Factorization:
     """
     q = W.query
     x, y = _q2star_roles(q)
-    mveo = enumerate_mveo(q)
-    plan_x = _find_plan(mveo, veo_node((x,), (veo_node((y,)),)))
-    plan_y = _find_plan(mveo, veo_node((y,), (veo_node((x,)),)))
+    plan_x = _find_plan(q, veo_node((x,), (veo_node((y,)),)))
+    plan_y = _find_plan(q, veo_node((y,), (veo_node((x,)),)))
 
     edges = []
     for w in W.witnesses:
@@ -295,9 +267,11 @@ def solve_q2star(W: WitnessSet) -> Factorization:
 # ---------------------------------------------------------------------------
 
 def _triangle_roles(q: Query) -> tuple[str, str, str]:
+    """(x, y, z) of ``U(x), R(x,y), S(y,z), T(z,x)`` under any renaming and
+    atom order; `ShapeMismatch` for any other query."""
     unary = [a for a in q.atoms if len(a.vars) == 1]
     binary = sorted((a for a in q.atoms if len(a.vars) == 2), key=lambda a: a.relation)
-    if len(unary) != 1 or len(binary) != 3:
+    if len(q.atoms) != 4 or len(unary) != 1 or len(binary) != 3:
         raise ShapeMismatch(f"{q.name} is not a unary-triangle query")
     x = unary[0].vars[0]
     with_x = [a for a in binary if x in a.varset]
@@ -322,14 +296,9 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
     """
     q = W.query
     x, y, z = _triangle_roles(q)
-    mveo = enumerate_mveo(q)
-    plan_xy = _find_plan(
-        mveo, veo_node((x,), (veo_node((y,), (veo_node((z,)),)),))
-    )
-    plan_xz = _find_plan(
-        mveo, veo_node((x,), (veo_node((z,), (veo_node((y,)),)),))
-    )
-    plan_yz = _find_plan(mveo, veo_node((y, z), (veo_node((x,)),)))
+    plan_xy = _find_plan(q, veo_node((x,), (veo_node((y,), (veo_node((z,)),)),)))
+    plan_xz = _find_plan(q, veo_node((x,), (veo_node((z,), (veo_node((y,)),)),)))
+    plan_yz = _find_plan(q, veo_node((y, z), (veo_node((x,)),)))
 
     counts = _tuple_counts(W)
     ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
@@ -369,9 +338,11 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
 # ---------------------------------------------------------------------------
 
 def _two_chain_roles(q: Query) -> tuple[str, str, str]:
+    """(x, y, z) of ``A(x), R(x,y), S(y,z), B(z)`` under any renaming and
+    atom order; `ShapeMismatch` for any other query."""
     unary = sorted((a for a in q.atoms if len(a.vars) == 1), key=lambda a: a.relation)
     binary = [a for a in q.atoms if len(a.vars) == 2]
-    if len(unary) != 2 or len(binary) != 2:
+    if len(q.atoms) != 4 or len(unary) != 2 or len(binary) != 2:
         raise ShapeMismatch(f"{q.name} is not an endpoint two-chain")
     x, z = unary[0].vars[0], unary[1].vars[0]
     r_atom = next((a for a in binary if x in a.varset), None)
@@ -393,17 +364,10 @@ def solve_two_chain_we(W: WitnessSet) -> Factorization:
     """
     q = W.query
     x, y, z = _two_chain_roles(q)
-    mveo = enumerate_mveo(q)
-    plan_branch = _find_plan(
-        mveo, veo_node((y,), (veo_node((x,)), veo_node((z,))))
-    )
+    plan_branch = _find_plan(q, veo_node((y,), (veo_node((x,)), veo_node((z,)))))
     chain = lambda a, b, c: veo_node((a,), (veo_node((b,), (veo_node((c,)),)),))
-    omega = (
-        _find_plan(mveo, chain(x, z, y)),
-        _find_plan(mveo, chain(x, y, z)),
-        _find_plan(mveo, chain(z, y, x)),
-        _find_plan(mveo, chain(z, x, y)),
-    )
+    orders = ((x, z, y), (x, y, z), (z, y, x), (z, x, y))
+    omega = tuple(_find_plan(q, chain(a, b, c)) for a, b, c in orders)
 
     counts = _tuple_counts(W)
     ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
@@ -458,7 +422,7 @@ class RunReport:
 def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
     """Best factorization that uses one plan for every witness."""
     best = None
-    for v in enumerate_mveo(q):
+    for v in TemplateTable.of(q).plans:
         f = assemble(q, W, {w: v for w in W.witnesses})
         if best is None or f.length < best.length:
             best = f
@@ -486,7 +450,7 @@ def _project_witnesses(q: Query, W: WitnessSet, sub: Query) -> WitnessSet:
 
 def _flow_run(q, W, strict_rp, ordering=None) -> tuple[Factorization, int]:
     """(factorization, cut value); the graph and the cut are freed on return."""
-    ordering = ordering or build_ordering(q, mode="nested-rp")
+    ordering = ordering or TemplateTable.of(q).ordering
     g = build_flow_graph(q, W, ordering, strict_rp=strict_rp)
     res = min_cut(g)
     return extract_factorization(g, res)[0], res.value

@@ -37,6 +37,9 @@ __all__ = [
 
 Node = tuple[str, ...]
 
+# Queries with more variables are rejected: enumeration lists every legal VEO.
+_MAX_VARS = 8
+
 
 class TooManyVariables(ValueError):
     """Query exceeds the variable cap for brute-force VEO enumeration."""
@@ -110,16 +113,16 @@ def _set_partitions(items: list) -> list[list[list]]:
     return out
 
 
-def enumerate_veos(q: Query, max_vars: int = 8) -> tuple[Veo, ...]:
+def enumerate_veos(q: Query) -> tuple[Veo, ...]:
     """All legal VEOs of q, sorted by canonical serialization.
 
     Brute force over rooted trees of variable-set partitions, pruning any
     branch that would split an atom's variables across subtrees.
     """
     variables = frozenset(q.variables)
-    if len(variables) > max_vars:
+    if len(variables) > _MAX_VARS:
         raise TooManyVariables(
-            f"{len(variables)} variables exceeds the enumeration cap {max_vars}"
+            f"{len(variables)} variables exceeds the enumeration cap {_MAX_VARS}"
         )
     constraints = frozenset(a.varset for a in q.atoms)
     memo: dict[tuple[frozenset[str], frozenset[frozenset[str]]], tuple[Veo, ...]] = {}
@@ -205,14 +208,14 @@ def dissociation_of(v: Veo, q: Query) -> tuple[frozenset[str], ...]:
     return tuple(out)
 
 
-def enumerate_mveo(q: Query, max_vars: int = 8) -> tuple[Veo, ...]:
+def enumerate_mveo(q: Query) -> tuple[Veo, ...]:
     """The Pareto-minimal VEOs under componentwise subset order of dissociations.
 
     VEOs with identical dissociations collapse to the lexicographically
     smallest serialization; the result is sorted by serialization.
     """
     by_dissoc: dict[tuple[frozenset[str], ...], Veo] = {}
-    for v in enumerate_veos(q, max_vars):
+    for v in enumerate_veos(q):
         d = dissociation_of(v, q)
         cur = by_dissoc.get(d)
         if cur is None or v.serial < cur.serial:
@@ -239,10 +242,6 @@ class TablePrefix:
     @cached_property
     def serial(self) -> str:
         return " <- ".join(_node_str(n) for n in self.path)
-
-    @cached_property
-    def varset(self) -> frozenset[str]:
-        return frozenset(x for node in self.path for x in node)
 
     def __str__(self) -> str:
         return self.serial

@@ -10,7 +10,7 @@ of the definitions, to slip through.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,25 @@ def reference_gen_random(spec):
         }
         rels[atom.relation] = sorted(rows)
     return Database.from_dict(rels)
+
+
+# ---------------------------------------------------------------------------
+# Queries
+# ---------------------------------------------------------------------------
+
+def isomorphic(q1, q2) -> bool:
+    """Whether a bijection of the variables maps q1's atom variable sets
+    onto q2's, as multisets; relation names and atom order play no part.
+    Tries every bijection."""
+    v1, v2 = sorted(q1.variables), sorted(q2.variables)
+    if len(v1) != len(v2) or len(q1.atoms) != len(q2.atoms):
+        return False
+    target = Counter(a.varset for a in q2.atoms)
+    for image in itertools.permutations(v2):
+        rename = dict(zip(v1, image))
+        if Counter(frozenset(rename[v] for v in a.vars) for a in q1.atoms) == target:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

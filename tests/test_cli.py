@@ -183,7 +183,8 @@ def test_ilp_solve_reports_a_truncated_search(capsys, files, monkeypatch):
     db = gen_random(GenSpec(query=fixture_query("3chain"), d=6, tuples=14, seed=1))
     db_path = files["dir"] / "chain60.db"
     db_path.write_text(db.text())
-    monkeypatch.setattr(cli, "solve_model", partial(ilp.solve_model, budget=200))
+    # `ilp` subcommand imports the solver when it runs, so patch it at its home
+    monkeypatch.setattr(ilp, "solve_model", partial(ilp.solve_model, budget=200))
     rc, out, _ = run(capsys, ["ilp", files["3chain.q"], str(db_path), "--solve"])
     assert rc == 0
     lines = dict(l.split(": ", 1) for l in out.splitlines())
@@ -252,6 +253,14 @@ def test_bench_set_overrides(capsys):
     assert lines[0] == "query,d,tuples,witnesses,method,length,optimal,penalty_pct,solve_ms,seed,nodes"
     assert len(lines) >= 2
     assert lines[1].startswith("q2star,5,6,")
+
+
+def test_bench_rejects_an_unknown_config_key(capsys):
+    rc, out, err = run(capsys, ["bench", "--set", "kernal=1"])
+    assert rc == 1 and out == ""
+    assert err.strip() == (
+        "error: unknown config key 'kernal'; keys: queries, d, tuples, reps, methods, seed, budget"
+    )
 
 
 def test_bench_config_file(capsys, tmp_path):

@@ -93,12 +93,14 @@ def test_csv_directory_equals_the_same_text(tmp_path):
     assert_interned(loaded)
 
 
-def test_import_loads_only_the_pipeline():
+def _fresh_import(module: str) -> list[str]:
+    """Import `module` in a fresh interpreter; its stdout lines are the
+    loaded ``provfact.*`` modules and then `dispatch`'s module."""
     src = str(Path(provfact.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
-        "import sys, provfact\n"
+        f"import sys, provfact, {module}\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('provfact.'))))\n"
         "print(provfact.special.dispatch.__module__)\n"
     )
@@ -106,9 +108,20 @@ def test_import_loads_only_the_pipeline():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, dispatch_module = proc.stdout.split("\n")[:2]
+    return proc.stdout.split("\n")
+
+
+def test_import_loads_only_the_pipeline():
+    loaded, dispatch_module = _fresh_import("provfact")[:2]
     loaded = set(loaded.split())
     pipeline = {f"provfact.{m}" for m in ("cq", "veo", "provenance", "exact", "flow", "special")}
     assert pipeline <= loaded
     assert not loaded & {f"provfact.{m}" for m in ("ilp", "bench", "gen", "cli")}
     assert dispatch_module == "provfact.special"
+
+
+def test_cli_import_loads_neither_ilp_nor_bench():
+    """The `ilp` and `bench` subcommands import their modules when they run."""
+    loaded = set(_fresh_import("provfact.cli")[0].split())
+    assert {"provfact.cli", "provfact.gen"} <= loaded
+    assert not loaded & {"provfact.ilp", "provfact.bench"}

@@ -38,10 +38,17 @@ from provfact.provenance import (
     verify_equivalence,
 )
 from provfact.exact import fact_decision, solve_exact
-from provfact.flow import build_flow_graph
+from provfact.flow import build_flow_graph, extract_factorization, min_cut
 from provfact.ilp import build_ilp
 from provfact.special import _project_witnesses, dispatch, solve_triangle_unary
-from provfact.veo import build_ordering, enumerate_mveo, enumerate_veos, table_prefixes
+from provfact.veo import (
+    TooManyVariables,
+    Veo,
+    build_ordering,
+    enumerate_mveo,
+    enumerate_veos,
+    table_prefixes,
+)
 
 
 def test_parse_database(fig2a_db):
@@ -450,14 +457,14 @@ def test_template_weight_is_the_table_prefix_weight(name):
     q = fixture_query(name)
     table = TemplateTable(q)
     checked = 0
-    for v in enumerate_mveo(q):
+    for v, ids in zip(enumerate_mveo(q), table.prefix_ids, strict=True):
         weight = {tp.path: tp.weight for tp in table_prefixes(v, q)}
         for path in sorted(v.root_paths):
             tid = table.path_id(path)
             assert table.paths[tid] == path
             assert table.weights[tid] == len(table.atoms[tid]) == weight.get(path, 0)
             checked += 1
-        assert [table.paths[t] for t in table.prefixes(v)] == [tp.path for tp in table_prefixes(v, q)]
+        assert [table.paths[t] for t in ids] == [tp.path for tp in table_prefixes(v, q)]
     assert checked >= len(q.variables)
 
 
@@ -472,6 +479,60 @@ def test_template_ids_are_first_seen_and_shared_by_plans():
             tid = table.path_id(path)
             relations = [q.atoms[i].relation for i in table.atoms[tid]]
             assert relations == sorted(relations)
+
+
+def test_shared_table_ids_follow_the_plans():
+    """The shared table sees the minimal plans' root paths first, plan by
+    plan and sorted within a plan, whatever was asked of other tables."""
+    q = fixture_query("3chain")  # y <- (x, z <- u), z <- (u, y <- x)
+    table = TemplateTable.of(q)
+    y = table.child(-1, ("y",))
+    assert (y, table.child(y, ("x",)), table.child(y, ("z",))) == (0, 1, 2)
+    assert table.path_id((("y",), ("z",), ("u",))) == 3
+    assert table.path_id((("z",),)) == 4
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_cached_table_ids_equal_a_fresh_tables(name):
+    """The shared table of a query, after paths outside the minimal plans
+    were added to it, reads the ids a fresh table gives every minimal-plan
+    root path once its plans are read; both hold the minimal plans, their
+    prefixes and ordering."""
+    q = fixture_query(name)
+    cached = TemplateTable.of(q)
+    for v in enumerate_veos(q):
+        cached.path_id(max(v.root_paths, key=len))
+    assert TemplateTable.of(fixture_query(name)) is cached
+    fresh = TemplateTable(q)
+    assert fresh.plans == cached.plans == enumerate_mveo(q)
+    size = len(fresh.paths)
+    for v in fresh.plans:
+        for path in v.root_paths:
+            assert fresh.path_id(path) == cached.path_id(path) < size
+    assert len(fresh.paths) == size
+    assert fresh.prefix_ids == cached.prefix_ids
+    assert fresh.ordering == cached.ordering == build_ordering(q)
+
+
+def test_a_given_plan_needs_no_plan_enumeration():
+    """Assembly and the flow graph take the caller's plans, so they work on
+    a query past the enumeration cap, as they did before plans were shared."""
+    q = parse_query("Q :- " + ", ".join(f"R{i}(x{i},x{i + 1})" for i in range(8)))
+    assert len(q.variables) == 9
+    with pytest.raises(TooManyVariables):
+        enumerate_mveo(q)
+    db = gen_random(GenSpec(query=q, d=2, tuples=4, seed=0))
+    W = compute_witnesses(q, db)
+    assert W.witnesses
+    plan = None
+    for i in reversed(range(9)):  # x0 <- x1 <- ... <- x8
+        plan = Veo((f"x{i}",), (plan,) if plan else ())
+    f = assemble(q, W, {w: plan for w in W.witnesses})
+    assert verify_equivalence(f, W)
+    g = build_flow_graph(q, W, build_ordering(q, mveo=(plan,)))
+    flow_f, assignment = extract_factorization(g, min_cut(g))
+    assert set(assignment.values()) == {plan}
+    assert flow_f.expression == f.expression
 
 
 def test_template_getter_reads_path_pairs(fig2a_db):

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dbs
-from provfact.cq import parse_query
+import oracles
+from provfact.cq import Atom, Query, parse_query
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.provenance import (
@@ -55,6 +56,47 @@ def test_classify_hierarchical_and_disconnected():
     assert cls.k == 1
     cls2 = classify(parse_query("Q :- R(x), S(y)", allow_disconnected=True))
     assert "disconnected" in cls2.tags
+
+
+SHAPES = {
+    "q2star": "Q :- A(x), B(x,y), C(y)",
+    "triangle-unary": "Q :- U(x), R(x,y), S(y,z), T(z,x)",
+    "two-chain-we": "Q :- A(x), R(x,y), S(y,z), B(z)",
+}
+
+
+def test_classify_tags_a_shape_exactly_on_its_isomorphic_queries():
+    """Every query over {x, y, z} with 3 or 4 atoms of arity 1 or 2, each
+    atom order included (relations named A, B, C, D by position)."""
+    shapes = {tag: parse_query(text) for tag, text in SHAPES.items()}
+    atoms = [(v,) for v in "xyz"] + list(itertools.permutations("xyz", 2))
+    matched = dict.fromkeys(shapes, 0)
+    for m in (3, 4):
+        for combo in itertools.product(atoms, repeat=m):
+            q = Query("Q", tuple(Atom("ABCD"[i], vs) for i, vs in enumerate(combo)))
+            tags = classify(q).tags
+            for tag, shape in shapes.items():
+                assert (tag in tags) == oracles.isomorphic(q, shape), (tag, str(q))
+                matched[tag] += tag in tags
+    # variable roles x atom argument orders x atom orders
+    assert matched == {"q2star": 6 * 6, "triangle-unary": 3 * 8 * 24, "two-chain-we": 3 * 4 * 24}
+
+
+@pytest.mark.parametrize(
+    "renamed, canonical, method",
+    [
+        # each canonical query swaps two variables of the renamed one
+        ("Q :- A(x), B(x,z), C(y,z), D(y)", "Q :- A(x), B(x,y), C(z,y), D(z)", "two-chain-we"),
+        ("Q :- A(y), B(x,y), C(z,y), D(x,z)", "Q :- A(x), B(y,x), C(z,x), D(y,z)", "triangle-unary"),
+    ],
+    ids=["two-chain-we", "triangle-unary"],
+)
+def test_renamed_shapes_route_to_their_closed_forms(renamed, canonical, method):
+    renamed, canonical = parse_query(renamed), parse_query(canonical)
+    db = gen_random(GenSpec(query=renamed, d=8, tuples=30, seed=1))
+    rep = dispatch(renamed, compute_witnesses(renamed, db), policy="auto")
+    assert (rep.method, rep.optimal) == (method, True)
+    assert rep.length == dispatch(canonical, compute_witnesses(canonical, db)).length
 
 
 def test_solve_q2star_golden(fig2a_db, fig2a_s13_db):
