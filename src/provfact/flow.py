@@ -143,7 +143,10 @@ def _skeleton(table: TemplateTable, ordering: Ordering) -> _Skeleton:
 
 class Arcs:
     """The arcs of a flow network in three typed buffers, indexed by arc:
-    `tail` and `head` node ids (``array("i")``) and `cap` (``array("q")``).
+    `tail` and `head` node ids and `cap`, all ``array("i")``.  Every
+    capacity is an instance weight or `inf` (total weight + 1), far below
+    2**31 for any network that fits in memory; a larger one raises
+    `OverflowError`.
 
     Sized, and iterates as ``(tail, head, cap)`` triples in insertion order,
     the form `_mincut.max_flow` takes.
@@ -154,7 +157,7 @@ class Arcs:
     def __init__(self) -> None:
         self.tail = array("i")
         self.head = array("i")
-        self.cap = array("q")
+        self.cap = array("i")
 
     def __len__(self) -> int:
         return len(self.tail)
@@ -302,7 +305,7 @@ def build_flow_graph(
             run_next.append(-1)
 
     # fold instances touched by exactly one leaf globally into that leaf's node
-    q_caps = array("q", [0]) * (len(W.witnesses) * nleaves)
+    q_caps = array("i", [0]) * (len(W.witnesses) * nleaves)
     payer = array("i", [-1]) * len(weights)
     for iid, r in enumerate(first):
         if r == last[iid] and run_leaf[r] >= 0:

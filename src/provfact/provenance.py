@@ -13,13 +13,15 @@ assignment by merging shared instances in a trie, so that equal instances
 — even across different plans — are written once.  The trie interns each
 node as an integer row keyed by (parent row, node, values), keeps its rows
 in columns, reads their anchored tuple keys off the witness that made them,
-and is freed when `assemble` returns: it forms no reference cycle.
+makes one leaf per tuple key and one node per row, shared wherever they
+occur, and is freed when `assemble` returns: it forms no reference cycle.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -104,12 +106,25 @@ class Database:
         return sum(len(rows) for rows in self.relations.values())
 
     def text(self) -> str:
-        """Serialize to the sectioned text format."""
+        """Serialize to the sectioned text format.  Raises `FormatError` on a
+        name or row that `parse_database` would not read back as itself."""
         lines = []
         for name in sorted(self.relations):
+            if name.strip().splitlines() != [name] or "]" in name:
+                raise FormatError(f"relation name {name!r} cannot be written")
             lines.append(f"[{name}]")
-            lines.extend(",".join(row) for row in self.relations[name])
+            rows = self.relations[name]
+            consts = set().union(*rows)  # rows are checked only if a constant is suspect
+            if not all(rows) or "" in consts or _SUSPECT.search("".join(consts)):
+                for row, line in zip(rows, map(",".join, rows)):
+                    if (line.strip().splitlines() != [line] or line[0] == "#"
+                            or line[0] + line[-1] == "[]" or _read_row(line, {}.setdefault) != row):
+                        raise FormatError(f"relation {name!r}: row {row!r} cannot be written")
+            lines.extend(map(",".join, rows))
         return "\n".join(lines) + "\n"
+
+
+_SUSPECT = re.compile(r"[\s,#\[]")  # \s is `str.isspace`, so every line break too
 
 
 def _read_row(line: str, intern) -> tuple[str, ...] | None:
@@ -174,19 +189,19 @@ def load_database(source: str | os.PathLike) -> Database:
 class Witness:
     """One satisfying valuation: a variable binding plus its matched tuples.
 
-    Slotted, so a witness carries no ``__dict__``.  `key`, the binding's
-    serialization (``x1_y2``), is set when the witness is made and is not
-    compared; `values`, `tuple_set` and `tuple_ids` are computed on each
-    access and cache nothing, so a loop that reads one of them often binds
-    it once per witness.
+    Slotted, so a witness holds its binding and tuple keys only (about
+    240 B in a witness set, whose pairs and keys are shared).  `key`, the
+    binding's serialization (``x1_y2``), `values`, `tuple_set` and
+    `tuple_ids` are computed on each access and cache nothing, so a loop
+    that reads one of them often binds it once per witness.
     """
 
     binding: tuple[tuple[str, str], ...]  # sorted (variable, constant)
     tuples: tuple[TupleKey, ...]  # aligned with the query's atoms
-    key: str = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", "_".join(f"{var}{val}" for var, val in self.binding))
+    @property
+    def key(self) -> str:
+        return "_".join(f"{var}{val}" for var, val in self.binding)
 
     @property
     def values(self) -> dict[str, str]:
@@ -446,9 +461,11 @@ class TemplateTable:
 class Expr:
     """Monotone Boolean expression tree over tuple literals.
 
-    Slotted, so a node carries no ``__dict__``.  `length` (the literal
-    count) is set when the node is made, from its children's lengths;
-    `tuple_keys` walks the tree on each access and caches nothing.
+    Slotted, so a node carries no ``__dict__``.  Nodes are immutable, so
+    one node may occur at several places (`assemble` shares its leaves and
+    rows); every reader walks occurrences, as in a tree.  `length` (the
+    literal count) is set when the node is made, from its children's
+    lengths; `tuple_keys` walks the tree on each access and caches nothing.
     """
 
     op: str  # "var" | "and" | "or" | "false"
@@ -592,9 +609,14 @@ class _Trie:
     whose anchored atoms give its tuple keys off that witness, and `ends`
     a 1 where a plan ends.  `groups` has the inner rows only: row ->
     {branch signature (its plans' sorted child nodes): {child node: rows}}.
+    `build` makes one `Expr("var")` per tuple key in `leaves` and one
+    expression per row in `built`, dropping the row's groups once it is
+    built, so a row that sits in several groups is one shared node.
     """
 
-    __slots__ = ("items", "anchored", "keys", "maker", "tpl", "ends", "groups", "roots")
+    __slots__ = (
+        "items", "anchored", "keys", "maker", "tpl", "ends", "groups", "roots", "leaves", "built"
+    )
 
     def __init__(self, q: Query, items: tuple[tuple[Witness, Veo], ...]) -> None:
         table = TemplateTable(q)
@@ -632,6 +654,8 @@ class _Trie:
                 else:
                     ends[r] = 1
         self.keys, self.groups = list(ids), groups
+        self.leaves: dict[TupleKey, Expr] = {}
+        self.built: list[Expr | None] = [None] * len(maker)
 
     def order(self, r: int) -> tuple:
         """Sort key of sibling (or root) rows: the last node's serialization,
@@ -649,11 +673,16 @@ class _Trie:
 
     def build(self, r: int) -> Expr:
         """Row `r`'s tuples AND the OR over its branch signatures, each an AND
-        over branches of the OR over the child rows.  Recursion depth is the
-        plan depth."""
-        tuples = self.items[self.maker[r]][0].tuples
-        parts: list[Expr] = [e_var(tuples[i]) for i in self.anchored[self.tpl[r]]]
-        groups = self.groups.get(r)
+        over branches of the OR over the child rows; made once per row.
+        Recursion depth is the plan depth."""
+        e = self.built[r]
+        if e is not None:
+            return e
+        tuples, leaves = self.items[self.maker[r]][0].tuples, self.leaves
+        parts: list[Expr] = []
+        for key in map(tuples.__getitem__, self.anchored[self.tpl[r]]):
+            parts.append(leaves.get(key) or leaves.setdefault(key, e_var(key)))
+        groups = self.groups.pop(r, None)
         if groups:
             if self.ends[r]:
                 # a plan ends here while others continue below, as legal plans
@@ -669,7 +698,8 @@ class _Trie:
                 ])
                 for _, branches in sorted(groups.items())
             ]))
-        return e_and(parts) if parts else Expr("false")
+        e = self.built[r] = e_and(parts) if parts else Expr("false")
+        return e
 
 
 def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factorization:
@@ -679,7 +709,9 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
     tuples anchored there with, per branch signature, an AND over branches
     of ORs over child instances.  Instances shared across witnesses (and
     across different plans) merge.  The trie (see `_Trie`) is stored in
-    columns, one row per instance node, and is freed on return.
+    columns, one row per instance node, and is freed on return.  The result
+    is a DAG: each tuple key is one leaf object and each row one node,
+    however often they occur; `length` counts the occurrences.
     """
     if set(assignment) != set(W.witnesses):
         raise IllegalAssignment("assignment must cover exactly the witness set")

@@ -98,6 +98,55 @@ def test_assemble_matches_reference_on_illegal_assignments():
     assert {s[1].split()[-1] for s in seen} == {"set", "two_chain", "plans", "z", "x"}
 
 
+def _occurrences(expr):
+    """Every node occurrence of `expr`, walked as a tree."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(e.children)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_assembled_leaves_are_one_node_per_tuple(name):
+    """Every `var` occurrence of one tuple key is one object, and `length`
+    still counts the occurrences."""
+    for i, (q, W) in enumerate(instances(name, seeds=range(3))):
+        for asg in assignments(q, W, i):
+            try:
+                f = assemble(q, W, asg)
+            except IllegalAssignment:
+                continue
+            leaves = [e for e in _occurrences(f.expression) if e.op == "var"]
+            assert len({id(e) for e in leaves}) == len({e.key for e in leaves})
+            assert f.length == len(leaves) == oracles.count_leaves(f.expression)
+
+
+def test_branching_rows_are_shared_and_match_the_reference():
+    """4chain under random legal plans: a trie row that sits in several
+    branch-signature groups is built once and occurs as one object, and the
+    expression still matches the reference assembler's.  Where both raise,
+    only the class is compared: when nodes that mix terminal and continuing
+    plans nest, `assemble` names the outer one and the reference the inner."""
+    q = fixture_query("4chain")
+    plans = enumerate_veos(q)
+    shared = built = 0
+    for i, (_, W) in enumerate(instances("4chain")):
+        rng = random.Random(i)
+        for _ in range(3):
+            asg = {w: rng.choice(plans) for w in W.witnesses}
+            got = outcome(assemble, q, W, asg)
+            want = outcome(oracles.reference_assemble, q, W, asg)
+            if want[0] == IllegalAssignment.__name__:
+                assert got[0] == want[0]
+                continue
+            assert got == want
+            inner = [e for e in _occurrences(assemble(q, W, asg).expression) if e.children]
+            shared += len(inner) - len({id(e) for e in inner})
+            built += 1
+    assert built >= 24 and shared > 0
+
+
 def test_assemble_leaves_no_reference_cycles():
     q = fixture_query("triangle-u")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=8, tuples=40, seed=2)))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from provfact.exact import solve_exact
 from provfact.flow import (
+    Arcs,
     ExtractionFailure,
     NonRpOrdering,
     build_flow_graph,
@@ -230,6 +231,19 @@ def test_flow_graph_memory_per_witness():
     assert all(isinstance(buf, array) for buf in bufs)
     assert len(W) > 5000
     assert held / len(W) <= 400, f"{held / len(W):.0f} B/witness"
+
+
+def test_capacities_are_32_bit():
+    """Every capacity is an instance weight or `inf`, far below 2**31, so the
+    capacity column is ``array("i")``; a larger capacity raises."""
+    q = fixture_query("3chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=20, seed=1)))
+    g = build_flow_graph(q, W, build_ordering(q))
+    assert g.arcs.cap.typecode == "i" and max(g.arcs.cap) == g.inf
+    arcs = Arcs()
+    arcs.extend([0], [1], [2**31 - 1])
+    with pytest.raises(OverflowError):
+        arcs.extend([0], [1], [2**31])
 
 
 def test_kernel_name():

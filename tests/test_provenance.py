@@ -2,10 +2,11 @@
 
 import gc
 import itertools
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbs
@@ -81,6 +82,42 @@ def test_parse_database_errors(text):
 def test_text_round_trip(fig2a_db, leakage_db):
     for db in (fig2a_db, leakage_db):
         assert parse_database(db.text()) == db
+
+
+@pytest.mark.parametrize(
+    "rels,named",
+    [
+        ({"R": [("#1", "2")]}, "'R': row ('#1', '2')"),  # a comment
+        ({"R": [("[x]",)]}, "'R': row ('[x]',)"),  # a header
+        ({"R": [("[x", "y]")]}, "'R': row ('[x', 'y]')"),
+        ({"R": [(" a", "b")]}, "'R': row (' a', 'b')"),  # stripped
+        ({"R": [("a,b", "c")]}, "'R': row ('a,b', 'c')"),  # a 3-tuple
+        ({"R": [("a\rb",)]}, "'R': row ('a\\rb',)"),  # two lines
+        ({"R": [("",)]}, "'R': row ('',)"),
+        ({"R": [()]}, "'R': row ()"),  # a blank line
+        ({"": [("1",)]}, "name ''"),
+        ({"R]": [("1",)]}, "name 'R]'"),
+        ({"R ": [("1",)]}, "name 'R '"),
+        ({"R\nS": [("1",)]}, "name 'R\\nS'"),
+    ],
+)
+def test_text_rejects_what_would_not_read_back(rels, named):
+    with pytest.raises(FormatError, match=re.escape(named)):
+        Database.from_dict(rels).text()
+
+
+_TRICKY = st.text(alphabet="a1#[], \t\n\r\x0b\x1c\x85", max_size=4)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(_TRICKY, st.lists(st.lists(_TRICKY, max_size=3).map(tuple), max_size=3)))
+def test_text_raises_or_round_trips(rels):
+    db = Database.from_dict(rels)
+    try:
+        text = db.text()
+    except FormatError:
+        return
+    assert parse_database(text) == db
 
 
 def test_load_database_file_and_dir(tmp_path, fig2a_db):
@@ -179,7 +216,8 @@ def test_witnesses_are_slotted_and_interned():
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=20, seed=1)))
     assert len(W.distinct_tuples) < 3 * len(W.witnesses)  # keys repeat
     w = W.witnesses[0]
-    assert not hasattr(w, "__dict__")
+    # no stored `key`: it is read off the binding (see the brute-force views)
+    assert not hasattr(w, "__dict__") and Witness.__slots__ == ("binding", "tuples")
     _assert_interned(W)
 
 
@@ -197,8 +235,9 @@ def test_projected_witnesses_are_interned():
 
 def test_witness_set_memory_per_witness():
     """A 3chain witness set of 6,090 witnesses, as held after the join, takes
-    at most 450 B per witness (tracemalloc; about 300 B with slotted
-    witnesses and interned keys, about 940 B with per-witness dicts)."""
+    at most 275 B per witness (tracemalloc; about 240 B with slotted
+    witnesses, interned keys and no stored `key` string, about 310 B with
+    one, about 940 B with per-witness dicts)."""
     q = fixture_query("3chain")
     db = gen_random(GenSpec(query=q, d=30, tuples=200, seed=1))
     tracemalloc.start()
@@ -209,7 +248,7 @@ def test_witness_set_memory_per_witness():
     finally:
         tracemalloc.stop()
     assert len(W.witnesses) >= 5000
-    assert held / len(W.witnesses) <= 450
+    assert held / len(W.witnesses) <= 275, f"{held / len(W.witnesses):.0f} B/witness"
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
@@ -393,14 +432,16 @@ def test_verify_equivalence_memory():
 
 def test_assemble_memory_per_witness():
     """The columnar trie: assembling triangle-u d=28 t=900 seed 1 (6,929
-    witnesses) peaks at most 800 B per witness, expression included (about
-    650 B; about 1,030 B with a tuple and a dict per trie row)."""
+    witnesses) peaks at most 560 B per witness, expression included (about
+    420 B with shared leaves and rows and each row's groups dropped once it
+    is built; about 640 B with a tree; about 1,030 B with a tuple and a
+    dict per trie row)."""
     q = fixture_query("triangle-u")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=28, tuples=900, seed=1)))
     assignment = solve_triangle_unary(W).assignment_map
     fact, peak = _traced_peak(lambda: assemble(q, W, assignment))
     assert len(W) > 5000 and fact.length > 0
-    assert peak / len(W) <= 800, f"{peak / len(W):.0f} B/witness"
+    assert peak / len(W) <= 560, f"{peak / len(W):.0f} B/witness"
 
 
 def test_detect_p4_goldens(fig2a_db, fig2a_s13_db):
