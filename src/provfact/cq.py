@@ -3,7 +3,8 @@
 A query is a list of atoms over distinct relation names, e.g.
 ``Q :- R(x,y), S(y,z)``.  This module answers the structural questions the
 rest of the package routes on: hierarchy (nested/disjoint variable atom
-sets), atom independence, triads, and linearity.
+sets), atom independence, and triads (a query is linear when
+`has_triad` finds none).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "is_hierarchical",
     "independent_atoms",
     "has_triad",
-    "is_linear",
 ]
 
 
@@ -234,8 +234,3 @@ def has_triad(q: Query) -> tuple[Atom, Atom, Atom] | None:
         ):
             return (g1, g2, g3)
     return None
-
-
-def is_linear(q: Query) -> bool:
-    """A query is linear iff it has no triad."""
-    return has_triad(q) is None

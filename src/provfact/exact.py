@@ -22,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .cq import Query
+from .cq import DisconnectedQueryError, Query, connected_components
 from .provenance import (
     Database,
     Factorization,
@@ -75,8 +75,14 @@ def _prepare(q: Query, W: WitnessSet):
     An instance is ``(template id, binding pairs)`` in the query's
     `TemplateTable`.  Returns the table, the id lists per witness and plan
     (in `table.plans` order), the weight of each id and the instance -> id
-    map (in id order).
+    map (in id order).  Raises `DisconnectedQueryError` on a disconnected
+    query, whose optimum the plan model cannot express: `special.dispatch`
+    solves it per connected component.
     """
+    if len(connected_components(q)) > 1:
+        raise DisconnectedQueryError(
+            f"{q.name} is disconnected; solve its connected components apart"
+        )
     table = TemplateTable.of(q)
     plans = [[(tid, table.getters[tid]) for tid in ids] for ids in table.prefix_ids]
     table.check(W)

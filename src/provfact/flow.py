@@ -183,10 +183,10 @@ class FlowGraph:
     (`in` is the connector when the node has one entry): leaf node
     ``wi * nleaves + leaf`` of witness wi, then one node per unfolded prefix
     instance, whose id `p_instance` gives.  Instance ids index `instances`
-    (``(template id, binding pairs)`` in the query's `TemplateTable`
-    `templates`) and `payer` (the cap node that carries the instance's
-    weight: its own, or the leaf it was folded into).  `slots` holds each
-    witness's instance ids, ``len(skeleton.sites)`` per witness.
+    (``(template id, binding pairs)`` in ``TemplateTable.of(query)``) and
+    `payer` (the cap node that carries the instance's weight: its own, or
+    the leaf it was folded into).  `slots` holds each witness's instance
+    ids, ``len(skeleton.sites)`` per witness.
     """
 
     query: Query
@@ -200,7 +200,6 @@ class FlowGraph:
     p_instance: array
     inf: int
     skeleton: _Skeleton
-    templates: TemplateTable
     instances: list[tuple[int, tuple]]
     payer: array
     slots: array
@@ -210,7 +209,8 @@ class FlowGraph:
         nq = len(self.cap_arc) - len(self.p_instance)
         if c < nq:
             return "q{}.{}".format(*divmod(c, len(self.skeleton.leaves)))
-        return f"p[{self.templates.serial(*self.instances[self.p_instance[c - nq]])}]"
+        table = TemplateTable.of(self.query)
+        return f"p[{table.serial(*self.instances[self.p_instance[c - nq]])}]"
 
     def dot(self) -> str:
         """GraphViz rendering of the contracted network (for --dump-graph)."""
@@ -256,7 +256,7 @@ def build_flow_graph(
         raise NonRpOrdering(
             "ordering violates the running-prefixes property in strict mode"
         )
-    table = TemplateTable(q)
+    table = TemplateTable.of(q)
     sk = _skeleton(table, ordering)
     table.check(W)
     k = sk.connectors
@@ -357,7 +357,6 @@ def build_flow_graph(
         p_instance=p_instance,
         inf=inf,
         skeleton=sk,
-        templates=table,
         instances=list(ids),
         payer=payer,
         slots=slots,

@@ -30,7 +30,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from .cq import Atom, Query
-from .veo import Node, Ordering, Veo, build_ordering, enumerate_mveo, table_prefixes
+from .veo import (
+    Node, Ordering, TooManyVariables, Veo, _node_str, build_ordering, enumerate_mveo,
+)
 
 log = logging.getLogger(__name__)
 
@@ -247,10 +249,6 @@ class WitnessSet:
     def dnf_terms(self) -> set[frozenset[TupleKey]]:
         return {w.tuple_set for w in self.witnesses}
 
-    def dnf_string(self, ascii_only: bool = False) -> str:
-        sep = " v " if ascii_only else " ∨ "
-        return sep.join(" ".join(sorted(w.tuple_ids)) for w in self.witnesses)
-
 
 def join_order(q: Query, d: Database) -> tuple[Atom, ...]:
     """The order in which `compute_witnesses` joins the atoms.
@@ -340,7 +338,9 @@ class TemplateTable:
 
     Ids are given in first-seen order; reading `plans` gives every plan
     root path its id, plan by plan, and `of` does so first, so the shared
-    table's ids depend on the query alone.  `child(parent, node)` is the id
+    table's ids of those paths depend on the query alone; other paths (a
+    caller's own plans) get theirs when first asked.  Every layer reads the
+    shared table; no id reaches an output.  `child(parent, node)` is the id
     of the parent's path extended by `node` (parent -1 is the empty path
     above a root).  Per id the table keeps the node path, the indices of the
     atoms anchored at its last node (those whose variables lie on the path
@@ -349,10 +349,13 @@ class TemplateTable:
     path order, off a `Witness.binding`.  A prefix instance is
     ``(template id, pairs)``.
 
-    An atom is anchored at a root path's last node exactly when the path is
-    the atom's table prefix in a legal plan the path lies on, so a
-    template's weight is the weight `veo.table_prefixes` gives the path, or
-    0 on a path that is no table prefix; `prefix_ids` checks it.
+    `prefix_ids` lists, per plan, the ids of its root paths that anchor at
+    least one atom, in the order of their text (``y <- (xz)``).  These are
+    the plan's table prefixes: an atom is anchored at a root path's last
+    node exactly when the path is the atom's minimal covering root path in
+    a legal plan the path lies on, so a template's weight is the number of
+    atoms whose table prefix it is, or 0 on a path that is no table prefix.
+    The test suite checks this against a direct reference.
     """
 
     def __init__(self, q: Query) -> None:
@@ -370,9 +373,13 @@ class TemplateTable:
     def of(cls, q: Query) -> "TemplateTable":
         """The table every call with `q` shares (512 kept: all 309 connected
         self-join-free queries with 2-5 variables, 2-4 atoms and arity 1-3
-        fit, in 3.2 MB of tables)."""
+        fit, in 3.2 MB of tables).  Past the enumeration cap it holds no
+        plans, and the paths of a caller's own plans get ids on demand."""
         table = cls(q)
-        table.plans
+        try:
+            table.plans
+        except TooManyVariables:
+            pass
         return table
 
     @cached_property
@@ -385,19 +392,15 @@ class TemplateTable:
 
     @cached_property
     def prefix_ids(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for v in self.plans:
-            ids = []
-            for tp in table_prefixes(v, self.query):
-                tid = self.path_id(tp.path)
-                if self.weights[tid] != tp.weight:
-                    raise AssertionError(
-                        f"prefix {tp} of plan {v} has weight {tp.weight},"
-                        f" {self.weights[tid]} atoms anchor there"
-                    )
-                ids.append(tid)
-            out.append(tuple(ids))
-        return tuple(out)
+        def text(tid: int) -> str:
+            return " <- ".join(map(_node_str, self.paths[tid]))
+
+        return tuple(
+            tuple(sorted(
+                (t for t in map(self.path_id, sorted(v.root_paths)) if self.weights[t]), key=text
+            ))
+            for v in self.plans
+        )
 
     @cached_property
     def ordering(self) -> Ordering:
@@ -588,10 +591,6 @@ class Factorization:
     length: int
     repeats: int
 
-    @cached_property
-    def assignment_map(self) -> dict[Witness, Veo]:
-        return dict(self.assignment)
-
     def pretty(self, ascii_only: bool = False) -> str:
         return self.expression.pretty(ascii_only)
 
@@ -619,7 +618,7 @@ class _Trie:
     )
 
     def __init__(self, q: Query, items: tuple[tuple[Witness, Veo], ...]) -> None:
-        table = TemplateTable(q)
+        table = TemplateTable.of(q)
         child, self.items, self.anchored = table.child, items, table.atoms
         ids: dict[tuple[int, Node, tuple[str, ...]], int] = {}
         maker, tpls, ends = self.maker, self.tpl, self.ends = array("i"), array("i"), bytearray()
@@ -684,20 +683,22 @@ class _Trie:
             parts.append(leaves.get(key) or leaves.setdefault(key, e_var(key)))
         groups = self.groups.pop(r, None)
         if groups:
-            if self.ends[r]:
-                # a plan ends here while others continue below, as legal plans
-                # y <- (x, z) and y <- x <- z do at an instance of y <- x; the
-                # trie has no expression for that, so it is rejected.
-                raise IllegalAssignment(
-                    f"node {self.serial(r)} mixes terminal and continuing plans"
-                )
-            parts.append(e_or([
+            below = e_or([
                 e_and([
                     e_or([self.build(c) for c in sorted(branches[bn], key=self.order)])
                     for bn in sorted(branches)
                 ])
                 for _, branches in sorted(groups.items())
-            ]))
+            ])
+            if self.ends[r]:
+                # a plan ends here while others continue below, as legal plans
+                # y <- (x, z) and y <- x <- z do at an instance of y <- x; the
+                # trie has no expression for that, so it is rejected, after
+                # the rows below, so that nested such rows name the innermost.
+                raise IllegalAssignment(
+                    f"node {self.serial(r)} mixes terminal and continuing plans"
+                )
+            parts.append(below)
         e = self.built[r] = e_and(parts) if parts else Expr("false")
         return e
 

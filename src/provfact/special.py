@@ -20,6 +20,7 @@ flow heuristic elsewhere.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -471,6 +472,48 @@ def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] 
 _POLICIES = ("auto", "exact", "flow", "single-plan", "special")
 
 
+def _dispatch_components(q, W, policy, budget, strict_rp, ordering, verify, start) -> RunReport:
+    """`dispatch` on a disconnected query: each connected component runs
+    alone, with the caller's settings, on its projection of `W`, and the
+    report ANDs the parts.  Length and bounds add over disjoint variables,
+    so the sum of the parts' optima is the optimum and the sum of their
+    bounds (a part's length where it is optimal) a bound.  `W` must be the
+    product of the projections, so that verifying each part verifies it."""
+    if ordering is not None:
+        raise ValueError(f"{q.name} is disconnected; an ordering needs a connected query")
+    parts = []
+    for i, comp in enumerate(connected_components(q)):
+        sub = Query(f"{q.name}.{i + 1}", tuple(a for a in q.atoms if a in comp))
+        parts.append((sub, _project_witnesses(q, W, sub)))
+    if len(W.witnesses) != math.prod(len(sub_W) for _, sub_W in parts):
+        raise ValueError(
+            f"{q.name}: {len(W.witnesses)} witnesses are not the product of"
+            f" the components' {' x '.join(str(len(sub_W)) for _, sub_W in parts)}"
+        )
+    reps = [
+        dispatch(sub, sub_W, policy=policy, budget=budget, strict_rp=strict_rp, verify=verify)
+        for sub, sub_W in parts
+    ]
+    bounds = [p.length if p.optimal else p.lower_bound for p in reps]
+    fact = Factorization(
+        assignment=(), expression=e_and([p.factorization.expression for p in reps]),
+        length=sum(p.length for p in reps), repeats=sum(p.repeats for p in reps),
+    )
+    return RunReport(
+        query=q.name, method="components", n=len(W.witnesses),
+        length=fact.length, repeats=fact.repeats,
+        optimal=all(p.optimal for p in reps), factorization=fact,
+        lower_bound=None if None in bounds else sum(bounds),
+        elapsed_ms=(time.perf_counter() - start) * 1000,
+        notes=tuple(
+            note for p in reps
+            for note in (f"{p.query}: {p.method}", *(f"{p.query}: {n}" for n in p.notes))
+        ),
+        verified=True if all(p.verified for p in reps) else None,
+        nodes=sum(p.nodes for p in reps),
+    )
+
+
 def dispatch(
     q: Query,
     W: WitnessSet,
@@ -483,7 +526,8 @@ def dispatch(
     """Route to a solving method and return a uniform report.
 
     policy: auto | exact | flow | single-plan | special; any other value
-    raises `ValueError`.
+    raises `ValueError`.  A disconnected query runs one connected component
+    at a time under `policy` (see `_dispatch_components`).
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; options: {', '.join(_POLICIES)}")
@@ -500,35 +544,13 @@ def dispatch(
             elapsed_ms=(time.perf_counter() - start) * 1000,
         )
 
+    if len(connected_components(q)) > 1:  # before `classify` lists the whole query's plans
+        return _dispatch_components(q, W, policy, budget, strict_rp, ordering, verify, start)
+
     cls = classify(q)
     method = policy
     optimal = True
     fact: Factorization | None = None
-
-    if policy == "auto" and "disconnected" in cls:
-        parts = []
-        for i, comp in enumerate(connected_components(q)):
-            sub = Query(f"{q.name}.{i + 1}", tuple(a for a in q.atoms if a in comp))
-            sub_W = _project_witnesses(q, W, sub)
-            rep = dispatch(
-                sub, sub_W, policy="auto", budget=budget,
-                strict_rp=strict_rp, verify=False,
-            )
-            parts.append(rep)
-        expr = e_and([p.factorization.expression for p in parts])
-        length = sum(p.length for p in parts)
-        fact = Factorization(
-            assignment=(), expression=expr, length=length,
-            repeats=sum(p.repeats for p in parts),
-        )
-        return RunReport(
-            query=q.name, method="components", n=len(W.witnesses),
-            length=length, repeats=fact.repeats,
-            optimal=all(p.optimal for p in parts), factorization=fact,
-            elapsed_ms=(time.perf_counter() - start) * 1000,
-            notes=tuple(f"{p.query}: {p.method}" for p in parts),
-            nodes=sum(p.nodes for p in parts),
-        )
 
     if policy == "exact":
         res = solve_exact(q, W, budget=budget)

@@ -4,9 +4,10 @@ A VEO is a rooted tree over a partition of the query variables such that
 every atom's variables lie on a single root-to-node path.  Each VEO encodes
 a query plan; its per-atom *table prefixes* (minimal root paths covering the
 atom) are the sharable units of a factorization.  This module enumerates all
-legal VEOs, computes dissociations and the Pareto-minimal set (mveo), table
-prefixes with weights, and the run orderings (flat and nested) consumed by
-the flow heuristic.
+legal VEOs, computes dissociations and the Pareto-minimal set (mveo), and
+the run orderings (flat and nested) consumed by the flow heuristic; which
+root paths are table prefixes, and their weights, is
+`provenance.TemplateTable`'s to say.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .cq import Atom, Query
 
 __all__ = [
     "Veo",
-    "TablePrefix",
     "Ordering",
     "OmegaNode",
     "TooManyVariables",
@@ -29,7 +29,6 @@ __all__ = [
     "enumerate_veos",
     "dissociation_of",
     "enumerate_mveo",
-    "table_prefixes",
     "prefix_path",
     "build_ordering",
     "check_rp",
@@ -229,34 +228,6 @@ def enumerate_mveo(q: Query) -> tuple[Veo, ...]:
         v for d, v in items if not any(dominates(d2, d) for d2, _ in items)
     ]
     return tuple(minimal)
-
-
-@dataclass(frozen=True)
-class TablePrefix:
-    """A distinct table-prefix path of a VEO with its multiplicity weight."""
-
-    path: tuple[Node, ...]
-    atoms: tuple[str, ...]  # relation names sharing this exact path
-    weight: int
-
-    @cached_property
-    def serial(self) -> str:
-        return " <- ".join(_node_str(n) for n in self.path)
-
-    def __str__(self) -> str:
-        return self.serial
-
-
-def table_prefixes(v: Veo, q: Query) -> tuple[TablePrefix, ...]:
-    """One TablePrefix per distinct prefix path of v, weight = #atoms mapped to it."""
-    groups: dict[tuple[Node, ...], list[str]] = {}
-    for a in q.atoms:
-        groups.setdefault(prefix_path(v, a.varset), []).append(a.relation)
-    out = [
-        TablePrefix(path, tuple(sorted(rels)), len(rels))
-        for path, rels in groups.items()
-    ]
-    return tuple(sorted(out, key=lambda tp: tp.serial))
 
 
 # --------------------------------------------------------------------------

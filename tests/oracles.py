@@ -114,6 +114,20 @@ def anchor_path(veo, avars):
     return best
 
 
+def reference_table_prefixes(veo, q):
+    """The table prefixes of plan ``veo``: each distinct `anchor_path` of
+    q's atoms with the sorted relations anchored there, in the order of the
+    path's text (``y <- (xz) <- u``)."""
+    groups = {}
+    for atom in q.atoms:
+        groups.setdefault(anchor_path(veo, atom.varset), []).append(atom.relation)
+
+    def text(path):
+        return " <- ".join(n[0] if len(n) == 1 else "(" + "".join(n) + ")" for n in path)
+
+    return [(path, tuple(sorted(groups[path]))) for path in sorted(groups, key=text)]
+
+
 def oracle_length(q, witness_set, assignment):
     """Length of the factorization induced by ``assignment`` (witness → plan).
 
@@ -420,7 +434,7 @@ def reference_flow_skeleton(q, ordering):
     """
     from provfact.provenance import TemplateTable
 
-    table = TemplateTable(q)
+    table = TemplateTable.of(q)  # the ids `build_flow_graph` reads
     sites, leaves = [], []
     connectors = 0
 

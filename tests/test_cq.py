@@ -14,7 +14,6 @@ from provfact.cq import (
     has_triad,
     independent_atoms,
     is_hierarchical,
-    is_linear,
     parse_query,
 )
 from provfact.gen import fixture_query
@@ -87,13 +86,12 @@ def test_structure_flags(name):
     q = fixture_query(name)
     assert is_hierarchical(q) == hier
     assert (has_triad(q) is not None) == triad
-    assert is_linear(q) == (not triad)
 
 
 def test_hierarchical_example():
     q = parse_query("Q :- R(x), S(x,y)")
     assert is_hierarchical(q)
-    assert is_linear(q)
+    assert has_triad(q) is None  # linear
 
 
 def test_triad_atoms_are_independent():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
-from provfact.cq import Atom, Query, parse_query
-from provfact.exact import solve_exact
+from provfact.cq import Atom, DisconnectedQueryError, Query, parse_query
+from provfact.exact import fact_decision, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
+from provfact.ilp import build_ilp
 from provfact.provenance import (
     WitnessSet,
     compute_witnesses,
@@ -29,6 +30,7 @@ from provfact.special import (
     solve_triangle_unary,
     solve_two_chain_we,
 )
+from provfact.veo import build_ordering
 
 CLASSIFY_GOLDENS = {
     "q2star": ({"two-mveo", "linear", "q2star"}, 2),
@@ -106,7 +108,7 @@ def test_solve_q2star_golden(fig2a_db, fig2a_s13_db):
         fact = solve_q2star(W)
         assert fact.length == want
         assert verify_equivalence(fact, W)
-        assert set(fact.assignment_map) == set(W.witnesses)
+        assert set(dict(fact.assignment)) == set(W.witnesses)
 
 
 def test_specials_reject_wrong_shape(fig2a_db, fig7d_db):
@@ -281,6 +283,67 @@ def test_dispatch_disconnected_components():
     # is (r ∨ …)(s ∨ …): one literal per participating tuple
     assert rep.length == len(db.relations["R"]) + len(db.relations["S"])
     assert verify_equivalence(rep.factorization, W)
+
+
+# Disconnected queries on which the plan model, run on the whole query,
+# writes one component once per value of the other: (query, d, tuples,
+# seed, optimum).  Run whole, exact, flow and single-plan gave 23 with
+# `optimal` on the first, and exact gave 118 with a lower bound of 42 on
+# the second.
+DISCONNECTED = [
+    ("Q :- A(x), B(x,y), C(u), D(u,v)", 4, 6, 2, 15),
+    ("Q :- R(x,y), S(y,z), T(z,x), A(u), B(u,v)", 6, 14, 3, 37),
+]
+
+
+def _disconnected(i):
+    text, d, t, seed, best = DISCONNECTED[i]
+    q = parse_query(text, allow_disconnected=True)
+    db = gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed))
+    return q, db, compute_witnesses(q, db), best
+
+
+@pytest.mark.parametrize("i", range(len(DISCONNECTED)))
+@pytest.mark.parametrize("policy", ["auto", "exact", "flow", "single-plan"])
+def test_disconnected_queries_split_under_every_policy(i, policy):
+    """Every policy solves each connected component alone and ANDs the
+    parts; the report is verified part by part, and its bound is the sum of
+    the parts' bounds."""
+    q, _, W, best = _disconnected(i)
+    rep = dispatch(q, W, policy=policy)
+    assert rep.method == "components"
+    assert rep.length == rep.factorization.length == best
+    assert rep.verified and verify_equivalence(rep.factorization, W)
+    assert rep.lower_bound is None or rep.lower_bound <= best
+    if rep.optimal:
+        assert rep.lower_bound == best
+    # Q.1 is A(u), B(u,v) or A(x), B(x,y): hierarchical, so auto's pick
+    assert rep.notes[0] == "Q.1: " + ("single-plan" if policy == "auto" else policy)
+
+
+def test_disconnected_report_carries_the_parts_bounds_and_notes():
+    q, _, W, best = _disconnected(1)
+    rep = dispatch(q, W, budget=5)
+    # Q.1 is A, B (single-plan, 16); Q.2 the triangle, whose search stops
+    # after 5 nodes with a lower bound of 20
+    assert not rep.optimal and rep.verified and rep.length == best
+    assert rep.lower_bound == 16 + 20
+    assert any(note.startswith("Q.2: exact budget exhausted") for note in rep.notes)
+    assert dispatch(q, W, budget=5, verify=False).verified is None
+
+
+def test_disconnected_queries_are_not_solved_whole():
+    q, db, W, _ = _disconnected(0)
+    with pytest.raises(ValueError, match="ordering"):
+        dispatch(q, W, policy="flow", ordering=build_ordering(q))
+    with pytest.raises(ValueError, match="product"):
+        dispatch(q, WitnessSet(q, W.witnesses[1:]))
+    with pytest.raises(DisconnectedQueryError):
+        solve_exact(q, W)
+    with pytest.raises(DisconnectedQueryError):
+        build_ilp(q, W)
+    with pytest.raises(DisconnectedQueryError):
+        fact_decision(q, db, 0)
 
 
 def test_dispatch_budget_exhaustion_falls_back_to_flow():

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from provfact.cq import parse_query
 from provfact.gen import fixture_query
+from provfact.provenance import TemplateTable
 from provfact.veo import (
     InvalidPermutation,
     TooManyVariables,
@@ -17,7 +18,6 @@ from provfact.veo import (
     enumerate_mveo,
     enumerate_veos,
     prefix_path,
-    table_prefixes,
     veo_node,
 )
 
@@ -107,22 +107,28 @@ def test_vars_below_and_root_paths():
 
 def test_table_prefixes_3chain():
     """The two minimal 3-chain plans have exactly the six documented table
-    prefixes, all of weight 1."""
+    prefixes, all of weight 1, and the shared template table lists them in
+    the reference's order."""
     q = fixture_query("3chain")
     v1, v2 = enumerate_mveo(q)
-    got1 = {frozenset(tp.atoms): tp.path for tp in table_prefixes(v1, q)}
-    assert got1 == {
+    ref1 = oracles.reference_table_prefixes(v1, q)
+    assert {frozenset(rels): path for path, rels in ref1} == {
         frozenset({"R"}): (("y",), ("x",)),
         frozenset({"S"}): (("y",), ("z",)),
         frozenset({"T"}): (("y",), ("z",), ("u",)),
     }
-    got2 = {frozenset(tp.atoms): tp.path for tp in table_prefixes(v2, q)}
-    assert got2 == {
+    ref2 = oracles.reference_table_prefixes(v2, q)
+    assert {frozenset(rels): path for path, rels in ref2} == {
         frozenset({"T"}): (("z",), ("u",)),
         frozenset({"S"}): (("z",), ("y",)),
         frozenset({"R"}): (("z",), ("y",), ("x",)),
     }
-    assert all(tp.weight == 1 for tp in table_prefixes(v1, q))
+    assert all(len(rels) == 1 for _, rels in ref1)
+    table = TemplateTable.of(q)
+    assert [[table.paths[t] for t in ids] for ids in table.prefix_ids] == [
+        [path for path, _ in ref] for ref in (ref1, ref2)
+    ]
+    assert all(table.weights[t] == 1 for ids in table.prefix_ids for t in ids)
 
 
 def test_prefix_path_matches_oracle():
