@@ -2,8 +2,8 @@
 
 Depth-first branch-and-bound: one decision per witness (which minimal plan
 it uses), cost counted over distinct prefix instances via reference counts.
-`_prepare` interns the instances, ``(template id, binding pairs)`` in the
-query's `provenance.TemplateTable`, as integer ids with their weights.
+`_prepare` reads each witness's instances, ``(template id, binding pairs)``,
+as ids of the witness set's one table (`WitnessSet.instances`).
 Witnesses are ordered by decreasing sharing opportunity so conflicts surface
 early, and independent sharing components are solved separately.  Pruning
 uses an admissible sharing-aware bound: private prefix instances count at
@@ -22,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .cq import DisconnectedQueryError, Query, connected_components
+from .cq import Query
 from .provenance import (
     Database,
     Factorization,
@@ -58,8 +58,8 @@ class ExactResult:
 
 def lower_bound(q: Query, witnesses) -> int:
     """Admissible bound: per witness, the cheapest full-variable prefix load
-    over its plans.  Full-variable instances are value-determined by the
-    witness and can never be shared with another witness."""
+    over its plans, whose instances no other witness shares.  Connected
+    queries only: `TemplateTable.prefix_ids` raises `DisconnectedQueryError`."""
     table = TemplateTable.of(q)
     nvars = len(table.names)
     full = [
@@ -69,41 +69,21 @@ def lower_bound(q: Query, witnesses) -> int:
     return sum(min(full) for _ in witnesses) if witnesses else 0
 
 
-def _prepare(q: Query, W: WitnessSet):
-    """Intern every (witness, plan) prefix-instance list as integer ids.
+def _prepare(W: WitnessSet):
+    """Every (witness, plan) prefix-instance list, as ids of `W.instances`.
 
-    An instance is ``(template id, binding pairs)`` in the query's
-    `TemplateTable`.  Returns the table, the id lists per witness and plan
-    (in `table.plans` order), the weight of each id and the instance -> id
-    map (in id order).  Raises `DisconnectedQueryError` on a disconnected
-    query, whose optimum the plan model cannot express: `special.dispatch`
-    solves it per connected component.
+    Returns the instance table, the id lists per witness and plan (in
+    ``table.plans`` order) and the weight of each id.  Raises
+    `DisconnectedQueryError` on a disconnected query (`TemplateTable.prefix_ids`).
     """
-    if len(connected_components(q)) > 1:
-        raise DisconnectedQueryError(
-            f"{q.name} is disconnected; solve its connected components apart"
-        )
-    table = TemplateTable.of(q)
+    inst = W.instances
+    table = inst.table
     plans = [[(tid, table.getters[tid]) for tid in ids] for ids in table.prefix_ids]
-    table.check(W)
-    ids: dict[tuple[int, tuple], int] = {}
-    weights: list[int] = []
-    inst_lists: list[list[list[int]]] = []  # [witness][veo] -> instance ids
+    inst_lists = []  # [witness][plan] -> instance ids
     for w in W.witnesses:
         binding = w.binding
-        per_veo = []
-        for plan in plans:
-            row = []
-            for tid, get in plan:
-                key = (tid, get(binding))
-                iid = ids.get(key)
-                if iid is None:
-                    iid = ids[key] = len(weights)
-                    weights.append(table.weights[tid])
-                row.append(iid)
-            per_veo.append(row)
-        inst_lists.append(per_veo)
-    return table, inst_lists, weights, ids
+        inst_lists.append([[inst[tid, get(binding)] for tid, get in plan] for plan in plans])
+    return inst, inst_lists, [table.weights[tid] for tid, _ in inst]
 
 
 def _reduce_plans(inst_lists, weights):
@@ -434,12 +414,12 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         empty = assemble(q, W, {})
         return ExactResult(empty, 0, True, 0, 0)
 
-    table, inst_lists, weights, _ = _prepare(q, W)
+    inst, inst_lists, weights = _prepare(W)
     total_cost, chosen, total_nodes, exhausted, bound = _search(
         inst_lists, weights, [w.key for w in W.witnesses], budget
     )
 
-    assignment = {W.witnesses[wi]: table.plans[vi] for wi, vi in chosen.items()}
+    assignment = {W.witnesses[wi]: inst.table.plans[vi] for wi, vi in chosen.items()}
     fact = assemble(q, W, assignment)
     if fact.length != total_cost:
         raise AssertionError(

@@ -19,10 +19,11 @@ connector (every leaf node, and most instance nodes) is the single arc
 ``connector -> out``; only the others keep a separate entry node.  Both
 contractions keep every finite cut, so the cut `min_cut` returns (the
 smallest minimum-cut source side, which is unique) is the same as on the
-uncontracted network.  Prefix instances are interned as integer ids keyed
-by ``(template id, binding pairs)`` in the query's `TemplateTable`, which
-also gives their weights; the ordering's shape is walked once, and each
-witness keeps only its instance ids.  A capacity node is addressed only by
+uncontracted network.  Prefix instances are the ids of the witness set's
+one table (`WitnessSet.instances`, keyed by ``(template id, binding
+pairs)``), whose `TemplateTable` gives their weights; the graph numbers
+their nodes in the order it meets them.  The ordering's shape is walked
+once, and each witness keeps only its instance ids.  A capacity node is addressed only by
 its index and stored only as its arc.  Extraction hands each witness one of
 the ordering's own plan objects: the first whose needs the cut meets.
 """
@@ -182,11 +183,12 @@ class FlowGraph:
     ``(in, out, cap)``, cut when `in` is on the source side and `out` is not
     (`in` is the connector when the node has one entry): leaf node
     ``wi * nleaves + leaf`` of witness wi, then one node per unfolded prefix
-    instance, whose id `p_instance` gives.  Instance ids index `instances`
-    (``(template id, binding pairs)`` in ``TemplateTable.of(query)``) and
-    `payer` (the cap node that carries the instance's weight: its own, or
-    the leaf it was folded into).  `slots` holds each witness's instance
-    ids, ``len(skeleton.sites)`` per witness.
+    instance, in the order the build met them, whose id `p_instance` gives.
+    Instance ids are those of ``witnesses.instances``, which names them, and
+    index `payer` (the cap node that carries the instance's weight: its
+    own, or the leaf it was folded into; -1 on an instance the graph lacks).
+    `slots` holds each witness's instance ids, ``len(skeleton.sites)`` per
+    witness.
     """
 
     query: Query
@@ -200,7 +202,6 @@ class FlowGraph:
     p_instance: array
     inf: int
     skeleton: _Skeleton
-    instances: list[tuple[int, tuple]]
     payer: array
     slots: array
 
@@ -209,8 +210,8 @@ class FlowGraph:
         nq = len(self.cap_arc) - len(self.p_instance)
         if c < nq:
             return "q{}.{}".format(*divmod(c, len(self.skeleton.leaves)))
-        table = TemplateTable.of(self.query)
-        return f"p[{table.serial(*self.instances[self.p_instance[c - nq]])}]"
+        inst = self.witnesses.instances
+        return f"p[{inst.table.serial(*inst.keys[self.p_instance[c - nq]])}]"
 
     def dot(self) -> str:
         """GraphViz rendering of the contracted network (for --dump-graph)."""
@@ -256,9 +257,9 @@ def build_flow_graph(
         raise NonRpOrdering(
             "ordering violates the running-prefixes property in strict mode"
         )
-    table = TemplateTable.of(q)
+    inst = W.instances
+    table = inst.table
     sk = _skeleton(table, ordering)
-    table.check(W)
     k = sk.connectors
     plan = [(tid, table.getters[tid], a, b, leaf) for tid, a, b, leaf in sk.sites]
 
@@ -266,11 +267,12 @@ def build_flow_graph(
     # runs.  A run spans connectors run_left -> run_right; run_leaf is the
     # index ``wi * len(sk.leaves) + leaf`` of its leaf node, or -1 when it is
     # no leaf site or was extended.  An instance's runs are chained from
-    # first[iid] to last[iid] through run_next (-1 ends the chain).
+    # first[iid] to last[iid] through run_next (-1 ends the chain); last is
+    # -1 on an instance of `W` that this graph has not met; `seen` holds the
+    # graph's own instances in the order it met them, and `weight` theirs.
     nleaves = len(sk.leaves)
-    ids: dict[tuple[int, tuple], int] = {}
-    weights: list[int] = []
-    first, last = array("i"), array("i")
+    first, last = array("i", [-1]) * len(inst), array("i", [-1]) * len(inst)
+    seen, weight = array("i"), []
     run_left, run_right = array("i"), array("i")
     run_leaf, run_next = array("i"), array("i")
     slots = array("i")
@@ -283,20 +285,21 @@ def build_flow_graph(
                 a += off
             if b > _T:
                 b += off
-            key = (tid, get(binding))
-            iid = ids.get(key)
-            if iid is None:
-                iid = ids[key] = len(weights)
-                weights.append(table.weights[tid])
-                first.append(len(run_left))
-                last.append(len(run_left))
+            iid = inst[tid, get(binding)]
+            if iid == len(last):
+                first.append(-1)
+                last.append(-1)
+            r = last[iid]
+            if r < 0:
+                seen.append(iid)
+                weight.append(table.weights[tid])
+                first[iid] = last[iid] = len(run_left)
+            elif run_right[r] == a:  # adjacent to the previous run: extend it
+                run_right[r] = b
+                run_leaf[r] = -1
+                slots.append(iid)
+                continue
             else:
-                r = last[iid]
-                if run_right[r] == a:  # adjacent to the previous run: extend it
-                    run_right[r] = b
-                    run_leaf[r] = -1
-                    slots.append(iid)
-                    continue
                 run_next[r] = last[iid] = len(run_left)
             slots.append(iid)
             run_left.append(a)
@@ -306,13 +309,14 @@ def build_flow_graph(
 
     # fold instances touched by exactly one leaf globally into that leaf's node
     q_caps = array("i", [0]) * (len(W.witnesses) * nleaves)
-    payer = array("i", [-1]) * len(weights)
-    for iid, r in enumerate(first):
+    payer = array("i", [-1]) * len(last)
+    for iid, wgt in zip(seen, weight):
+        r = first[iid]
         if r == last[iid] and run_leaf[r] >= 0:
             payer[iid] = run_leaf[r]
-            q_caps[run_leaf[r]] += weights[iid]
+            q_caps[run_leaf[r]] += wgt
 
-    inf = sum(weights) + 1
+    inf = sum(weight) + 1
     next_id = 2 + len(W.witnesses) * k
     arcs, cap_arc, p_instance = Arcs(), array("i"), array("i")
     for c, cap in enumerate(q_caps):
@@ -322,13 +326,14 @@ def build_flow_graph(
         arcs.extend((a, next_id), (next_id, b), (cap, inf))
         next_id += 1
 
-    for iid, r in enumerate(first):
+    for iid, wgt in zip(seen, weight):
         if payer[iid] >= 0:
             continue
         payer[iid] = len(cap_arc)
         p_instance.append(iid)
         lefts: dict[int, None] = {}
         rights: dict[int, None] = {}
+        r = first[iid]
         while r >= 0:
             lefts[run_left[r]] = None
             rights[run_right[r]] = None
@@ -342,7 +347,7 @@ def build_flow_graph(
         nout = next_id
         next_id += 1
         cap_arc.append(len(arcs))
-        arcs.extend((nin,), (nout,), (weights[iid],))
+        arcs.extend((nin,), (nout,), (wgt,))
         arcs.extend(repeat(nout, len(rights)), rights, repeat(inf, len(rights)))
 
     g = FlowGraph(
@@ -357,7 +362,6 @@ def build_flow_graph(
         p_instance=p_instance,
         inf=inf,
         skeleton=sk,
-        instances=list(ids),
         payer=payer,
         slots=slots,
     )
@@ -366,7 +370,7 @@ def build_flow_graph(
         g.node_count,
         len(arcs),
         len(p_instance),
-        len(weights) - len(p_instance),
+        len(seen) - len(p_instance),
     )
     return g
 
@@ -393,7 +397,7 @@ def extract_factorization(
     meets (the leftmost selected alternative) and assemble the assignment;
     guaranteed no longer than the cut value."""
     cut = res.cut_mask
-    paid = bytearray(map(cut.__getitem__, g.payer))  # per instance id
+    paid = bytearray(map(cut.__getitem__, g.payer))  # per instance id; unread at payer -1
     width = len(g.skeleton.sites)
     nleaves = len(g.skeleton.leaves)
     plans = list(zip(g.ordering.veos, g.skeleton.needs))

@@ -4,11 +4,12 @@ The model has a binary q(v_w) per (witness, minimal plan) pair and a binary
 p per table-prefix instance, shared across witnesses.  Objective: minimize
 the weighted sum of selected prefix instances.  Constraints: every witness
 selects at least one plan; selecting a plan selects all its prefix
-instances.  The p variables are the prefix instances of the exact engine's
-table (`exact._prepare`, keyed by template id and binding pairs), so both
-count the same instances.  The module also exports LP text and solves its
-own models (no external solver) with the exact engine's branch-and-bound,
-`exact._search`, run over the choice variables' implication closures.
+instances.  The p variables are the prefix instances `exact._prepare`
+reads from the witness set's table (`WitnessSet.instances`), named in the
+model's own first-use order, so both count the same instances.  The module
+also exports LP text and solves its own models (no external solver) with
+the exact engine's branch-and-bound, `exact._search`, run over the choice
+variables' implication closures.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from .cq import Query
 from .exact import _prepare, _search
 from .provenance import WitnessSet
-from .veo import Veo
 
 log = logging.getLogger(__name__)
 
@@ -104,23 +104,28 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     two-node prefixes where the plan set is a family of linear chains."""
     if not W.witnesses:
         raise EmptyWitnessSet("cannot build a model over zero witnesses")
-    table, inst_lists, weights, instance_ids = _prepare(q, W)
+    inst, inst_lists, weights = _prepare(W)
+    table = inst.table
     register = _name_registry()
 
-    # one p variable per prefix instance of the exact engine's table, in id order
+    # one p variable per prefix instance, named in first-use order
     objective: dict[str, int] = {}
-    p_names: list[str] = []
+    p_names: dict[int, str] = {}  # instance id -> p variable
     full: set[str] = set()  # p variables of full-variable prefixes
-    for key, iid in instance_ids.items():
-        token = "__".join(
-            "".join(f"{var}{_sanitize(val)}" for var, val in part)
-            for part in table.split(*key)
-        )
-        pn = register(f"p_{token}", key)
-        p_names.append(pn)
-        objective[pn] = weights[iid]
-        if len(key[1]) == len(table.names):
-            full.add(pn)
+
+    def p_name(iid: int) -> str:
+        pn = p_names.get(iid)
+        if pn is None:
+            tid, pairs = inst.keys[iid]
+            token = "__".join(
+                "".join(f"{var}{_sanitize(val)}" for var, val in part)
+                for part in table.split(tid, pairs)
+            )
+            pn = p_names[iid] = register(f"p_{token}", iid)
+            objective[pn] = weights[iid]
+            if len(pairs) == len(table.names):
+                full.add(pn)
+        return pn
 
     plan_constraints: list[tuple[str, list[str]]] = []
     prefix_constraints: list[tuple[str, str]] = []
@@ -131,7 +136,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
             qn = register(f"q_v{vi + 1}__{_sanitize(w.key)}", ("q", wi, vi))
             q_names[(wi, vi)] = qn
             choices.append(qn)
-            prefix_constraints.extend((p_names[i], qn) for i in ids)
+            prefix_constraints.extend((p_name(i), qn) for i in ids)
         plan_constraints.append((f"plan_w{wi + 1}", choices))
 
     constant = 0
@@ -142,9 +147,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         for pn, qn in prefix_constraints:
             if pn in full:
                 fold[qn] = fold.get(qn, 0) + objective[pn]
-        prefix_constraints = [
-            (pn, qn) for pn, qn in prefix_constraints if pn not in full
-        ]
+        prefix_constraints = [(pn, qn) for pn, qn in prefix_constraints if pn not in full]
         for pn in full:
             del objective[pn]
         uniform = len(set(fold.values())) == 1 and len(fold) == len(q_names)
@@ -154,38 +157,33 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
             for qn, wgt in fold.items():
                 objective[qn] = objective.get(qn, 0) + wgt
 
-        # linear-chain shorthand: a plan is identified by its first two nodes
-        linear = all(
-            len(v.root_paths) == len(v.vars_below) and all(len(n) == 1 for n in v.node)
-            and _is_chain(v)
-            for v in table.plans
-        )
-        head2 = [table.path_id(_head_path(v, 2)) for v in table.plans]
-        injective = len(set(head2)) == len(table.plans)
-        if uniform and linear and injective and len(q.variables) >= 3:
-            merged_ok = True
+        # linear-chain shorthand: where every plan is a chain of one-variable
+        # nodes (its deepest root path holds every variable), a plan is
+        # identified by its first two nodes
+        deepest = [max(v.root_paths, key=len) for v in table.plans]
+        head2 = [table.path_id(path[:2]) for path in deepest]
+        if (uniform and len(q.variables) >= 3 and len(set(head2)) == len(head2)
+                and all(len(path) == len(q.variables) for path in deepest)):
             merge_map: dict[str, str] = {}
             for (wi, vi), qn in q_names.items():
                 tid = head2[vi]
-                iid = instance_ids.get((tid, table.getters[tid](W.witnesses[wi].binding)))
-                if iid is None or p_names[iid] not in objective:
-                    merged_ok = False
+                # only this model's own p variables, not what other layers interned
+                pn = p_names.get(inst.get((tid, table.getters[tid](W.witnesses[wi].binding))))
+                if pn is None or pn not in objective:
                     break
-                merge_map[qn] = p_names[iid]
-            if merged_ok:
+                merge_map[qn] = pn
+            else:
                 plan_constraints = [
                     (label, [merge_map[qn] for qn in choices])
                     for label, choices in plan_constraints
                 ]
                 prefix_constraints = [
-                    (pn, merge_map.get(qn, qn)) for pn, qn in prefix_constraints
-                ]
-                prefix_constraints = [
-                    (pn, cn) for pn, cn in prefix_constraints if pn != cn
+                    (pn, cn) for pn, qn in prefix_constraints
+                    if (cn := merge_map.get(qn, qn)) != pn
                 ]
                 q_names = {}
 
-    binaries = sorted(set(q_names.values()) | set(objective if reduce else p_names))
+    binaries = sorted(set(q_names.values()) | set(objective if reduce else p_names.values()))
     model = IlpModel(
         query=q,
         n=len(W.witnesses),
@@ -205,24 +203,6 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         model.constraint_count,
     )
     return model
-
-
-def _is_chain(v: Veo) -> bool:
-    cur = v
-    while cur.children:
-        if len(cur.children) > 1:
-            return False
-        cur = cur.children[0]
-    return True
-
-
-def _head_path(v: Veo, depth: int) -> tuple:
-    path = []
-    cur: Veo | None = v
-    while cur is not None and len(path) < depth:
-        path.append(cur.node)
-        cur = cur.children[0] if cur.children else None
-    return tuple(path)
 
 
 def export_lp(m: IlpModel, sink=None) -> str:

@@ -1,20 +1,20 @@
-"""Databases, witnesses, prefix templates, and factorization assembly.
+"""Databases, witnesses, prefix templates and instances, and factorization assembly.
 
 The provenance of a Boolean CQ over a database is a DNF with one product
 term per witness.  A factorization is an equivalent nested AND/OR
 expression (`Expr`); its length counts literal leaves only and is fixed
 when each node is made.  Its cost model is the weighted count of distinct
-prefix instances.  `TemplateTable` is the one place that says what an
-instance is and what it weighs: it interns each plan root path as a
-template id with its anchored atoms and their count, and an instance is
-``(template id, binding pairs)``; `exact`, `ilp` and `flow` key their
-instances so.  Assembly builds the expression for a witness→plan
-assignment by merging shared instances in a trie, so that equal instances
-— even across different plans — are written once.  The trie interns each
-node as an integer row keyed by (parent row, node, values), keeps its rows
-in columns, reads their anchored tuple keys off the witness that made them,
-makes one leaf per tuple key and one node per row, shared wherever they
-occur, and is freed when `assemble` returns: it forms no reference cycle.
+prefix instances.  `TemplateTable` is the one place that says what a
+template is and what it weighs: it interns each plan root path as a
+template id with its anchored atoms and their count.  `Instances`, one per
+witness set, is the one place that interns an instance, ``(template id,
+binding pairs)``, as an id; exact, the ILP, flow and assembly all read it.
+Assembly builds the expression for a witness→plan assignment by merging
+shared instances in a trie, so that equal instances — even across
+different plans — are written once.  The trie's rows are instance ids,
+kept in columns; it makes one leaf per tuple key and one node per row,
+shared wherever they occur, and is freed when `assemble` returns: it forms
+no reference cycle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
-from .cq import Atom, Query
+from .cq import Atom, DisconnectedQueryError, Query, connected_components
 from .veo import (
     Node, Ordering, TooManyVariables, Veo, _node_str, build_ordering, enumerate_mveo,
 )
@@ -41,6 +41,7 @@ __all__ = [
     "Witness",
     "WitnessSet",
     "TemplateTable",
+    "Instances",
     "Expr",
     "Factorization",
     "FormatError",
@@ -246,6 +247,11 @@ class WitnessSet:
     def distinct_tuples(self) -> frozenset[TupleKey]:
         return frozenset(t for w in self.witnesses for t in w.tuples)
 
+    @cached_property
+    def instances(self) -> "Instances":
+        """The one prefix-instance table of this witness set (`Instances`)."""
+        return Instances(self)
+
     def dnf_terms(self) -> set[frozenset[TupleKey]]:
         return {w.tuple_set for w in self.witnesses}
 
@@ -340,17 +346,20 @@ class TemplateTable:
     root path its id, plan by plan, and `of` does so first, so the shared
     table's ids of those paths depend on the query alone; other paths (a
     caller's own plans) get theirs when first asked.  Every layer reads the
-    shared table; no id reaches an output.  `child(parent, node)` is the id
+    shared table (exact, the ILP, flow and assembly through a witness set's
+    `Instances`); no id reaches an output.  `child(parent, node)` is the id
     of the parent's path extended by `node` (parent -1 is the empty path
     above a root).  Per id the table keeps the node path, the indices of the
     atoms anchored at its last node (those whose variables lie on the path
     and meet that node) in relation-name order, their count as the
     template's weight, and a getter that reads the path's binding pairs, in
     path order, off a `Witness.binding`.  A prefix instance is
-    ``(template id, pairs)``.
+    ``(template id, pairs)``, interned per witness set by `Instances`.
 
     `prefix_ids` lists, per plan, the ids of its root paths that anchor at
-    least one atom, in the order of their text (``y <- (xz)``).  These are
+    least one atom, in the order of their text (``y <- (xz)``); on a
+    disconnected query, whose optimum the plan model cannot express, it
+    raises `DisconnectedQueryError`.  These are
     the plan's table prefixes: an atom is anchored at a root path's last
     node exactly when the path is the atom's minimal covering root path in
     a legal plan the path lies on, so a template's weight is the number of
@@ -392,6 +401,11 @@ class TemplateTable:
 
     @cached_property
     def prefix_ids(self) -> tuple[tuple[int, ...], ...]:
+        if len(connected_components(self.query)) > 1:
+            raise DisconnectedQueryError(
+                f"{self.query.name} is disconnected; solve its connected components apart"
+            )
+
         def text(tid: int) -> str:
             return " <- ".join(map(_node_str, self.paths[tid]))
 
@@ -430,15 +444,6 @@ class TemplateTable:
             tid = self.child(tid, node)
         return tid
 
-    def check(self, W: WitnessSet) -> None:
-        """Raise `UnboundVariable` unless every witness binds exactly the
-        query's variables, the binding layout the getters read."""
-        names, var_of = self.names, itemgetter(0)
-        for w in W.witnesses:
-            if tuple(map(var_of, w.binding)) != names:
-                missing = sorted(set(names) - set(map(var_of, w.binding)))
-                raise UnboundVariable(f"witness {w.key} does not bind {missing}")
-
     def split(self, tid: int, pairs: tuple) -> list[tuple]:
         """An instance's pairs, one tuple per node of its path."""
         out, i = [], 0
@@ -454,6 +459,36 @@ class TemplateTable:
         return " <- ".join(
             "".join(f"{var}{val}" for var, val in part) for part in self.split(tid, pairs)
         )
+
+
+class Instances(dict):
+    """The prefix instances of one witness set (`WitnessSet.instances`), the
+    one table exact, the ILP, flow and assembly intern in: ``(template id,
+    binding pairs)`` -> a dense id, which reading an unseen key gives in
+    first-seen order (`get` reads without interning); `keys` lists the keys
+    by id.  No id reaches an output: a layer lists instances in its own
+    first-use order.  `table` is ``TemplateTable.of(W.query)``, taken once,
+    so an instance keeps its path whatever the shared cache holds later;
+    taking it raises `UnboundVariable` unless every witness binds exactly
+    the query's variables, the binding layout its getters read.
+    """
+
+    __slots__ = ("table", "keys")
+
+    def __init__(self, W: WitnessSet) -> None:
+        super().__init__()
+        table = self.table = TemplateTable.of(W.query)
+        names, var_of = table.names, itemgetter(0)
+        for w in W.witnesses:
+            if tuple(map(var_of, w.binding)) != names:
+                missing = sorted(set(names) - set(map(var_of, w.binding)))
+                raise UnboundVariable(f"witness {w.key} does not bind {missing}")
+        self.keys: list[tuple[int, tuple]] = []
+
+    def __missing__(self, key: tuple[int, tuple]) -> int:
+        iid = self[key] = len(self.keys)
+        self.keys.append(key)
+        return iid
 
 
 # --------------------------------------------------------------------------
@@ -602,73 +637,73 @@ class Factorization:
 class _Trie:
     """The assembly trie of a witness→plan assignment, in columns.
 
-    A row is an instance node, keyed by ``(parent row, node, values)`` in
-    `keys` (parent -1 at a root).  Per row, `maker` (``array("i")``) is the
-    index in `items` of the witness that made it, `tpl` its template id,
-    whose anchored atoms give its tuple keys off that witness, and `ends`
-    a 1 where a plan ends.  `groups` has the inner rows only: row ->
-    {branch signature (its plans' sorted child nodes): {child node: rows}}.
-    `build` makes one `Expr("var")` per tuple key in `leaves` and one
-    expression per row in `built`, dropping the row's groups once it is
-    built, so a row that sits in several groups is one shared node.
+    A row is an instance of the witness set (`WitnessSet.instances`), which
+    fixes its parent, and is addressed by its id.  Per id, `maker`
+    (``array("i")``, -1 off the trie) is the index in `items` of the witness
+    that made the row, off which its template's anchored atoms read its
+    tuple keys, and `ends` a 1 where a plan ends.  `groups` has the inner
+    rows only: row -> {branch signature (its plans' sorted child nodes):
+    {child node: rows}}.  `build` makes one `Expr("var")` per tuple key in
+    `leaves` and one expression per row in `built`, dropping the row's
+    groups once it is built, so a row in several groups is one shared node.
     """
 
-    __slots__ = (
-        "items", "anchored", "keys", "maker", "tpl", "ends", "groups", "roots", "leaves", "built"
-    )
+    __slots__ = ("items", "inst", "maker", "ends", "groups", "roots", "leaves", "built")
 
-    def __init__(self, q: Query, items: tuple[tuple[Witness, Veo], ...]) -> None:
-        table = TemplateTable.of(q)
-        child, self.items, self.anchored = table.child, items, table.atoms
-        ids: dict[tuple[int, Node, tuple[str, ...]], int] = {}
-        maker, tpls, ends = self.maker, self.tpl, self.ends = array("i"), array("i"), bytearray()
+    def __init__(self, q: Query, W: WitnessSet, items: tuple[tuple[Witness, Veo], ...]) -> None:
+        def check(v: Veo) -> None:
+            if v.vars_below != q.variables:
+                raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
+
+        try:
+            inst = W.instances
+        except UnboundVariable:  # name the first variable the plans meet unbound, in preorder
+            for w, v in items:
+                check(v)
+                vals, stack = w.values, [v]
+                while stack:
+                    t = stack.pop()
+                    stack.extend(reversed(t.children))
+                    if unbound := [x for x in t.node if x not in vals]:
+                        raise IllegalAssignment(f"witness {w.key} does not bind {unbound[0]}")
+            raise
+        child, getters = inst.table.child, inst.table.getters
+        self.items, self.inst = items, inst
+        maker, ends = self.maker, self.ends = array("i", [-1]) * len(inst), bytearray(len(inst))
         groups: dict[int, dict] = {}
         roots = self.roots = set()
         for wi, (w, v) in enumerate(items):
-            if v.vars_below != q.variables:
-                raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
-            vals = w.values
-            # (subtree, parent row, parent template id, parent's branches), preorder
-            stack = [(v, -1, -1, None)]
+            check(v)
+            binding = w.binding
+            stack = [(v, -1, None)]  # (subtree, parent template id, parent's branches), preorder
             while stack:
-                t, parent, ptpl, branches = stack.pop()
+                t, ptid, branches = stack.pop()
                 node = t.node
-                try:
-                    values = tuple([vals[x] for x in node])
-                except KeyError as exc:
-                    raise IllegalAssignment(f"witness {w.key} does not bind {exc.args[0]}")
-                tpl = child(ptpl, node)
-                key = (parent, node, values)
-                r = ids.get(key)
-                if r is None:
-                    r = ids[key] = len(maker)
+                tid = child(ptid, node)
+                r = inst[tid, getters[tid](binding)]
+                if r == len(maker):
                     maker.append(wi)
-                    tpls.append(tpl)
                     ends.append(0)
+                elif maker[r] < 0:
+                    maker[r] = wi
                 (roots if branches is None else branches.setdefault(node, set())).add(r)
                 if t.children:
                     sig = tuple(sorted(c.node for c in t.children))
                     kids = groups.setdefault(r, {}).setdefault(sig, {})
-                    stack.extend((c, r, tpl, kids) for c in reversed(t.children))
+                    stack.extend((c, tid, kids) for c in reversed(t.children))
                 else:
                     ends[r] = 1
-        self.keys, self.groups = list(ids), groups
+        self.groups = groups
         self.leaves: dict[TupleKey, Expr] = {}
         self.built: list[Expr | None] = [None] * len(maker)
 
     def order(self, r: int) -> tuple:
         """Sort key of sibling (or root) rows: the last node's serialization,
-        then the node and its values.  Siblings share the parent path, so
+        then the node and its pairs.  Siblings share the parent path, so
         this is the order of the whole paths by serialization, then by path."""
-        _, node, values = self.keys[r]
-        return "".join(f"{var}{val}" for var, val in zip(node, values)), node, values
-
-    def serial(self, r: int) -> str:
-        nodes = []
-        while r >= 0:
-            r, node, values = self.keys[r]
-            nodes.append("".join(f"{var}{val}" for var, val in zip(node, values)))
-        return " <- ".join(reversed(nodes))
+        tid, pairs = self.inst.keys[r]
+        last = self.inst.table.split(tid, pairs)[-1]
+        return "".join(f"{var}{val}" for var, val in last), self.inst.table.paths[tid][-1], last
 
     def build(self, r: int) -> Expr:
         """Row `r`'s tuples AND the OR over its branch signatures, each an AND
@@ -679,7 +714,7 @@ class _Trie:
             return e
         tuples, leaves = self.items[self.maker[r]][0].tuples, self.leaves
         parts: list[Expr] = []
-        for key in map(tuples.__getitem__, self.anchored[self.tpl[r]]):
+        for key in map(tuples.__getitem__, self.inst.table.atoms[self.inst.keys[r][0]]):
             parts.append(leaves.get(key) or leaves.setdefault(key, e_var(key)))
         groups = self.groups.pop(r, None)
         if groups:
@@ -696,7 +731,8 @@ class _Trie:
                 # trie has no expression for that, so it is rejected, after
                 # the rows below, so that nested such rows name the innermost.
                 raise IllegalAssignment(
-                    f"node {self.serial(r)} mixes terminal and continuing plans"
+                    f"node {self.inst.table.serial(*self.inst.keys[r])} mixes terminal and"
+                    " continuing plans"
                 )
             parts.append(below)
         e = self.built[r] = e_and(parts) if parts else Expr("false")
@@ -718,7 +754,7 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
         raise IllegalAssignment("assignment must cover exactly the witness set")
     if not W.witnesses:
         return Factorization((), Expr("false"), 0, 0)
-    trie = _Trie(q, tuple(sorted(assignment.items(), key=lambda kv: kv[0].key)))
+    trie = _Trie(q, W, tuple(sorted(assignment.items(), key=lambda kv: kv[0].key)))
     expr = e_or([trie.build(r) for r in sorted(trie.roots, key=trie.order)])
     return Factorization(trie.items, expr, expr.length, expr.length - len(expr.tuple_keys))
 

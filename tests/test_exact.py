@@ -5,9 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from provfact.cq import DisconnectedQueryError, parse_query
 from provfact.exact import lower_bound, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.provenance import WitnessSet, compute_witnesses, verify_equivalence
+from provfact.special import dispatch
 from provfact.veo import enumerate_mveo
 
 
@@ -75,6 +77,22 @@ def test_lower_bound_full_prefixes(fig2a_db, leakage_db):
     qt = fixture_query("triangle")
     Wl = compute_witnesses(qt, leakage_db)
     assert lower_bound(qt, Wl.witnesses) == 8
+
+
+def test_lower_bound_refuses_a_disconnected_query():
+    """The whole-query plan model charges every witness of A(x), B(y) a
+    full-variable prefix, so its bound (8 here) exceeds the optimum (6, which
+    `dispatch` proves component by component); the plan model refuses the
+    query instead, as `solve_exact` does."""
+    q = parse_query("Q :- A(x), B(y)", allow_disconnected=True)
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=4, seed=1)))
+    assert len(W) == 8
+    rep = dispatch(q, W)
+    assert (rep.length, rep.optimal, rep.lower_bound) == (6, True, 6)
+    with pytest.raises(DisconnectedQueryError):
+        lower_bound(q, W.witnesses)
+    with pytest.raises(DisconnectedQueryError):
+        solve_exact(q, W)
 
 
 @given(st.integers(0, 300), st.integers(0, 3))

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.flow import (
     Arcs,
@@ -27,12 +28,13 @@ from provfact.flow import (
 import dbs
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.provenance import (
+    TemplateTable,
     WitnessSet,
     compute_witnesses,
     parse_database,
     verify_equivalence,
 )
-from provfact.veo import build_ordering, enumerate_mveo
+from provfact.veo import Veo, build_ordering, enumerate_mveo
 
 
 def _flow(q, W, ordering=None, **kw):
@@ -270,6 +272,25 @@ def test_dot_names_source_sink_and_every_cap_node(leakage_db):
     assert {"q0.0", "q3.2", "p[x0z0]", "p[x2y1]"} <= texts
     for text in texts:
         assert f'[label="{text}"]' in dot or f'[label="{text}.out"]' in dot
+
+
+def test_dot_keeps_its_names_when_the_shared_table_is_dropped():
+    """A graph names its instance nodes from its witness set's instance
+    table, which holds its own template table: dropping the shared tables
+    between build and `dot()` changes nothing, even past the enumeration
+    cap, where the paths exist only in the dropped table (this raised
+    `IndexError` when `dot()` looked the query's table up again)."""
+    q = parse_query("Q :- " + ", ".join(f"R{i}(x{i},x{i + 1})" for i in range(8)))
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=2, tuples=4, seed=0)))
+    plan = None
+    for i in reversed(range(9)):  # x0 <- x1 <- ... <- x8
+        plan = Veo((f"x{i}",), (plan,) if plan else ())
+    g = build_flow_graph(q, W, build_ordering(q, mveo=(plan,)))
+    before = g.dot()
+    assert "p[x0" in before
+    TemplateTable.of.__func__.cache_clear()
+    assert g.dot() == before
+    assert TemplateTable.of(q) is not W.instances.table
 
 
 def test_dot_labels_are_quoted_strings():

@@ -16,11 +16,14 @@ each query's `TemplateTable` is shared by every call with that query.
 
 import hashlib
 
+import pytest
+
+from provfact.exact import solve_exact
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.flow import build_flow_graph
 from provfact.ilp import build_ilp, export_lp
-from provfact.provenance import TemplateTable, assemble, compute_witnesses
-from provfact.special import dispatch
+from provfact.provenance import TemplateTable, WitnessSet, assemble, compute_witnesses
+from provfact.special import _POLICIES, dispatch
 from provfact.veo import build_ordering, enumerate_mveo, enumerate_veos
 
 DIGEST = "e86099849cd733295d4bdab4e7fb145a1b9e0f6b1d98ca2cd57aaee122c2aff7"
@@ -84,3 +87,38 @@ def test_golden_digest_does_not_depend_on_call_history():
                 shared.path_id(path)
     lines = {name: list(golden_lines([name])) for name in reversed(FIXTURE_QUERIES)}
     assert _digest(line for name in FIXTURE_QUERIES for line in lines[name]) == DIGEST
+
+
+def _history_outputs(q, W_of):
+    """Every output that lists prefix instances, each computed on the
+    witness set `W_of()` gives: `dispatch` under every policy, the LP text
+    plain and reduced, and the flow network's DOT text."""
+    def report(policy):
+        rep = dispatch(q, W_of(), policy=policy, budget=20_000)
+        return (rep.method, rep.factorization.pretty(), rep.length, rep.optimal,
+                rep.lower_bound, rep.notes, rep.nodes)
+
+    out = [_outcome(lambda: report(policy)) for policy in _POLICIES]
+    out += [_outcome(lambda: export_lp(build_ilp(q, W_of(), reduce=r))) for r in (False, True)]
+    out.append(_outcome(lambda: build_flow_graph(q, W_of(), build_ordering(q)).dot()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES))
+def test_outputs_do_not_depend_on_call_history_within_a_witness_set(name):
+    """A witness set keeps one instance table for its life, so every layer
+    that ran on it before leaves its instances there.  After assembly under
+    every legal plan, the flow graph, the exact search and the ILP ran on
+    one witness set, each output on it equals the output on a fresh copy."""
+    q = fixture_query(name)
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=8, seed=1)))
+    assert len(W) > 1
+    for v in reversed(enumerate_veos(q)):  # the trie's rows first, in its own order
+        _outcome(lambda: assemble(q, W, {w: v for w in W.witnesses}))
+    build_flow_graph(q, W, build_ordering(q))
+    _outcome(lambda: solve_exact(q, W, budget=20_000))
+    build_ilp(q, W)
+    warm = len(W.instances)
+    fresh = _history_outputs(q, lambda: WitnessSet(q, W.witnesses))
+    assert _history_outputs(q, lambda: W) == fresh
+    assert len(W.instances) == warm

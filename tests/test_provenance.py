@@ -39,6 +39,7 @@ from provfact.provenance import (
     Expr,
     verify_equivalence,
 )
+from provfact import exact
 from provfact.exact import fact_decision, solve_exact
 from provfact.flow import build_flow_graph, extract_factorization, min_cut
 from provfact.ilp import build_ilp
@@ -430,13 +431,16 @@ def test_verify_equivalence_memory():
 
 def test_assemble_memory_per_witness():
     """The columnar trie: assembling triangle-u d=28 t=900 seed 1 (6,929
-    witnesses) peaks at most 560 B per witness, expression included (about
-    420 B with shared leaves and rows and each row's groups dropped once it
-    is built; about 640 B with a tree; about 1,030 B with a tuple and a
-    dict per trie row)."""
+    witnesses) peaks at most 560 B per witness, expression and the witness
+    set's instance table included (about 500 B with the table, whose rows
+    the trie's are; about 420 B with shared leaves and rows and a trie of
+    its own; about 640 B with a tree; about 1,030 B with a tuple and a dict
+    per trie row).  The witness set is a fresh copy, so that its table is
+    built inside the measured call."""
     q = fixture_query("triangle-u")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=28, tuples=900, seed=1)))
     assignment = dict(solve_triangle_unary(W).assignment)
+    W = WitnessSet(q, W.witnesses)
     fact, peak = _traced_peak(lambda: assemble(q, W, assignment))
     assert len(W) > 5000 and fact.length > 0
     assert peak / len(W) <= 560, f"{peak / len(W):.0f} B/witness"
@@ -602,6 +606,47 @@ def test_a_given_plan_needs_no_plan_enumeration():
     flow_f, assignment = extract_factorization(g, min_cut(g))
     assert set(assignment.values()) == {plan}
     assert flow_f.expression == f.expression
+
+
+def test_one_instance_table_per_witness_set():
+    """Exact, the ILP, flow and assembly intern into `W.instances`: one
+    dense id per ``(template id, binding pairs)``, in first-seen order, over
+    the table the witness set took when it was first asked."""
+    q = fixture_query("3chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=10, seed=1)))
+    inst = W.instances
+    assert W.instances is inst and inst.table is TemplateTable.of(q) and len(inst) == 0
+    _, lists, _ = exact._prepare(W)
+    exact_ids = len(inst)
+    assert exact_ids > 0
+    build_ilp(q, W, reduce=True)
+    build_flow_graph(q, W, build_ordering(q))
+    assert len(inst) == exact_ids  # table prefixes of the same plans
+    solve_exact(q, W)
+    assert len(inst) > exact_ids  # the trie's rows of weight 0, such as y
+    assert list(inst.values()) == list(range(len(inst)))
+    paths = {inst.table.paths[tid] for tid, _ in inst}
+    assert (("y",),) in paths and inst.keys == list(inst)
+    for w, per_plan in zip(W.witnesses, lists):
+        for ids in per_plan:
+            for iid in ids:
+                tid, pairs = inst.keys[iid]
+                assert pairs == inst.table.getters[tid](w.binding) and inst.table.weights[tid]
+    size = len(inst)
+    assert inst.get((0, ())) is None and len(inst) == size  # `get` does not intern
+
+
+def test_instance_table_refuses_a_witness_without_a_query_variable():
+    """Taking the table raises `UnboundVariable` on a witness without a
+    query variable, each time it is asked; nothing is cached then."""
+    q = fixture_query("2chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=10, seed=3)))
+    w0 = W.witnesses[0]
+    bad = WitnessSet(q, (Witness(w0.binding[1:], w0.tuples),) + W.witnesses[1:])
+    for _ in range(2):
+        with pytest.raises(UnboundVariable, match=w0.binding[0][0]):
+            bad.instances
+    assert "instances" not in vars(bad)
 
 
 def test_template_getter_reads_path_pairs(fig2a_db):
