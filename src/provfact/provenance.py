@@ -469,8 +469,9 @@ class Instances(dict):
     by id.  No id reaches an output: a layer lists instances in its own
     first-use order.  `table` is ``TemplateTable.of(W.query)``, taken once,
     so an instance keeps its path whatever the shared cache holds later;
-    taking it raises `UnboundVariable` unless every witness binds exactly
-    the query's variables, the binding layout its getters read.
+    taking it raises `UnboundVariable`, naming missing and extra variables,
+    unless every witness binds exactly the query's variables, in the binding
+    layout its getters read.
     """
 
     __slots__ = ("table", "keys")
@@ -480,9 +481,14 @@ class Instances(dict):
         table = self.table = TemplateTable.of(W.query)
         names, var_of = table.names, itemgetter(0)
         for w in W.witnesses:
-            if tuple(map(var_of, w.binding)) != names:
-                missing = sorted(set(names) - set(map(var_of, w.binding)))
-                raise UnboundVariable(f"witness {w.key} does not bind {missing}")
+            bound = tuple(map(var_of, w.binding))
+            if bound != names:
+                missing = sorted(set(names) - set(bound))
+                extra = sorted(set(bound) - set(names))
+                raise UnboundVariable(
+                    f"witness {w.key} binds {list(bound)}, not {list(names)}:"
+                    f" missing {missing}, outside the query {extra}"
+                )
         self.keys: list[tuple[int, tuple]] = []
 
     def __missing__(self, key: tuple[int, tuple]) -> int:

@@ -12,6 +12,9 @@ matcher per shape):
   plan to doubly-shared witnesses, then run the flow solver over a fixed
   four-plan ordering.
 
+Both vertex covers are minimum cuts of a unit bipartite network
+(`_min_cover`), found by the one max-flow kernel, `_mincut.max_flow`.
+
 `dispatch` routes a (query, witness set) to the cheapest method that is
 still exact where exactness is known, falling back to exact search plus the
 flow heuristic elsewhere.
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 from .cq import Query, connected_components, is_hierarchical, has_triad
 from .exact import solve_exact
-from .flow import ExtractionFailure, build_flow_graph, extract_factorization, min_cut
+from ._mincut import max_flow
+from .flow import Arcs, ExtractionFailure, build_flow_graph, extract_factorization, min_cut
 from .provenance import (
     Expr,
     Factorization,
@@ -78,7 +82,7 @@ class QueryClass:
 
 def classify(q: Query) -> QueryClass:
     """Structural tags of `q`; a special shape's tag is set exactly when its
-    role matcher (`_q2star_roles`, `_triangle_roles`, `_two_chain_roles`) accepts `q`."""
+    role matcher in `_SHAPES` accepts `q`."""
     tags = set()
     if is_hierarchical(q):
         tags.add("hierarchical")
@@ -86,11 +90,7 @@ def classify(q: Query) -> QueryClass:
         tags.add("triad")
     else:
         tags.add("linear")
-    for tag, roles in (
-        ("q2star", _q2star_roles),
-        ("triangle-unary", _triangle_roles),
-        ("two-chain-we", _two_chain_roles),
-    ):
+    for tag, roles, _ in _SHAPES:
         try:
             roles(q)
         except ShapeMismatch:
@@ -127,95 +127,30 @@ def _find_plan(q: Query, plan: Veo) -> Veo:
 # two-star: A(x), B(x,y), C(y)
 # ---------------------------------------------------------------------------
 
-def _adjacency(edges) -> dict:
-    """Left vertex -> right neighbours, in one pass over the edges."""
-    adj: dict = {}
+def _min_cover(edges) -> tuple[set, set]:
+    """Minimum vertex cover (cover_l, cover_r) of the bipartite graph with
+    (left, right) edges `edges`: by Kőnig's theorem, a minimum cut of the unit
+    network S -> left -> right -> T, middle arcs uncuttable (S = 0, T = 1,
+    vertices in first-seen order).  `max_flow`'s source side Z is the same
+    for every maximum flow (Picard & Queyranne 1980): S and what alternating
+    paths reach from the unmatched left vertices, so the cover
+    (left - Z) | (right & Z) is the canonical one (Dulmage–Mendelsohn).
+    """
+    left: dict = {}
+    right: dict = {}
+    arcs = Arcs()
     for l, r in edges:
-        adj.setdefault(l, []).append(r)
-    return adj
-
-
-def _max_matching(adj: dict) -> dict:
-    """Maximum bipartite matching by Hopcroft–Karp; returns right->left.
-
-    Each phase layers the left vertices by breadth-first search from the
-    unmatched ones, then augments along shortest paths of that layering,
-    found with an explicit stack: no path length reaches Python's recursion
-    limit.  O(E·√V).
-    """
-    match_l: dict = {}
-    match_r: dict = {}
-    while True:
-        free = [u for u in adj if u not in match_l]
-        dist = dict.fromkeys(free, 0)
-        layer, limit = free, None
-        while layer and limit is None:
-            nxt = []
-            for u in layer:
-                for v in adj[u]:
-                    w = match_r.get(v)
-                    if w is None:
-                        limit = dist[u]
-                    elif w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            layer = nxt
-        if limit is None:
-            return match_r
-        pos = dict.fromkeys(dist, 0)
-        for root in free:
-            stack, via = [root], []
-            while stack:
-                u = stack[-1]
-                nbrs, i = adj[u], pos[u]
-                step = None
-                while i < len(nbrs):
-                    v = nbrs[i]
-                    i += 1
-                    w = match_r.get(v)
-                    if w is None or (dist[u] < limit and dist.get(w) == dist[u] + 1):
-                        step = v, w
-                        break
-                pos[u] = i
-                if step is None:  # dead end for the rest of this phase
-                    dist[u] = -1
-                    stack.pop()
-                    if via:
-                        via.pop()
-                elif step[1] is None:  # free right vertex: flip the path
-                    via.append(step[0])
-                    for u, v in zip(stack, via):
-                        match_l[u], match_r[v] = v, u
-                    break
-                else:
-                    via.append(step[0])
-                    stack.append(step[1])
-
-
-def _koenig_cover(adj: dict, match_r: dict) -> tuple[set, set]:
-    """Minimum vertex cover (cover_l, cover_r) from a maximum matching.
-
-    Z is what alternating paths reach from the unmatched left vertices; the
-    cover is (left - Z) | (right & Z).  By Dulmage–Mendelsohn, Z is the same
-    for every maximum matching, so the cover does not depend on which one
-    `_max_matching` returns.
-    """
-    match_l = {u: v for v, u in match_r.items()}
-    left = list(adj)
-    z_l = {u for u in left if u not in match_l}
-    z_r: set = set()
-    queue = list(z_l)
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if v not in z_r:
-                z_r.add(v)
-                if v in match_r and match_r[v] not in z_l:
-                    z_l.add(match_r[v])
-                    queue.append(match_r[v])
-    cover_l = {u for u in left if u not in z_l}
-    cover_r = z_r
-    return cover_l, cover_r
+        arcs.tail.append(left.setdefault(l, 2 + len(left) + len(right)))
+        arcs.head.append(right.setdefault(r, 2 + len(left) + len(right)))
+    nl, nr = len(left), len(right)
+    arcs.cap.extend([nl + 1] * len(arcs))
+    arcs.extend([0] * nl, left.values(), [1] * nl)
+    arcs.extend(right.values(), [1] * nr, [1] * nr)
+    reachable = max_flow(2 + nl + nr, arcs, 0, 1)[1]
+    return (
+        {l for l, i in left.items() if not reachable[i]},
+        {r for r, i in right.items() if reachable[i]},
+    )
 
 
 def _q2star_roles(q: Query) -> tuple[str, str]:
@@ -237,7 +172,8 @@ def solve_q2star(W: WitnessSet) -> Factorization:
     Witnesses are edges of a bipartite value graph; rooting a witness at one
     side shares that side's prefix.  Every orientation's sink set is an
     independent set, so a maximum independent set (complement of a minimum
-    vertex cover) gives the minimum number of distinct roots.
+    vertex cover) gives the minimum number of distinct roots.  The cover is
+    `_min_cover`'s canonical one, a minimum cut found by `_mincut.max_flow`.
     """
     q = W.query
     x, y = _q2star_roles(q)
@@ -248,8 +184,7 @@ def solve_q2star(W: WitnessSet) -> Factorization:
     for w in W.witnesses:
         vals = w.values
         edges.append((("L", vals[x]), ("R", vals[y])))
-    adj = _adjacency(edges)
-    cover_l, cover_r = _koenig_cover(adj, _max_matching(adj))
+    cover_l, cover_r = _min_cover(edges)
 
     assignment: dict[Witness, Veo] = {}
     for w, (l, r) in zip(W.witnesses, edges):
@@ -259,7 +194,7 @@ def solve_q2star(W: WitnessSet) -> Factorization:
             assignment[w] = plan_y
         else:  # both covered: orientation free, keep the x-rooted plan
             assignment[w] = plan_x
-    del edges, adj, cover_l, cover_r  # freed before assembly builds its trie
+    del edges, cover_l, cover_r  # freed before assembly builds its trie
     return assemble(q, W, assignment)
 
 
@@ -293,7 +228,8 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
     (conflict graph on the two second-level prefix instances); the rest trade
     the shared x prefix against the shared (yz) root.  Both graphs are
     bipartite, solved together by one vertex cover with the x nodes of
-    conflicted values forced into the cover.
+    conflicted values forced into the cover; the rest of the cover is
+    `_min_cover`'s canonical one, a minimum cut found by `_mincut.max_flow`.
     """
     q = W.query
     x, y, z = _triangle_roles(q)
@@ -320,8 +256,7 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
     edges += second_type
     del second_type
 
-    adj = _adjacency((l, r) for l, r, _ in edges if l not in forced)
-    cover_l, cover_r = _koenig_cover(adj, _max_matching(adj))
+    cover_l, cover_r = _min_cover((l, r) for l, r, _ in edges if l not in forced)
     cover = cover_l | cover_r | forced
 
     assignment: dict[Witness, Veo] = {}
@@ -330,7 +265,7 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
             assignment[w] = plan_xy if l in cover else plan_xz
         else:
             assignment[w] = plan_xy if l in cover else plan_yz
-    del counts, edges, adj, forced, cover, cover_l, cover_r  # freed before assembly
+    del counts, edges, forced, cover, cover_l, cover_r  # freed before assembly
     return assemble(q, W, assignment)
 
 
@@ -392,6 +327,16 @@ def solve_two_chain_we(W: WitnessSet) -> Factorization:
         del sub, g
     del counts, rest
     return assemble(q, W, assignment)
+
+
+# The special shapes as (tag, role matcher, solver), in the order `dispatch`
+# tries them; the tag is also the method a run reports.  Each solver is
+# looked up when called, so a wrapper set on its module name sees the call.
+_SHAPES = (
+    ("q2star", _q2star_roles, lambda W: solve_q2star(W)),
+    ("triangle-unary", _triangle_roles, lambda W: solve_triangle_unary(W)),
+    ("two-chain-we", _two_chain_roles, lambda W: solve_two_chain_we(W)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +405,9 @@ def _flow_run(q, W, strict_rp, ordering=None) -> tuple[Factorization, int]:
 def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] | None:
     """Run the closed-form solver for the first special shape `cls` has,
     as (factorization, method); None when it has none."""
-    if "q2star" in cls:
-        return solve_q2star(W), "q2star"
-    if "triangle-unary" in cls:
-        return solve_triangle_unary(W), "triangle-unary"
-    if "two-chain-we" in cls:
-        return solve_two_chain_we(W), "two-chain-we"
+    for tag, _, solve in _SHAPES:
+        if tag in cls:
+            return solve(W), tag
     return None
 
 

@@ -625,6 +625,46 @@ def reference_max_flow(n: int, arcs, s: int, t: int) -> tuple[int, list[bool]]:
     return flow, reachable
 
 
+def koenig_cover(edges) -> tuple[set, set]:
+    """The canonical minimum vertex cover (cover_l, cover_r) of a bipartite
+    graph given as (left, right) edges, by the textbook construction.
+
+    A maximum matching grows by one plain augmenting path (depth-first, from
+    one free left vertex) at a time.  Z is then what alternating paths reach
+    from the unmatched left vertices: any edge out of a left vertex, the
+    matched edge back out of a right one.  The cover is (L - Z) | (R & Z),
+    the same for every maximum matching (Dulmage–Mendelsohn).
+    """
+    adj: dict = {}
+    for l, r in edges:
+        adj.setdefault(l, []).append(r)
+    mate_r: dict = {}
+
+    def augment(l, seen) -> bool:
+        for r in adj[l]:
+            if r not in seen:
+                seen.add(r)
+                if r not in mate_r or augment(mate_r[r], seen):
+                    mate_r[r] = l
+                    return True
+        return False
+
+    for l in adj:
+        augment(l, set())
+    matched_l = set(mate_r.values())
+    z_l = {l for l in adj if l not in matched_l}
+    z_r: set = set()
+    stack = list(z_l)
+    while stack:
+        for r in adj[stack.pop()]:
+            if r not in z_r:
+                z_r.add(r)
+                if r in mate_r and mate_r[r] not in z_l:
+                    z_l.add(mate_r[r])
+                    stack.append(mate_r[r])
+    return set(adj) - z_l, z_r
+
+
 # ---------------------------------------------------------------------------
 # Graphs (for the hardness-gadget identity)
 # ---------------------------------------------------------------------------

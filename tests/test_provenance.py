@@ -649,6 +649,20 @@ def test_instance_table_refuses_a_witness_without_a_query_variable():
     assert "instances" not in vars(bad)
 
 
+def test_instance_table_names_a_variable_outside_the_query():
+    """A witness that binds a variable the query does not have is refused,
+    and the message names that variable."""
+    q = fixture_query("2chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=10, seed=3)))
+    w0 = W.witnesses[0]
+    extra = Witness(w0.binding + (("zz", "1"),), w0.tuples)
+    bad = WitnessSet(q, (extra,) + W.witnesses[1:])
+    with pytest.raises(UnboundVariable) as info:
+        solve_exact(q, bad)
+    # the witness key holds "zz1" too; the message must list the variable
+    assert "['zz']" in str(info.value)
+
+
 def test_template_getter_reads_path_pairs(fig2a_db):
     q = fixture_query("q2star")
     W = compute_witnesses(q, fig2a_db)

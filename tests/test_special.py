@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
+from provfact import special
 from provfact.cq import Atom, DisconnectedQueryError, Query, parse_query
 from provfact.exact import fact_decision, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
@@ -21,9 +22,7 @@ from provfact.provenance import (
 )
 from provfact.special import (
     ShapeMismatch,
-    _adjacency,
-    _koenig_cover,
-    _max_matching,
+    _min_cover,
     classify,
     dispatch,
     solve_q2star,
@@ -101,6 +100,25 @@ def test_renamed_shapes_route_to_their_closed_forms(renamed, canonical, method):
     assert rep.length == dispatch(canonical, compute_witnesses(canonical, db)).length
 
 
+@pytest.mark.parametrize(
+    "name, solver, method",
+    [
+        ("q2star", "solve_q2star", "q2star"),
+        ("triangle-u", "solve_triangle_unary", "triangle-unary"),
+        ("2chain-we", "solve_two_chain_we", "two-chain-we"),
+    ],
+)
+def test_dispatch_calls_each_solver_through_its_module_name(monkeypatch, name, solver, method):
+    """A wrapper set on `special.<solver>` sees `dispatch`'s call, as the
+    benchmark's per-layer tracer needs."""
+    q = fixture_query(name)
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=12, seed=1)))
+    real, calls = getattr(special, solver), []
+    monkeypatch.setattr(special, solver, lambda W: calls.append(W) or real(W))
+    assert dispatch(q, W).method == method
+    assert calls == [W]
+
+
 def test_solve_q2star_golden(fig2a_db, fig2a_s13_db):
     q = fixture_query("q2star")
     for db, want in ((fig2a_db, 10), (fig2a_s13_db, 12)):
@@ -155,23 +173,13 @@ def test_solve_two_chain_we_matches_exact(seed):
     assert verify_equivalence(fact, W)
 
 
-# --- bipartite matching and deep instances -------------------------------
+# --- bipartite vertex covers and deep instances ---------------------------
 
 
-@given(st.integers(0, 10_000))
-def test_max_matching_and_cover_are_optimal(seed):
-    """Hopcroft–Karp matching and the Kőnig cover against a brute-force
-    minimum vertex cover (Kőnig: both have the same size)."""
-    rng = random.Random(seed)
-    nl, nr = rng.randint(1, 6), rng.randint(1, 6)
-    edges = [
-        (("L", i), ("R", j)) for i in range(nl) for j in range(nr) if rng.random() < 0.4
-    ] or [(("L", 0), ("R", 0))]
-    adj = _adjacency(edges)
-    match_r = _max_matching(adj)
-    assert all((u, v) in edges for v, u in match_r.items())
-    assert len(set(match_r.values())) == len(match_r)
-    cover_l, cover_r = _koenig_cover(adj, match_r)
+def _assert_canonical_min_cover(edges):
+    """`_min_cover` covers every edge, has the brute-force minimum size, and
+    is the canonical cover the textbook Kőnig construction gives."""
+    cover_l, cover_r = _min_cover(edges)
     assert all(l in cover_l or r in cover_r for l, r in edges)
     vertices = sorted({v for e in edges for v in e})
     brute = next(
@@ -180,7 +188,43 @@ def test_max_matching_and_cover_are_optimal(seed):
         for c in itertools.combinations(vertices, k)
         if all(l in c or r in c for l, r in edges)
     )
-    assert len(match_r) == len(cover_l) + len(cover_r) == brute
+    assert len(cover_l) + len(cover_r) == brute
+    assert (cover_l, cover_r) == oracles.koenig_cover(edges)
+
+
+@given(st.integers(0, 10_000))
+def test_min_cover_is_the_canonical_minimum_cover(seed):
+    """A random bipartite graph's cover from the max-flow kernel against a
+    brute-force minimum size and the alternating-path construction."""
+    rng = random.Random(seed)
+    nl, nr = rng.randint(1, 6), rng.randint(1, 6)
+    edges = [
+        (("L", i), ("R", j)) for i in range(nl) for j in range(nr) if rng.random() < 0.4
+    ] or [(("L", 0), ("R", 0))]
+    _assert_canonical_min_cover(edges)
+
+
+@pytest.mark.parametrize(
+    "edges, cover",
+    [
+        # one edge: either endpoint is a minimum cover; the canonical one is
+        # the left endpoint
+        ([("a", "r1")], ({"a"}, set())),
+        # a 4-cycle: either side is a minimum cover; the canonical one is the
+        # left side
+        ([("a", "r1"), ("a", "r2"), ("b", "r1"), ("b", "r2")], ({"a", "b"}, set())),
+        # a path a-r1-b-r2: {a, b}, {b, r1} and {r1, r2} are all minimum
+        ([("a", "r1"), ("b", "r1"), ("b", "r2")], ({"a", "b"}, set())),
+        # a right star: only its centre, reached from an unmatched left leaf
+        ([("a", "r1"), ("b", "r1"), ("c", "r1")], (set(), {"r1"})),
+        # a right star beside one edge: the star's centre, and the edge's
+        # left end (its right end would do as well)
+        ([("a", "r1"), ("b", "r1"), ("c", "r2")], ({"c"}, {"r1"})),
+    ],
+)
+def test_min_cover_picks_the_canonical_one_of_several_minimum_covers(edges, cover):
+    assert _min_cover(edges) == cover
+    _assert_canonical_min_cover(edges)
 
 
 PATH_SHAPES = {
