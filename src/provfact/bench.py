@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, asdict
 
 from .gen import GenSpec, fixture_query, gen_random
 from .provenance import compute_witnesses
@@ -39,19 +38,18 @@ SWEEP_FIELDS = [
 _CONFIG_KEYS = ("queries", "d", "tuples", "reps", "methods", "seed", "budget")
 
 
-@dataclass
 class BenchRow:
-    query: str
-    d: int
-    tuples: int
-    witnesses: int
-    method: str
-    length: int
-    optimal: bool
-    penalty_pct: float | None
-    solve_ms: float
-    seed: int
-    nodes: int
+    """One CSV row; its fields are `SWEEP_FIELDS`, in that order."""
+
+    __slots__ = tuple(SWEEP_FIELDS)
+
+    def __init__(
+        self, query: str, d: int, tuples: int, witnesses: int, method: str, length: int,
+        optimal: bool, penalty_pct: float | None, solve_ms: float, seed: int, nodes: int,
+    ) -> None:
+        self.query, self.d, self.tuples, self.witnesses = query, d, tuples, witnesses
+        self.method, self.length, self.optimal = method, length, optimal
+        self.penalty_pct, self.solve_ms, self.seed, self.nodes = penalty_pct, solve_ms, seed, nodes
 
 
 def run_sweep(config: dict, out=None) -> list[BenchRow]:
@@ -127,7 +125,7 @@ def _write_csv(rows: list[BenchRow], out) -> None:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
         writer.writeheader()
         for row in rows:
-            rec = asdict(row)
+            rec = {name: getattr(row, name) for name in SWEEP_FIELDS}
             rec["penalty_pct"] = "" if rec["penalty_pct"] is None else rec["penalty_pct"]
             writer.writerow(rec)
     finally:

@@ -31,8 +31,12 @@ log = logging.getLogger("provfact")
 
 
 def _load_query(path: str):
-    with open(path) as fh:
-        return parse_query(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:  # worded as `load_database` words a missing database
+        raise FileNotFoundError(f"{path}: no such file or directory") from None
+    return parse_query(text)
 
 
 def _parse_order(spec: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 __all__ = [
     "Atom",
@@ -49,12 +49,36 @@ class DisconnectedQueryError(ValueError):
     """The query hypergraph is not connected (and decomposition was not requested)."""
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """One subgoal ``R(x, y, ...)``: a relation name and its variable list."""
+class _Value:
+    """Equality and hashing over the fields that `_key` reads: the base of
+    the immutable classes that compare by content.  Nothing assigns to a
+    value's fields once it is made."""
 
-    relation: str
-    vars: tuple[str, ...]
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+
+class Atom(_Value):
+    """One subgoal ``R(x, y, ...)``: a relation name and its variable list.
+    Atoms order by relation, then variables."""
+
+    __slots__ = ("relation", "vars")
+    _key = attrgetter("relation", "vars")
+
+    def __init__(self, relation: str, vars: tuple[str, ...]) -> None:
+        self.relation, self.vars = relation, vars
+
+    def __lt__(self, other: Atom) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) < other._key(other)
 
     @property
     def varset(self) -> frozenset[str]:
@@ -64,18 +88,15 @@ class Atom:
         return f"{self.relation}({','.join(self.vars)})"
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Value):
     """A self-join-free Boolean conjunctive query."""
 
-    name: str
-    atoms: tuple[Atom, ...]
-    variables: frozenset[str] = field(init=False)
+    __slots__ = ("name", "atoms", "variables")
+    _key = attrgetter("name", "atoms", "variables")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "variables", frozenset(v for a in self.atoms for v in a.vars)
-        )
+    def __init__(self, name: str, atoms: tuple[Atom, ...]) -> None:
+        self.name, self.atoms = name, atoms
+        self.variables = frozenset(v for a in atoms for v in a.vars)
 
     def __str__(self) -> str:
         return f"{self.name} :- " + ", ".join(str(a) for a in self.atoms)

@@ -18,9 +18,8 @@ repeats?" only where the search's length or certified bound settles it.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+import sys
 
 from .cq import Query
 from .provenance import (
@@ -32,20 +31,19 @@ from .provenance import (
     compute_witnesses,
 )
 
-log = logging.getLogger(__name__)
-
 __all__ = ["ExactResult", "solve_exact", "lower_bound", "fact_decision"]
 
 _EPS = 1e-6
 
 
-@dataclass(frozen=True)
 class ExactResult:
-    factorization: Factorization
-    length: int
-    optimal: bool
-    nodes: int
-    lower_bound: int
+    __slots__ = ("factorization", "length", "optimal", "nodes", "lower_bound")
+
+    def __init__(
+        self, factorization: Factorization, length: int, optimal: bool, nodes: int, lower_bound: int
+    ) -> None:
+        self.factorization, self.length, self.optimal = factorization, length, optimal
+        self.nodes, self.lower_bound = nodes, lower_bound
 
     @property
     def expression(self):
@@ -425,12 +423,13 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         raise AssertionError(
             f"assembled length {fact.length} != searched cost {total_cost}"
         )
-    log.debug(
-        "exact search: %d nodes, length %d, optimal=%s",
-        total_nodes,
-        total_cost,
-        not exhausted,
-    )
+    if "logging" in sys.modules:  # a process that never imported it shows no record
+        sys.modules["logging"].getLogger(__name__).debug(
+            "exact search: %d nodes, length %d, optimal=%s",
+            total_nodes,
+            total_cost,
+            not exhausted,
+        )
     return ExactResult(
         factorization=fact,
         length=total_cost,

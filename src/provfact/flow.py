@@ -30,17 +30,14 @@ the ordering's own plan objects: the first whose needs the cut meets.
 
 from __future__ import annotations
 
-import logging
+import sys
 from array import array
-from dataclasses import dataclass, field
 from itertools import compress, product, repeat
 
 from ._mincut import max_flow
 from .cq import Query
 from .provenance import Factorization, TemplateTable, Witness, WitnessSet, assemble
 from .veo import Ordering, Veo
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "Arcs",
@@ -76,7 +73,6 @@ def kernel_name(kind: str = "auto") -> str:
 _S, _T = 0, 1
 
 
-@dataclass
 class _Skeleton:
     """The witness-independent shape of the network for one ordering.
 
@@ -89,10 +85,13 @@ class _Skeleton:
     those leaves.
     """
 
-    sites: list[tuple[int, int, int, int | None]] = field(default_factory=list)
-    leaves: list[tuple[int, int]] = field(default_factory=list)  # leaf -> (left, right)
-    needs: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
-    connectors: int = 0  # own connectors per witness
+    __slots__ = ("sites", "leaves", "needs", "connectors")
+
+    def __init__(self) -> None:
+        self.sites: list[tuple[int, int, int, int | None]] = []
+        self.leaves: list[tuple[int, int]] = []  # leaf -> (left, right)
+        self.needs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.connectors = 0  # own connectors per witness
 
 
 def _skeleton(table: TemplateTable, ordering: Ordering) -> _Skeleton:
@@ -173,7 +172,6 @@ class Arcs:
         self.cap.extend(caps)
 
 
-@dataclass
 class FlowGraph:
     """The contracted flow network of one (query, witnesses, ordering).
 
@@ -191,19 +189,20 @@ class FlowGraph:
     witness.
     """
 
-    query: Query
-    witnesses: WitnessSet
-    ordering: Ordering
-    node_count: int
-    arcs: Arcs
-    source: int
-    sink: int
-    cap_arc: array
-    p_instance: array
-    inf: int
-    skeleton: _Skeleton
-    payer: array
-    slots: array
+    __slots__ = (
+        "query", "witnesses", "ordering", "node_count", "arcs", "source", "sink",
+        "cap_arc", "p_instance", "inf", "skeleton", "payer", "slots",
+    )
+
+    def __init__(
+        self, query: Query, witnesses: WitnessSet, ordering: Ordering, node_count: int,
+        arcs: Arcs, source: int, sink: int, cap_arc: array, p_instance: array, inf: int,
+        skeleton: _Skeleton, payer: array, slots: array,
+    ) -> None:
+        self.query, self.witnesses, self.ordering = query, witnesses, ordering
+        self.node_count, self.arcs, self.source, self.sink = node_count, arcs, source, sink
+        self.cap_arc, self.p_instance, self.inf = cap_arc, p_instance, inf
+        self.skeleton, self.payer, self.slots = skeleton, payer, slots
 
     def cap_text(self, c: int) -> str:
         """Readable name of cap node `c`, e.g. ``q3.1`` or ``p[x1 <- y2]``."""
@@ -239,14 +238,14 @@ class FlowGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
 class FlowResult:
     """A maximum flow's value and canonical cut: `reachable` marks the source
     side, and `cut_mask` holds a 1 per cut cap node, by index."""
 
-    value: int
-    cut_mask: bytearray
-    reachable: list[bool]
+    __slots__ = ("value", "cut_mask", "reachable")
+
+    def __init__(self, value: int, cut_mask: bytearray, reachable: list[bool]) -> None:
+        self.value, self.cut_mask, self.reachable = value, cut_mask, reachable
 
 
 def build_flow_graph(
@@ -365,13 +364,14 @@ def build_flow_graph(
         payer=payer,
         slots=slots,
     )
-    log.debug(
-        "flow graph: %d nodes, %d arcs, %d instance nodes, %d folded",
-        g.node_count,
-        len(arcs),
-        len(p_instance),
-        len(seen) - len(p_instance),
-    )
+    if "logging" in sys.modules:  # a process that never imported it shows no record
+        sys.modules["logging"].getLogger(__name__).debug(
+            "flow graph: %d nodes, %d arcs, %d instance nodes, %d folded",
+            g.node_count,
+            len(arcs),
+            len(p_instance),
+            len(seen) - len(p_instance),
+        )
     return g
 
 

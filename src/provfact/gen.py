@@ -11,14 +11,11 @@ pattern through any triad's atoms.
 
 from __future__ import annotations
 
-import logging
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 
-from .cq import Query, has_triad, parse_query
+from .cq import Query, _Value, has_triad, parse_query
 from .provenance import Database
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "GenSpec",
@@ -58,14 +55,19 @@ def fixture_query(name: str) -> Query:
         ) from None
 
 
-@dataclass(frozen=True)
 class GenSpec:
     """Recipe for a seeded random database."""
 
-    query: Query
-    d: int  # domain size per variable
-    tuples: int  # rows drawn per relation (before dedupe)
-    seed: int = 0
+    __slots__ = ("query", "d", "tuples", "seed")
+
+    def __init__(
+        self,
+        query: Query,
+        d: int,  # domain size per variable
+        tuples: int,  # rows drawn per relation (before dedupe)
+        seed: int = 0,
+    ) -> None:
+        self.query, self.d, self.tuples, self.seed = query, d, tuples, seed
 
 
 def gen_random(spec: GenSpec) -> Database:
@@ -75,6 +77,8 @@ def gen_random(spec: GenSpec) -> Database:
     slightly smaller than requested; identical specs yield identical data.
     Equal constants are one object.
     """
+    if spec.tuples < 0:
+        raise ValueError(f"cannot draw a negative number of rows (tuples={spec.tuples})")
     if spec.d < 1 and spec.tuples > 0:
         raise ValueError(f"cannot draw rows from an empty domain (d={spec.d})")
     choice = random.Random(spec.seed).choice
@@ -88,21 +92,21 @@ def gen_random(spec: GenSpec) -> Database:
     return Database(rels)
 
 
-@dataclass(frozen=True)
-class GraphInput:
+class GraphInput(_Value):
     """A simple undirected graph; edges are vertex pairs without self-loops."""
 
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices", "edges")
+    _key = attrgetter("vertices", "edges")
 
-    def __post_init__(self):
-        for u, v in self.edges:
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> None:
+        self.vertices, self.edges = vertices, edges
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u},{v}) uses an unknown vertex")
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 
 from .cq import Query
 from .exact import _prepare, _search
@@ -59,20 +58,31 @@ def _sanitize(token: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "-", token)
 
 
-@dataclass
 class IlpModel:
     """Binary covering model for minimal factorization."""
 
-    query: Query
-    n: int  # witnesses
-    k: int  # minimal plans
-    m: int  # atoms
-    objective: dict[str, int]  # variable name -> weight
-    constant: int  # folded objective offset
-    plan_constraints: list[tuple[str, list[str]]]  # (label, choice vars): sum >= 1
-    prefix_constraints: list[tuple[str, str]]  # (p, q): p - q >= 0
-    binaries: list[str]
-    reduced: bool = False
+    __slots__ = (
+        "query", "n", "k", "m", "objective", "constant", "plan_constraints",
+        "prefix_constraints", "binaries", "reduced",
+    )
+
+    def __init__(
+        self,
+        query: Query,
+        n: int,  # witnesses
+        k: int,  # minimal plans
+        m: int,  # atoms
+        objective: dict[str, int],  # variable name -> weight
+        constant: int,  # folded objective offset
+        plan_constraints: list[tuple[str, list[str]]],  # (label, choice vars): sum >= 1
+        prefix_constraints: list[tuple[str, str]],  # (p, q): p - q >= 0
+        binaries: list[str],
+        reduced: bool = False,
+    ) -> None:
+        self.query, self.n, self.k, self.m = query, n, k, m
+        self.objective, self.constant = objective, constant
+        self.plan_constraints, self.prefix_constraints = plan_constraints, prefix_constraints
+        self.binaries, self.reduced = binaries, reduced
 
     @property
     def var_count(self) -> int:

@@ -19,22 +19,18 @@ no reference cycle.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .cq import Atom, DisconnectedQueryError, Query, connected_components
+from .cq import Atom, DisconnectedQueryError, Query, _Value, connected_components
 from .veo import (
     Node, Ordering, TooManyVariables, Veo, _node_str, build_ordering, enumerate_mveo,
 )
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "Database",
@@ -89,11 +85,16 @@ def tuple_id(rel: str, values: tuple[str, ...]) -> str:
     return f"{rel.lower()}_{'_'.join(values)}"
 
 
-@dataclass(frozen=True)
-class Database:
-    """Relation name → sorted, deduplicated tuples of string constants."""
+class Database(_Value):
+    """Relation name → sorted, deduplicated tuples of string constants.
+    Equal when the relations are; a database holds a dict, so it is not
+    hashable."""
 
-    relations: dict[str, tuple[tuple[str, ...], ...]]
+    __slots__ = ("relations",)
+    _key = attrgetter("relations")
+
+    def __init__(self, relations: dict[str, tuple[tuple[str, ...], ...]]) -> None:
+        self.relations = relations
 
     @staticmethod
     def from_dict(rels: dict[str, list[tuple[str, ...]] | set[tuple[str, ...]]]) -> "Database":
@@ -188,8 +189,7 @@ def load_database(source: str | os.PathLike) -> Database:
     return parse_database(p.read_text())
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(_Value):
     """One satisfying valuation: a variable binding plus its matched tuples.
 
     Slotted, so a witness holds its binding and tuple keys only (about
@@ -199,8 +199,15 @@ class Witness:
     that reads one of them often binds it once per witness.
     """
 
-    binding: tuple[tuple[str, str], ...]  # sorted (variable, constant)
-    tuples: tuple[TupleKey, ...]  # aligned with the query's atoms
+    __slots__ = ("binding", "tuples")
+    _key = attrgetter("binding", "tuples")
+
+    def __init__(
+        self,
+        binding: tuple[tuple[str, str], ...],  # sorted (variable, constant)
+        tuples: tuple[TupleKey, ...],  # aligned with the query's atoms
+    ) -> None:
+        self.binding, self.tuples = binding, tuples
 
     @property
     def key(self) -> str:
@@ -230,12 +237,11 @@ def _interned(table: dict, items) -> tuple:
     return tuple(map(table.setdefault, items, items))
 
 
-@dataclass(frozen=True)
 class WitnessSet:
     """The provenance DNF: all witnesses of a query over a database."""
 
-    query: Query
-    witnesses: tuple[Witness, ...]
+    def __init__(self, query: Query, witnesses: tuple[Witness, ...]) -> None:
+        self.query, self.witnesses = query, witnesses
 
     def __len__(self) -> int:
         return len(self.witnesses)
@@ -501,8 +507,7 @@ class Instances(dict):
 # Expressions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Expr:
+class Expr(_Value):
     """Monotone Boolean expression tree over tuple literals.
 
     Slotted, so a node carries no ``__dict__``.  Nodes are immutable, so
@@ -512,14 +517,21 @@ class Expr:
     lengths; `tuple_keys` walks the tree on each access and caches nothing.
     """
 
-    op: str  # "var" | "and" | "or" | "false"
-    key: TupleKey | None = None
-    children: tuple["Expr", ...] = ()
-    length: int = field(default=0, compare=False, repr=False)
+    __slots__ = ("op", "key", "children", "length")
+    _key = attrgetter("op", "key", "children")
 
-    def __post_init__(self) -> None:
-        n = 1 if self.op == "var" else sum(c.length for c in self.children)
-        object.__setattr__(self, "length", n)
+    def __init__(
+        self,
+        op: str,  # "var" | "and" | "or" | "false"
+        key: TupleKey | None = None,
+        children: tuple[Expr, ...] = (),
+        length: int = 0,  # ignored: always the literal count
+    ) -> None:
+        self.op, self.key, self.children = op, key, children
+        self.length = 1 if op == "var" else sum(c.length for c in children)
+
+    def __repr__(self) -> str:
+        return f"Expr(op={self.op!r}, key={self.key!r}, children={self.children!r})"
 
     @property
     def tuple_keys(self) -> frozenset[TupleKey]:
@@ -623,14 +635,17 @@ def expand(e: Expr, max_terms: int = 200_000) -> set[frozenset[TupleKey]]:
     return set(_stream(e, max_terms))
 
 
-@dataclass(frozen=True)
 class Factorization:
     """A witness→plan assignment together with its assembled expression."""
 
-    assignment: tuple[tuple[Witness, Veo], ...]
-    expression: Expr
-    length: int
-    repeats: int
+    __slots__ = ("assignment", "expression", "length", "repeats")
+
+    def __init__(
+        self, assignment: tuple[tuple[Witness, Veo], ...], expression: Expr, length: int, repeats: int
+    ) -> None:
+        self.assignment, self.expression, self.length, self.repeats = (
+            assignment, expression, length, repeats
+        )
 
     def pretty(self, ascii_only: bool = False) -> str:
         return self.expression.pretty(ascii_only)

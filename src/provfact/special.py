@@ -22,10 +22,8 @@ flow heuristic elsewhere.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
-from dataclasses import dataclass
 
 from .cq import Query, connected_components, is_hierarchical, has_triad
 from .exact import solve_exact
@@ -45,8 +43,6 @@ from .provenance import (
     ExpansionTooLarge,
 )
 from .veo import Veo, build_ordering, veo_node, TooManyVariables
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "QueryClass",
@@ -69,12 +65,13 @@ class ShapeMismatch(ValueError):
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QueryClass:
     """Structural tags steering method selection."""
 
-    tags: frozenset[str]
-    k: int | None  # |mveo|, when enumerable
+    __slots__ = ("tags", "k")
+
+    def __init__(self, tags: frozenset[str], k: int | None) -> None:
+        self.tags, self.k = tags, k  # k: |mveo|, when enumerable
 
     def __contains__(self, tag: str) -> bool:
         return tag in self.tags
@@ -343,22 +340,25 @@ _SHAPES = (
 # dispatch
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RunReport:
-    """Outcome of one factorization run."""
+    """Outcome of one factorization run; `nodes` counts exact search nodes,
+    0 when the exact search did not run."""
 
-    query: str
-    method: str
-    n: int
-    length: int
-    repeats: int
-    optimal: bool
-    factorization: Factorization | None
-    lower_bound: int | None = None
-    elapsed_ms: float = 0.0
-    notes: tuple[str, ...] = ()
-    verified: bool | None = None
-    nodes: int = 0  # exact search nodes; 0 when the exact search did not run
+    __slots__ = (
+        "query", "method", "n", "length", "repeats", "optimal", "factorization",
+        "lower_bound", "elapsed_ms", "notes", "verified", "nodes",
+    )
+
+    def __init__(
+        self, query: str, method: str, n: int, length: int, repeats: int, optimal: bool,
+        factorization: Factorization | None, lower_bound: int | None = None,
+        elapsed_ms: float = 0.0, notes: tuple[str, ...] = (), verified: bool | None = None,
+        nodes: int = 0,
+    ) -> None:
+        self.query, self.method, self.n, self.length = query, method, n, length
+        self.repeats, self.optimal, self.factorization = repeats, optimal, factorization
+        self.lower_bound, self.elapsed_ms, self.notes = lower_bound, elapsed_ms, notes
+        self.verified, self.nodes = verified, nodes
 
     @property
     def expression(self) -> Expr | None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
-from .cq import Atom, Query
+from .cq import Atom, Query, _Value
 
 __all__ = [
     "Veo",
@@ -52,12 +52,13 @@ def _node_str(node: Node) -> str:
     return node[0] if len(node) == 1 else "(" + "".join(node) + ")"
 
 
-@dataclass(frozen=True)
-class Veo:
+class Veo(_Value):
     """A rooted tree of disjoint variable sets; immutable and canonically ordered."""
 
-    node: Node
-    children: tuple["Veo", ...] = ()
+    _key = attrgetter("node", "children")
+
+    def __init__(self, node: Node, children: tuple[Veo, ...] = ()) -> None:
+        self.node, self.children = node, children
 
     @cached_property
     def serial(self) -> str:
@@ -234,8 +235,7 @@ def enumerate_mveo(q: Query) -> tuple[Veo, ...]:
 # Run orderings for the flow construction
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaNode:
+class OmegaNode(_Value):
     """One segment of a nested ordering.
 
     Exactly one of the following holds: `sub` is set (a leaf fragment hanging
@@ -244,10 +244,17 @@ class OmegaNode:
     parallel components below `ext`, combined by Cartesian product).
     """
 
-    ext: tuple[Node, ...] = ()
-    sub: Veo | None = None
-    seq: tuple["OmegaNode", ...] = ()
-    par: tuple[tuple["OmegaNode", ...], ...] = ()
+    __slots__ = ("ext", "sub", "seq", "par")
+    _key = attrgetter("ext", "sub", "seq", "par")
+
+    def __init__(
+        self,
+        ext: tuple[Node, ...] = (),
+        sub: Veo | None = None,
+        seq: tuple[OmegaNode, ...] = (),
+        par: tuple[tuple[OmegaNode, ...], ...] = (),
+    ) -> None:
+        self.ext, self.sub, self.seq, self.par = ext, sub, seq, par
 
     def fragments(self) -> list[Veo]:
         """All plan fragments represented by this segment."""
@@ -280,19 +287,18 @@ def _chain(ext: tuple[Node, ...], tails: tuple[Veo, ...]) -> Veo:
     return cur
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """An ordering of mveo(Q) for the flow graph: flat columns or nested segments."""
+class Ordering(_Value):
+    """An ordering of mveo(Q) for the flow graph: flat columns or nested
+    segments.  `veos` lists the plans of the segments in order, and `rp` says
+    whether the ordering has the running-prefixes property."""
 
-    mode: str  # "flat" | "nested-rp"
-    alts: tuple[OmegaNode, ...]
-    veos: tuple[Veo, ...] = field(init=False)
-    rp: bool = field(init=False)
+    __slots__ = ("mode", "alts", "veos", "rp")
+    _key = attrgetter("mode", "alts", "veos", "rp")
 
-    def __post_init__(self):
-        flat = tuple(f for alt in self.alts for f in alt.fragments())
-        object.__setattr__(self, "veos", flat)
-        object.__setattr__(self, "rp", self._check_rp())
+    def __init__(self, mode: str, alts: tuple[OmegaNode, ...]) -> None:
+        self.mode, self.alts = mode, alts  # mode: "flat" | "nested-rp"
+        self.veos = tuple(f for alt in alts for f in alt.fragments())
+        self.rp = self._check_rp()
 
     @property
     def has_parallel(self) -> bool:

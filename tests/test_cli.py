@@ -271,6 +271,20 @@ def test_bench_config_file(capsys, tmp_path):
     assert out.splitlines()[0].startswith("query,d,")
 
 
+def test_gen_rejects_a_negative_row_count(capsys):
+    rc, out, err = run(capsys, ["gen", "--fixture", "3chain", "--d", "3", "--tuples", "-3"])
+    assert (rc, out) == (1, "")
+    assert err.strip() == "error: cannot draw a negative number of rows (tuples=-3)"
+
+
+def test_missing_inputs_are_named_alike(capsys, files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run(capsys, ["mveo", "nosuch.q"])
+    assert rc == 1 and err.strip() == "error: nosuch.q: no such file or directory"
+    rc, _, err = run(capsys, ["witnesses", files["q2star.q"], "nosuch.txt"])
+    assert rc == 1 and err.strip() == "error: nosuch.txt: no such file or directory"
+
+
 def test_error_exit_codes(capsys, files, tmp_path):
     bad_q = tmp_path / "bad.q"
     bad_q.write_text("Q :- R(x), R(y)\n")

@@ -1,5 +1,6 @@
 """Cold start: the one-pass input path and the package import footprint."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,9 +10,13 @@ import pytest
 
 import oracles
 import provfact
-from provfact.cq import parse_query
+from provfact.cq import Atom, independent_atoms, parse_query
+from provfact.exact import solve_exact
 from provfact.gen import FIXTURE_QUERIES, GenSpec, gen_random
-from provfact.provenance import Database, FormatError, load_database, parse_database
+from provfact.provenance import (
+    Database, Expr, FormatError, Witness, compute_witnesses, load_database, parse_database,
+)
+from provfact.veo import Veo, enumerate_mveo
 
 QUERIES = {**FIXTURE_QUERIES, "ternary": "ternary :- R(x,y,z)"}
 
@@ -44,6 +49,13 @@ def test_gen_random_rejects_an_empty_domain():
     with pytest.raises(ValueError):
         gen_random(GenSpec(query=q, d=0, tuples=1))
     assert gen_random(GenSpec(query=q, d=0, tuples=0)).relations == {"R": ()}
+
+
+def test_gen_random_rejects_a_negative_row_count():
+    q = parse_query(QUERIES["ternary"])
+    for d in (0, 3):
+        with pytest.raises(ValueError, match=r"negative number of rows \(tuples=-3\)"):
+            gen_random(GenSpec(query=q, d=d, tuples=-3))
 
 
 def test_whitespace_around_constants_and_names_is_stripped():
@@ -93,22 +105,29 @@ def test_csv_directory_equals_the_same_text(tmp_path):
     assert_interned(loaded)
 
 
-def _fresh_import(module: str) -> list[str]:
-    """Import `module` in a fresh interpreter; its stdout lines are the
-    loaded ``provfact.*`` modules and then `dispatch`'s module."""
-    src = str(Path(provfact.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+SRC = Path(provfact.__file__).resolve().parent
+
+
+def _fresh(code: str) -> list[str]:
+    """Run `code` in a fresh interpreter that imports from this source tree;
+    its stdout lines."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = (
-        f"import sys, provfact, {module}\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('provfact.'))))\n"
-        "print(provfact.special.dispatch.__module__)\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split("\n")
+
+
+def _fresh_import(module: str) -> list[str]:
+    """Import `module` in a fresh interpreter; its stdout lines are the
+    loaded ``provfact.*`` modules and then `dispatch`'s module."""
+    return _fresh(
+        f"import sys, provfact, {module}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('provfact.'))))\n"
+        "print(provfact.special.dispatch.__module__)\n"
+    )
 
 
 def test_import_loads_only_the_pipeline():
@@ -125,3 +144,72 @@ def test_cli_import_loads_neither_ilp_nor_bench():
     loaded = set(_fresh_import("provfact.cli")[0].split())
     assert {"provfact.cli", "provfact.gen"} <= loaded
     assert not loaded & {"provfact.ilp", "provfact.bench"}
+
+
+def test_import_loads_neither_dataclasses_nor_logging():
+    """`import provfact` creates no generated methods and loads no logging;
+    `site` may have loaded either before, so only what the import adds counts."""
+    added = _fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import provfact\n"
+        "print(' '.join(sorted({'dataclasses', 'logging'} & (set(sys.modules) - before))))\n"
+    )[0]
+    assert added == ""
+
+
+def test_no_module_imports_dataclasses_and_only_cli_and_ilp_import_logging():
+    for path in sorted(SRC.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+        assert "dataclasses" not in imported, path.name
+        if path.stem not in ("cli", "ilp"):
+            assert "logging" not in imported, path.name
+
+
+def test_values_compare_and_hash_over_their_fields():
+    """The plain value classes order, compare and hash as the frozen
+    dataclasses they replace did: over their fields, as a tuple."""
+    def twice(make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        return a, b
+
+    for name in ("triangle-u", "q3star", "2chain-we"):
+        q = parse_query(QUERIES[name])
+        assert sorted(independent_atoms(q)) == sorted(
+            independent_atoms(q), key=lambda a: (a.relation, a.vars)
+        )
+    assert Atom("R", ("x", "y")) < Atom("R", ("y",)) < Atom("S", ("x",))
+    with pytest.raises(TypeError):
+        Atom("R", ("x",)) < ("R", ("x",))
+
+    q, q2 = twice(lambda: parse_query(QUERIES["triangle-u"]))
+    assert hash(q) == hash(q2) == hash((q.name, q.atoms, q.variables))
+    assert q != parse_query(QUERIES["triangle-u"].replace("triangle_u", "t"))
+    db, db2 = twice(lambda: gen_random(GenSpec(query=q, d=4, tuples=8, seed=1)))
+    with pytest.raises(TypeError):  # a database holds a dict, as it always did
+        hash(db)
+    W = compute_witnesses(q, db)
+    w, w2 = twice(lambda: compute_witnesses(q, db2).witnesses[0])
+    assert hash(w) == hash(w2) == hash((w.binding, w.tuples))
+    v, v2 = twice(lambda: enumerate_mveo(q)[0])
+    assert hash(v) == hash(v2) == hash((v.node, v.children))
+    e, e2 = twice(lambda: solve_exact(q, W).expression)
+    assert hash(e) == hash(e2) == hash((e.op, e.key, e.children))
+    assert Expr("var", key=w.tuples[0]) != Expr("var", key=w.tuples[1])
+
+    for value, other in (
+        (q.atoms[0], (q.atoms[0].relation, q.atoms[0].vars)),
+        (q, q.atoms),
+        (w, Witness(w.binding, w.tuples[:-1])),
+        (w, Expr("var", key=w.tuples[0])),
+        (v, Veo(v.node)),
+        (e, e.children),
+        (db, db.relations),
+    ):
+        assert value != other and other != value
