@@ -97,6 +97,8 @@ def cmd_factorize(args) -> int:
     ordering = None
     if args.order != "nested-rp" or args.dump_graph:
         mode, perm = _parse_order(args.order)
+        if W.parts:  # `dispatch` refuses this; refuse before the whole query's plans and graph
+            raise ValueError(f"{q.name} is disconnected; an ordering needs a connected query")
         ordering = build_ordering(q, mode=mode, perm=perm, mveo=TemplateTable.of(q).plans)
 
     if args.dump_graph:

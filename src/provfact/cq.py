@@ -46,7 +46,8 @@ class UnknownVariable(KeyError):
 
 
 class DisconnectedQueryError(ValueError):
-    """The query hypergraph is not connected (and decomposition was not requested)."""
+    """The plan model was asked to solve a query whose hypergraph is not
+    connected; its connected components are solved apart instead."""
 
 
 class _Value:
@@ -110,7 +111,7 @@ _ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)")
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*$")
 
 
-def parse_query(text: str, allow_disconnected: bool = False) -> Query:
+def parse_query(text: str) -> Query:
     """Parse ``Name :- R(x,y), S(y,z)`` (the head is optional) into a Query.
 
     Lowercase identifiers are variables; anything else in an argument
@@ -171,12 +172,7 @@ def parse_query(text: str, allow_disconnected: bool = False) -> Query:
         if cnt > 1:
             raise SelfJoinError(f"relation {rel} occurs {cnt} times (self-joins unsupported)")
 
-    q = Query(name, tuple(atoms))
-    if not allow_disconnected and len(connected_components(q)) > 1:
-        raise DisconnectedQueryError(
-            f"query {name} is disconnected; pass allow_disconnected=True to decompose"
-        )
-    return q
+    return Query(name, tuple(atoms))
 
 
 def atoms_of(q: Query, x: str) -> frozenset[Atom]:
@@ -205,8 +201,10 @@ def independent_atoms(q: Query) -> frozenset[Atom]:
     return frozenset(out)
 
 
-def connected_components(q: Query) -> list[frozenset[Atom]]:
-    """Connected components of the atom graph (atoms adjacent iff they share a variable)."""
+def connected_components(q: Query) -> tuple[Query, ...]:
+    """The components of the atom graph (atoms adjacent iff they share a
+    variable): ``(q,)`` if connected, else sub-queries ``Q.1``, ``Q.2``, ...
+    ordered by their sorted relation names, their atoms in `q`'s order."""
     remaining = set(q.atoms)
     comps = []
     while remaining:
@@ -219,8 +217,14 @@ def connected_components(q: Query) -> list[frozenset[Atom]]:
                 remaining.discard(a)
                 comp.add(a)
                 frontier.append(a)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=lambda c: sorted(a.relation for a in c))
+        comps.append(comp)
+    if len(comps) == 1:
+        return (q,)
+    comps.sort(key=lambda c: sorted(a.relation for a in c))
+    return tuple(
+        Query(f"{q.name}.{i}", tuple(a for a in q.atoms if a in comp))
+        for i, comp in enumerate(comps, 1)
+    )
 
 
 def _connected_avoiding(q: Query, g1: Atom, g2: Atom, banned: frozenset[str]) -> bool:

@@ -72,11 +72,13 @@ def _prepare(W: WitnessSet):
 
     Returns the instance table, the id lists per witness and plan (in
     ``table.plans`` order) and the weight of each id.  Raises
-    `DisconnectedQueryError` on a disconnected query (`TemplateTable.prefix_ids`).
+    `DisconnectedQueryError` on a disconnected query (`TemplateTable.prefix_ids`),
+    before `W.instances` reads its witnesses, a product not built yet.
     """
+    prefix_ids = TemplateTable.of(W.query).prefix_ids
     inst = W.instances
-    table = inst.table
-    plans = [[(tid, table.getters[tid]) for tid in ids] for ids in table.prefix_ids]
+    table = inst.table  # the shared table's plan paths have the same ids in every copy
+    plans = [[(tid, table.getters[tid]) for tid in ids] for ids in prefix_ids]
     inst_lists = []  # [witness][plan] -> instance ids
     for w in W.witnesses:
         binding = w.binding
@@ -228,12 +230,23 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
     cost_at = [0] * (n + 1)
     entry_lb = [0.0] * n  # admissible bound for the whole subtree at a level
 
-    def touch_min(p):
+    # each position's distinct shareable ids, in first-use order
+    distinct = [list(dict.fromkeys(i for ids in shares[p] for i in ids)) for p in range(n)]
+
+    def shift(i, p, c, dirty):
+        # add c to the share of id i that every later user carries
+        for p2, ci in users[i]:
+            if p2 > p:
+                rem[p2][ci] += c
+                dirty.add(p2)
+
+    def retouch(dirty):
         nonlocal undecided_total
-        m = min(privc[p][ci] + rem[p][ci] for ci in range(len(plans[p])))
-        if m != minrem[p]:
-            undecided_total += m - minrem[p]
-            minrem[p] = m
+        for p in dirty:
+            m = min(privc[p][ci] + rem[p][ci] for ci in range(len(plans[p])))
+            if m != minrem[p]:
+                undecided_total += m - minrem[p]
+                minrem[p] = m
 
     def enter(p):
         # witness at p becomes decided: shrink denominators of its instances
@@ -241,40 +254,20 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
         entry_lb[p] = cost_at[p] + undecided_total
         undecided_total -= minrem[p]
         dirty = set()
-        seen = set()
-        for ids in shares[p]:
-            for i in ids:
-                if i in seen:
-                    continue
-                seen.add(i)
-                und[i] -= 1
-                if refcount[i] == 0 and und[i] > 0:
-                    delta = weights[i] * (1.0 / und[i] - 1.0 / (und[i] + 1))
-                    for p2, ci in users[i]:
-                        if p2 > p:
-                            rem[p2][ci] += delta
-                            dirty.add(p2)
-        for p2 in dirty:
-            touch_min(p2)
+        for i in distinct[p]:
+            und[i] -= 1
+            if refcount[i] == 0 and und[i] > 0:
+                shift(i, p, weights[i] * (1.0 / und[i] - 1.0 / (und[i] + 1)), dirty)
+        retouch(dirty)
 
     def leave(p):
         nonlocal undecided_total
         dirty = set()
-        seen = set()
-        for ids in shares[p]:
-            for i in ids:
-                if i in seen:
-                    continue
-                seen.add(i)
-                if refcount[i] == 0 and und[i] > 0:
-                    delta = weights[i] * (1.0 / und[i] - 1.0 / (und[i] + 1))
-                    for p2, ci in users[i]:
-                        if p2 > p:
-                            rem[p2][ci] -= delta
-                            dirty.add(p2)
-                und[i] += 1
-        for p2 in dirty:
-            touch_min(p2)
+        for i in distinct[p]:
+            if refcount[i] == 0 and und[i] > 0:
+                shift(i, p, -(weights[i] * (1.0 / und[i] - 1.0 / (und[i] + 1))), dirty)
+            und[i] += 1
+        retouch(dirty)
         undecided_total += minrem[p]
 
     def apply(p, ci):
@@ -284,14 +277,9 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
             if refcount[i] == 0:
                 added += weights[i]
                 if und[i] > 0:
-                    c = weights[i] / und[i]
-                    for p2, c2 in users[i]:
-                        if p2 > p:
-                            rem[p2][c2] -= c
-                            dirty.add(p2)
+                    shift(i, p, -(weights[i] / und[i]), dirty)
             refcount[i] += 1
-        for p2 in dirty:
-            touch_min(p2)
+        retouch(dirty)
         return added
 
     def undo(p, ci):
@@ -299,13 +287,8 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
         for i in shares[p][ci]:
             refcount[i] -= 1
             if refcount[i] == 0 and und[i] > 0:
-                c = weights[i] / und[i]
-                for p2, c2 in users[i]:
-                    if p2 > p:
-                        rem[p2][c2] += c
-                        dirty.add(p2)
-        for p2 in dirty:
-            touch_min(p2)
+                shift(i, p, weights[i] / und[i], dirty)
+        retouch(dirty)
 
     enter(0)
     while level >= 0:
@@ -408,7 +391,7 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
     `budget` caps the number of search nodes; when exhausted the incumbent is
     returned with optimal=False and a frontier-derived lower bound.
     """
-    if not W.witnesses:
+    if not len(W):
         empty = assemble(q, W, {})
         return ExactResult(empty, 0, True, 0, 0)
 

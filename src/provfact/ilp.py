@@ -112,7 +112,7 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     """Construct the covering model; with reduce=True, fold full-variable
     prefixes into a constant and merge plan variables into their identifying
     two-node prefixes where the plan set is a family of linear chains."""
-    if not W.witnesses:
+    if not len(W):
         raise EmptyWitnessSet("cannot build a model over zero witnesses")
     inst, inst_lists, weights = _prepare(W)
     table = inst.table

@@ -19,11 +19,12 @@ no reference cycle.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from array import array
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, islice, product
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -238,16 +239,39 @@ def _interned(table: dict, items) -> tuple:
 
 
 class WitnessSet:
-    """The provenance DNF: all witnesses of a query over a database."""
+    """The provenance DNF: all witnesses of a query over a database.
 
-    def __init__(self, query: Query, witnesses: tuple[Witness, ...]) -> None:
-        self.query, self.witnesses = query, witnesses
+    A disconnected query's set has `parts`, its components' witness sets
+    (see `compute_witnesses`); `len` is the product of their sizes, and
+    `witnesses`, their product, is built when first read: the parts'
+    binding pairs and tuple keys in the query's order, sorted by key.
+    """
+
+    def __init__(
+        self, query: Query, witnesses: tuple[Witness, ...] = (), parts: tuple[WitnessSet, ...] = ()
+    ) -> None:
+        self.query, self.parts = query, parts
+        if not parts:
+            self.witnesses = witnesses
 
     def __len__(self) -> int:
-        return len(self.witnesses)
+        return math.prod(map(len, self.parts)) if self.parts else len(self.witnesses)
 
     def __iter__(self):
         return iter(self.witnesses)
+
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        rank = {a.relation: i for i, a in enumerate(self.query.atoms)}.__getitem__
+        witnesses = [
+            Witness(
+                tuple(sorted(chain.from_iterable(w.binding for w in ws))),
+                tuple(sorted(chain.from_iterable(w.tuples for w in ws), key=lambda t: rank(t[0]))),
+            )
+            for ws in product(*(part.witnesses for part in self.parts))
+        ]
+        witnesses.sort(key=lambda w: w.key)
+        return tuple(witnesses)
 
     @cached_property
     def distinct_tuples(self) -> frozenset[TupleKey]:
@@ -263,7 +287,8 @@ class WitnessSet:
 
 
 def join_order(q: Query, d: Database) -> tuple[Atom, ...]:
-    """The order in which `compute_witnesses` joins the atoms.
+    """The order in which `compute_witnesses` joins the atoms of a connected
+    query (it joins a disconnected one component by component).
 
     Next comes the atom sharing the most variables with the atoms already
     joined, ties broken by the smaller relation, then by source position.
@@ -297,6 +322,10 @@ def compute_witnesses(q: Query, d: Database) -> WitnessSet:
     """All witnesses via hash join over the atoms in `join_order`; the result
     is sorted by binding serialization (`Witness.key`) for determinism.
 
+    A disconnected query is joined one connected component at a time: the
+    result's `parts` are the witness sets of `connected_components(q)`, and
+    their product, the query's witnesses, is built only if it is read.
+
     Each distinct ``(relation, values)`` tuple key and ``(variable,
     constant)`` pair is made once per result and shared by every witness
     that holds it, and through them by the `Expr` leaves and assembly rows
@@ -309,6 +338,9 @@ def compute_witnesses(q: Query, d: Database) -> WitnessSet:
                     f"{atom.relation} row {row} has arity {len(row)}, "
                     f"atom {atom} expects {len(atom.vars)}"
                 )
+    parts = connected_components(q)
+    if len(parts) > 1:
+        return WitnessSet(q, parts=tuple(compute_witnesses(sub, d) for sub in parts))
     # A partial binding is a tuple of constants; slot[v] is v's position.
     bindings: list[tuple[str, ...]] = [()]
     slot: dict[str, int] = {}
@@ -525,7 +557,6 @@ class Expr(_Value):
         op: str,  # "var" | "and" | "or" | "false"
         key: TupleKey | None = None,
         children: tuple[Expr, ...] = (),
-        length: int = 0,  # ignored: always the literal count
     ) -> None:
         self.op, self.key, self.children = op, key, children
         self.length = 1 if op == "var" else sum(c.length for c in children)

@@ -22,7 +22,6 @@ flow heuristic elsewhere.
 
 from __future__ import annotations
 
-import math
 import time
 
 from .cq import Query, connected_components, is_hierarchical, has_triad
@@ -36,7 +35,6 @@ from .provenance import (
     TupleKey,
     Witness,
     WitnessSet,
-    _interned,
     assemble,
     e_and,
     verify_equivalence,
@@ -377,23 +375,6 @@ def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
     return best
 
 
-def _project_witnesses(q: Query, W: WitnessSet, sub: Query) -> WitnessSet:
-    """The distinct restrictions of `W`'s witnesses to the atoms and
-    variables of `sub`, sorted by key, with tuple keys and binding pairs
-    interned per set as in `compute_witnesses`."""
-    keep_vars = sorted(sub.variables)
-    idx = [i for i, a in enumerate(q.atoms) if a in sub.atoms]
-    table: dict = {}
-    seen: dict[tuple, Witness] = {}
-    for w in W.witnesses:
-        vals = w.values
-        binding = _interned(table, [(v, vals[v]) for v in keep_vars])
-        if binding not in seen:
-            seen[binding] = Witness(binding, _interned(table, [w.tuples[i] for i in idx]))
-    witnesses = tuple(sorted(seen.values(), key=lambda w: w.key))
-    return WitnessSet(sub, witnesses)
-
-
 def _flow_run(q, W, strict_rp, ordering=None) -> tuple[Factorization, int]:
     """(factorization, cut value); the graph and the cut are freed on return."""
     ordering = ordering or TemplateTable.of(q).ordering
@@ -416,25 +397,20 @@ _POLICIES = ("auto", "exact", "flow", "single-plan", "special")
 
 def _dispatch_components(q, W, policy, budget, strict_rp, ordering, verify, start) -> RunReport:
     """`dispatch` on a disconnected query: each connected component runs
-    alone, with the caller's settings, on its projection of `W`, and the
-    report ANDs the parts.  Length and bounds add over disjoint variables,
-    so the sum of the parts' optima is the optimum and the sum of their
-    bounds (a part's length where it is optimal) a bound.  `W` must be the
-    product of the projections, so that verifying each part verifies it."""
+    alone, with the caller's settings, on its part of `W` (`W.parts`, which
+    `compute_witnesses` makes), and the report ANDs the parts.  Length and
+    bounds add over disjoint variables, so the sum of the parts' optima is
+    the optimum and the sum of their bounds (a part's length where it is
+    optimal) a bound.  `W` is the product of its parts, so verifying each
+    part against its own witnesses verifies the whole; the product itself
+    is never built."""
     if ordering is not None:
         raise ValueError(f"{q.name} is disconnected; an ordering needs a connected query")
-    parts = []
-    for i, comp in enumerate(connected_components(q)):
-        sub = Query(f"{q.name}.{i + 1}", tuple(a for a in q.atoms if a in comp))
-        parts.append((sub, _project_witnesses(q, W, sub)))
-    if len(W.witnesses) != math.prod(len(sub_W) for _, sub_W in parts):
-        raise ValueError(
-            f"{q.name}: {len(W.witnesses)} witnesses are not the product of"
-            f" the components' {' x '.join(str(len(sub_W)) for _, sub_W in parts)}"
-        )
+    if not W.parts:  # a hand-built product: its parts are not known
+        raise ValueError(f"{q.name} is disconnected; pass its parts, not their product")
     reps = [
-        dispatch(sub, sub_W, policy=policy, budget=budget, strict_rp=strict_rp, verify=verify)
-        for sub, sub_W in parts
+        dispatch(part.query, part, policy=policy, budget=budget, strict_rp=strict_rp, verify=verify)
+        for part in W.parts
     ]
     bounds = [p.length if p.optimal else p.lower_bound for p in reps]
     fact = Factorization(
@@ -442,7 +418,7 @@ def _dispatch_components(q, W, policy, budget, strict_rp, ordering, verify, star
         length=sum(p.length for p in reps), repeats=sum(p.repeats for p in reps),
     )
     return RunReport(
-        query=q.name, method="components", n=len(W.witnesses),
+        query=q.name, method="components", n=len(W),
         length=fact.length, repeats=fact.repeats,
         optimal=all(p.optimal for p in reps), factorization=fact,
         lower_bound=None if None in bounds else sum(bounds),
@@ -469,7 +445,9 @@ def dispatch(
 
     policy: auto | exact | flow | single-plan | special; any other value
     raises `ValueError`.  A disconnected query runs one connected component
-    at a time under `policy` (see `_dispatch_components`).
+    at a time under `policy`, on the parts of `W` (see
+    `_dispatch_components`); a part with no witnesses makes the whole
+    empty.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; options: {', '.join(_POLICIES)}")
@@ -478,7 +456,7 @@ def dispatch(
     lower = None
     nodes = 0
 
-    if not W.witnesses:
+    if not len(W):
         fact = assemble(q, W, {})
         return RunReport(
             query=q.name, method="empty", n=0, length=0, repeats=0,
@@ -557,7 +535,7 @@ def dispatch(
     return RunReport(
         query=q.name,
         method=method,
-        n=len(W.witnesses),
+        n=len(W),
         length=fact.length,
         repeats=fact.repeats,
         optimal=optimal,

@@ -9,13 +9,16 @@ from functools import partial
 import pytest
 
 import dbs
+import oracles
 from provfact import cli, ilp
 from provfact.cli import main
+from provfact.cq import parse_query
 from provfact.gen import GenSpec, fixture_query, gen_random
 
 Q2STAR = "Q :- R(x), S(x,y), T(y)\n"
 TRIANGLE = "Q :- R(x,y), S(y,z), T(z,x)\n"
 CHAIN3 = "Q :- R(x,y), S(y,z), T(z,u)\n"
+SPLIT = "Q :- A(x), B(x,y), C(u), D(u,v)\n"
 
 
 @pytest.fixture
@@ -151,6 +154,48 @@ def test_factorize_dump_graph(capsys, files, tmp_path):
     assert rc == 2
     text = dot_path.read_text()
     assert text.startswith("digraph")
+
+
+@pytest.fixture
+def split(tmp_path):
+    """A disconnected query, its database and the product count."""
+    q = parse_query(SPLIT)
+    db = gen_random(GenSpec(query=q, d=4, tuples=6, seed=2))
+    (tmp_path / "split.q").write_text(SPLIT)
+    (tmp_path / "split.db").write_text(db.text())
+    return str(tmp_path / "split.q"), str(tmp_path / "split.db"), len(oracles.brute_bindings(q, db))
+
+
+def test_disconnected_query_runs_from_the_cli(capsys, split):
+    query, database, n = split
+    rc, out, _ = run(capsys, ["factorize", query, database])
+    assert rc == 0
+    lines = dict(l.split(": ", 1) for l in out.splitlines())
+    assert (lines["method"], lines["witnesses"], lines["length"]) == ("components", str(n), "15")
+    assert lines["optimal"] == "true"
+    rc, out, _ = run(capsys, ["classify", query])
+    assert rc == 0 and "disconnected" in out.splitlines()[0].removeprefix("tags: ").split(", ")
+    rc, out, _ = run(capsys, ["witnesses", query, database])
+    assert rc == 0
+    assert out.splitlines()[0] == f"witnesses: {n}" and len(out.splitlines()) == n + 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--order", "flat"],
+    ["--method", "flow", "--order", "flat:2,1"],
+    ["--dump-graph", "split.dot"],
+    ["--order", "nested-rp", "--dump-graph", "split.dot"],
+])
+def test_disconnected_query_refuses_an_ordering(capsys, split, tmp_path, monkeypatch, extra):
+    """An ordering or a graph dump is refused as `dispatch` refuses it,
+    before any plan list, ordering or graph is made or a file written."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("TemplateTable", "build_ordering", "build_flow_graph"):
+        monkeypatch.setattr(cli, name, None)
+    rc, out, err = run(capsys, ["factorize", *split[:2], *extra])
+    assert (rc, out) == (1, "")
+    assert err == "error: Q is disconnected; an ordering needs a connected query\n"
+    assert not (tmp_path / "split.dot").exists()
 
 
 def test_ilp_stats_solve_and_lp(capsys, files, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from provfact.cq import (
     Atom,
-    DisconnectedQueryError,
     HeadVarError,
     Query,
     QuerySyntaxError,
@@ -44,7 +43,6 @@ def test_parse_whitespace_and_case():
         ("Q :- ", QuerySyntaxError),
         ("Q :- R(x), R(y)", SelfJoinError),
         ("Q(x) :- R(x,y)", HeadVarError),
-        ("Q :- R(x), S(y)", DisconnectedQueryError),
     ],
 )
 def test_parse_errors(text, err):
@@ -53,7 +51,7 @@ def test_parse_errors(text, err):
 
 
 def test_allow_disconnected():
-    q = parse_query("Q :- R(x), S(y)", allow_disconnected=True)
+    q = parse_query("Q :- R(x), S(y)")
     assert len(q.atoms) == 2
 
 

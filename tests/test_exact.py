@@ -84,7 +84,7 @@ def test_lower_bound_refuses_a_disconnected_query():
     full-variable prefix, so its bound (8 here) exceeds the optimum (6, which
     `dispatch` proves component by component); the plan model refuses the
     query instead, as `solve_exact` does."""
-    q = parse_query("Q :- A(x), B(y)", allow_disconnected=True)
+    q = parse_query("Q :- A(x), B(y)")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=4, seed=1)))
     assert len(W) == 8
     rep = dispatch(q, W)

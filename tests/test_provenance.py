@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
-from provfact.cq import DisconnectedQueryError, Query, parse_query
+from provfact.cq import Query, connected_components, parse_query
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.provenance import (
     ArityMismatch,
@@ -43,7 +43,7 @@ from provfact import exact
 from provfact.exact import fact_decision, solve_exact
 from provfact.flow import build_flow_graph, extract_factorization, min_cut
 from provfact.ilp import build_ilp
-from provfact.special import _project_witnesses, dispatch, solve_triangle_unary
+from provfact.special import dispatch, solve_triangle_unary
 from provfact.veo import (
     TooManyVariables,
     Veo,
@@ -221,14 +221,14 @@ def test_witnesses_are_slotted_and_interned():
 
 
 def test_projected_witnesses_are_interned():
-    q = parse_query("Q :- R(x), S(y,z)", allow_disconnected=True)
+    q = parse_query("Q :- R(x), S(y,z)")
     db = gen_random(GenSpec(query=q, d=3, tuples=4, seed=2))
     W = compute_witnesses(q, db)
-    for atom in q.atoms:
-        sub = Query(f"Q.{atom.relation}", (atom,))
-        P = _project_witnesses(q, W, sub)
+    for i, (atom, P) in enumerate(zip(q.atoms, W.parts, strict=True), 1):
+        sub = Query(f"Q.{i}", (atom,))
+        assert P.query == sub
         assert P.witnesses == compute_witnesses(sub, db).witnesses
-        assert len(P.witnesses) < len(W.witnesses)
+        assert len(P.witnesses) < len(W)
         _assert_interned(P)
 
 
@@ -503,11 +503,10 @@ def _random_queries(count, seed=0):
             rng.sample(names, rng.randint(1, min(3, len(names))))
             for _ in range(rng.randint(2, 5))
         ]
-        try:
-            q = parse_query("Q :- " + ", ".join(
-                f"R{i}({','.join(vs)})" for i, vs in enumerate(atoms)
-            ))
-        except DisconnectedQueryError:
+        q = parse_query("Q :- " + ", ".join(
+            f"R{i}({','.join(vs)})" for i, vs in enumerate(atoms)
+        ))
+        if len(connected_components(q)) > 1:
             continue
         if len(q.variables) >= 2:
             out.append(q)

@@ -1,5 +1,6 @@
 """Query classification, closed-form specials, and the dispatch front door."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
-from provfact import special
-from provfact.cq import Atom, DisconnectedQueryError, Query, parse_query
+from provfact import exact, special
+from provfact.cq import Atom, DisconnectedQueryError, Query, connected_components, parse_query
 from provfact.exact import fact_decision, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
-from provfact.ilp import build_ilp
+from provfact.ilp import EmptyWitnessSet, build_ilp
 from provfact.provenance import (
     WitnessSet,
     compute_witnesses,
@@ -55,7 +56,7 @@ def test_classify_hierarchical_and_disconnected():
     cls = classify(parse_query("Q :- R(x), S(x,y)"))
     assert cls.tags == frozenset({"linear", "hierarchical"})
     assert cls.k == 1
-    cls2 = classify(parse_query("Q :- R(x), S(y)", allow_disconnected=True))
+    cls2 = classify(parse_query("Q :- R(x), S(y)"))
     assert "disconnected" in cls2.tags
 
 
@@ -315,7 +316,7 @@ def test_dispatch_general_linear_uses_exact():
 
 
 def test_dispatch_disconnected_components():
-    q = parse_query("Q :- R(x), S(y)", allow_disconnected=True)
+    q = parse_query("Q :- R(x), S(y)")
     db = gen_random(GenSpec(query=q, d=3, tuples=3, seed=2))
     W = compute_witnesses(q, db)
     assert W.witnesses
@@ -342,7 +343,7 @@ DISCONNECTED = [
 
 def _disconnected(i):
     text, d, t, seed, best = DISCONNECTED[i]
-    q = parse_query(text, allow_disconnected=True)
+    q = parse_query(text)
     db = gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed))
     return q, db, compute_witnesses(q, db), best
 
@@ -388,6 +389,78 @@ def test_disconnected_queries_are_not_solved_whole():
         build_ilp(q, W)
     with pytest.raises(DisconnectedQueryError):
         fact_decision(q, db, 0)
+
+
+@pytest.mark.parametrize("text, d, t, seed", [
+    *((text, d, t, seed) for text, d, t, seed, _ in DISCONNECTED),
+    *(("Q :- R(b,z), S(a), T(y,c)", 3, 4, seed) for seed in range(4)),
+    *(("Q :- A(x), B(x,y), C(u), D(w,z), E(z)", 3, 4, seed) for seed in range(4)),
+])
+def test_the_product_of_the_parts_is_the_joined_witness_set(text, d, t, seed):
+    """A disconnected query's witnesses, read off its parts, are every
+    consistent binding (the brute-force reference) in `Witness.key` order,
+    with the query's atom order and sorted variables, and share the parts'
+    binding pairs and tuple keys."""
+    q = parse_query(text)
+    db = gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed))
+    W = compute_witnesses(q, db)
+    assert len(W.parts) == len(connected_components(q)) > 1
+    assert "witnesses" not in vars(W)
+    reference = []
+    for binding in sorted(oracles.brute_bindings(q, db), key=lambda b: "_".join(v + c for v, c in b)):
+        values = dict(binding)
+        reference.append((binding, tuple((a.relation, tuple(map(values.get, a.vars))) for a in q.atoms)))
+    assert reference
+    assert [(w.binding, w.tuples) for w in W.witnesses] == reference
+    assert len(W) == len(W.witnesses) and W.witnesses is W.witnesses
+    first: dict = {}  # equal pairs and tuple keys are one object, the parts' own
+    assert all(first.setdefault(x, x) is x for w in W.witnesses for x in w.binding + w.tuples)
+    owned = {id(item) for part in W.parts for w in part.witnesses for item in w.binding + w.tuples}
+    assert all(id(item) in owned for w in W.witnesses for item in w.binding + w.tuples)
+
+
+def test_disconnected_refusals_build_no_product(monkeypatch):
+    """The plan model refuses a disconnected query before it reads the
+    product of the parts; an empty one still gives the empty results."""
+    q, db, W, _ = _disconnected(0)
+    with pytest.raises(DisconnectedQueryError):
+        solve_exact(q, W)
+    with pytest.raises(DisconnectedQueryError):
+        build_ilp(q, W)
+    made = []
+
+    def witnesses_of(q, db):
+        made.append(compute_witnesses(q, db))
+        return made[-1]
+
+    monkeypatch.setattr(exact, "compute_witnesses", witnesses_of)
+    with pytest.raises(DisconnectedQueryError):
+        fact_decision(q, db, 0)
+    for seen in (W, *made):
+        assert seen.parts and "witnesses" not in vars(seen)
+    empty = compute_witnesses(q, parse_database("[A]\n1\n[B]\n1,2\n[C]\n1\n[D]\n"))
+    assert len(empty.parts) == 2 and len(empty.parts[0]) == 1 and len(empty) == 0
+    res = solve_exact(q, empty)
+    assert (res.length, res.optimal, res.nodes, res.lower_bound) == (0, True, 0, 0)
+    with pytest.raises(EmptyWitnessSet):
+        build_ilp(q, empty)
+    rep = dispatch(q, empty)
+    assert (rep.method, rep.n, rep.length, rep.optimal) == ("empty", 0, 0, True)
+
+
+def test_dispatch_solves_the_parts_without_their_product():
+    """84,091 witnesses, the product of parts of 287 and 293: the parts are
+    solved and verified, and the product is never built."""
+    q = parse_query("Q :- A(x), B(x,y), C(u), D(u,v)")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=60, tuples=300, seed=1)))
+    assert [len(part) for part in W.parts] == [287, 293] and len(W) == 84_091
+    rep = dispatch(q, W, verify=True)
+    assert "witnesses" not in vars(W)
+    assert (rep.method, rep.n, rep.length, rep.optimal, rep.verified) == (
+        "components", 84_091, 700, True, True
+    )
+    assert rep.notes == ("Q.1: single-plan", "Q.2: single-plan")
+    assert hashlib.sha256(rep.factorization.pretty().encode()).hexdigest()[:12] == "c1f8bfac5cec"
 
 
 def test_dispatch_budget_exhaustion_falls_back_to_flow():
