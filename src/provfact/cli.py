@@ -25,7 +25,7 @@ from .gen import (
 )
 from .provenance import TemplateTable, compute_witnesses, load_database
 from .special import classify, dispatch
-from .veo import build_ordering, dissociation_of
+from .veo import NonRpOrdering, build_ordering, dissociation_of
 
 log = logging.getLogger("provfact")
 
@@ -100,21 +100,17 @@ def cmd_factorize(args) -> int:
         if W.parts:  # `dispatch` refuses this; refuse before the whole query's plans and graph
             raise ValueError(f"{q.name} is disconnected; an ordering needs a connected query")
         ordering = build_ordering(q, mode=mode, perm=perm, mveo=TemplateTable.of(q).plans)
+        # only an ordering given here can lack running prefixes: the solvers' own have them
+        if args.strict_rp and not ordering.rp:
+            raise NonRpOrdering("ordering violates the running-prefixes property in strict mode")
 
     if args.dump_graph:
         # the graph is dropped before dispatch builds its own
         with open(args.dump_graph, "w") as fh:
-            fh.write(build_flow_graph(q, W, ordering, strict_rp=args.strict_rp).dot())
+            fh.write(build_flow_graph(q, W, ordering).dot())
         log.info("wrote flow graph to %s", args.dump_graph)
 
-    rep = dispatch(
-        q,
-        W,
-        policy=args.method,
-        budget=args.budget,
-        strict_rp=args.strict_rp,
-        ordering=ordering,
-    )
+    rep = dispatch(q, W, policy=args.method, budget=args.budget, ordering=ordering)
     print(f"query: {q.name}")
     print(f"witnesses: {rep.n}")
     print(f"method: {rep.method}")
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--strict-rp",
         action="store_true",
-        help="reject orderings violating the running-prefixes property",
+        help="refuse a factorize ordering without the running-prefixes property",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

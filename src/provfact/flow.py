@@ -43,17 +43,12 @@ __all__ = [
     "Arcs",
     "FlowGraph",
     "FlowResult",
-    "NonRpOrdering",
     "ExtractionFailure",
     "build_flow_graph",
     "min_cut",
     "extract_factorization",
     "kernel_name",
 ]
-
-
-class NonRpOrdering(ValueError):
-    """strict running-prefixes mode rejected a non-RP ordering."""
 
 
 class ExtractionFailure(RuntimeError):
@@ -248,14 +243,8 @@ class FlowResult:
         self.value, self.cut_mask, self.reachable = value, cut_mask, reachable
 
 
-def build_flow_graph(
-    q: Query, W: WitnessSet, ordering: Ordering, strict_rp: bool = False
-) -> FlowGraph:
+def build_flow_graph(q: Query, W: WitnessSet, ordering: Ordering) -> FlowGraph:
     """Construct the witness-chain / instance-bypass graph for `ordering`."""
-    if strict_rp and not ordering.rp:
-        raise NonRpOrdering(
-            "ordering violates the running-prefixes property in strict mode"
-        )
     inst = W.instances
     table = inst.table
     sk = _skeleton(table, ordering)

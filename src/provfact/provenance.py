@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .cq import Atom, DisconnectedQueryError, Query, _Value, connected_components
 from .veo import (
-    Node, Ordering, TooManyVariables, Veo, _node_str, build_ordering, enumerate_mveo,
+    Node, Ordering, TooManyVariables, Veo, _node_str, anchored, build_ordering, enumerate_mveo,
 )
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "compute_witnesses",
     "assemble",
     "verify_equivalence",
-    "detect_p4",
 ]
 
 TupleKey = tuple[str, tuple[str, ...]]
@@ -388,9 +387,9 @@ class TemplateTable:
     `Instances`); no id reaches an output.  `child(parent, node)` is the id
     of the parent's path extended by `node` (parent -1 is the empty path
     above a root).  Per id the table keeps the node path, the indices of the
-    atoms anchored at its last node (those whose variables lie on the path
-    and meet that node) in relation-name order, their count as the
-    template's weight, and a getter that reads the path's binding pairs, in
+    atoms anchored at its last node (`veo.anchored`: those whose variables
+    lie on the path and meet that node) in relation-name order, their count
+    as the template's weight, and a getter that reads the path's binding pairs, in
     path order, off a `Witness.binding`.  A prefix instance is
     ``(template id, pairs)``, interned per witness set by `Instances`.
 
@@ -463,11 +462,8 @@ class TemplateTable:
         tid = self._ids.get((parent, node))
         if tid is None:
             path = (self.paths[parent] if parent >= 0 else ()) + (node,)
-            pathvars = {v for nd in path for v in nd}
+            hits = anchored(self.query, {v for nd in path for v in nd}, node)
             atoms = self.query.atoms
-            hits = [
-                i for i, a in enumerate(atoms) if a.varset <= pathvars and a.varset & set(node)
-            ]
             tid = self._ids[parent, node] = len(self.paths)
             self.paths.append(path)
             self.atoms.append(tuple(sorted(hits, key=lambda i: atoms[i].relation)))
@@ -828,27 +824,4 @@ def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000
             return False
         hit[wi] = 1
     return 0 not in hit
-
-
-def detect_p4(W: WitnessSet):
-    """Find a P4 pattern (w1, r, w2, s, w3): w2 shares r with w1 and s with w3,
-    while w1 lacks s and w3 lacks r.  Returns the pattern or None (read-once)."""
-    ws = [(w, w.tuple_set) for w in W.witnesses]  # each set made once
-    for w2, t2 in ws:
-        for w1, t1 in ws:
-            if w1 is w2:
-                continue
-            shared_r = t1 & t2
-            if not shared_r:
-                continue
-            for w3, t3 in ws:
-                if w3 is w2 or w3 is w1:
-                    continue
-                shared_s = (t3 & t2) - t1
-                if not shared_s:
-                    continue
-                for r in sorted(shared_r - t3):
-                    s = min(shared_s)
-                    return (w1, r, w2, s, w3)
-    return None
 

@@ -69,7 +69,7 @@ class QueryClass:
     __slots__ = ("tags", "k")
 
     def __init__(self, tags: frozenset[str], k: int | None) -> None:
-        self.tags, self.k = tags, k  # k: |mveo|, when enumerable
+        self.tags, self.k = tags, k  # k: |mveo|, when listed (see `classify`)
 
     def __contains__(self, tag: str) -> bool:
         return tag in self.tags
@@ -77,7 +77,9 @@ class QueryClass:
 
 def classify(q: Query) -> QueryClass:
     """Structural tags of `q`; a special shape's tag is set exactly when its
-    role matcher in `_SHAPES` accepts `q`."""
+    role matcher in `_SHAPES` accepts `q`.  `k` is None past the enumeration
+    cap and on a disconnected query, whose parts `dispatch` solves apart,
+    each with its own plans; the whole query's plans are never listed."""
     tags = set()
     if is_hierarchical(q):
         tags.add("hierarchical")
@@ -92,14 +94,15 @@ def classify(q: Query) -> QueryClass:
             continue
         tags.add(tag)
     k = None
-    try:
-        k = len(TemplateTable.of(q).plans)
-        if k == 2:
-            tags.add("two-mveo")
-    except TooManyVariables:
-        pass
     if len(connected_components(q)) > 1:
         tags.add("disconnected")
+    else:
+        try:
+            k = len(TemplateTable.of(q).plans)
+        except TooManyVariables:
+            pass
+        if k == 2:
+            tags.add("two-mveo")
     return QueryClass(tags=frozenset(tags), k=k)
 
 
@@ -375,10 +378,10 @@ def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
     return best
 
 
-def _flow_run(q, W, strict_rp, ordering=None) -> tuple[Factorization, int]:
+def _flow_run(q, W, ordering=None) -> tuple[Factorization, int]:
     """(factorization, cut value); the graph and the cut are freed on return."""
     ordering = ordering or TemplateTable.of(q).ordering
-    g = build_flow_graph(q, W, ordering, strict_rp=strict_rp)
+    g = build_flow_graph(q, W, ordering)
     res = min_cut(g)
     return extract_factorization(g, res)[0], res.value
 
@@ -395,7 +398,7 @@ def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] 
 _POLICIES = ("auto", "exact", "flow", "single-plan", "special")
 
 
-def _dispatch_components(q, W, policy, budget, strict_rp, ordering, verify, start) -> RunReport:
+def _dispatch_components(q, W, policy, budget, ordering, verify, start) -> RunReport:
     """`dispatch` on a disconnected query: each connected component runs
     alone, with the caller's settings, on its part of `W` (`W.parts`, which
     `compute_witnesses` makes), and the report ANDs the parts.  Length and
@@ -409,7 +412,7 @@ def _dispatch_components(q, W, policy, budget, strict_rp, ordering, verify, star
     if not W.parts:  # a hand-built product: its parts are not known
         raise ValueError(f"{q.name} is disconnected; pass its parts, not their product")
     reps = [
-        dispatch(part.query, part, policy=policy, budget=budget, strict_rp=strict_rp, verify=verify)
+        dispatch(part.query, part, policy=policy, budget=budget, verify=verify)
         for part in W.parts
     ]
     bounds = [p.length if p.optimal else p.lower_bound for p in reps]
@@ -437,7 +440,6 @@ def dispatch(
     W: WitnessSet,
     policy: str = "auto",
     budget: int = 500_000,
-    strict_rp: bool = False,
     ordering=None,
     verify: bool = True,
 ) -> RunReport:
@@ -464,8 +466,8 @@ def dispatch(
             elapsed_ms=(time.perf_counter() - start) * 1000,
         )
 
-    if len(connected_components(q)) > 1:  # before `classify` lists the whole query's plans
-        return _dispatch_components(q, W, policy, budget, strict_rp, ordering, verify, start)
+    if len(connected_components(q)) > 1:
+        return _dispatch_components(q, W, policy, budget, ordering, verify, start)
 
     cls = classify(q)
     method = policy
@@ -478,7 +480,7 @@ def dispatch(
         if not res.optimal:
             notes.append(f"budget exhausted after {res.nodes} nodes")
     elif policy == "flow":
-        fact, cut_value = _flow_run(q, W, strict_rp, ordering)
+        fact, cut_value = _flow_run(q, W, ordering)
         optimal = cls.k is not None and (cls.k <= 2 or "hierarchical" in cls)
         if not optimal:
             notes.append(f"cut value {cut_value}; optimality not guaranteed")
@@ -496,7 +498,7 @@ def dispatch(
         elif (routed := _special_solve(cls, W)) is not None:
             fact, method = routed
         elif cls.k == 2:
-            fact = _flow_run(q, W, strict_rp, ordering)[0]
+            fact = _flow_run(q, W, ordering)[0]
             method = "flow"
         else:
             res = solve_exact(q, W, budget=budget)
@@ -511,7 +513,7 @@ def dispatch(
                     f" lower bound {res.lower_bound}"
                 )
                 try:
-                    flow_fact = _flow_run(q, W, strict_rp, ordering)[0]
+                    flow_fact = _flow_run(q, W, ordering)[0]
                 except ExtractionFailure:
                     flow_fact = None
                     notes.append("flow extraction failed")

@@ -5,9 +5,10 @@ every atom's variables lie on a single root-to-node path.  Each VEO encodes
 a query plan; its per-atom *table prefixes* (minimal root paths covering the
 atom) are the sharable units of a factorization.  This module enumerates all
 legal VEOs, computes dissociations and the Pareto-minimal set (mveo), and
-the run orderings (flat and nested) consumed by the flow heuristic; which
-root paths are table prefixes, and their weights, is
-`provenance.TemplateTable`'s to say.
+the run orderings (flat and nested) consumed by the flow heuristic, with
+their running-prefixes check.  `anchored` is the one rule for which atoms a
+root path anchors: `dissociation_of` reads it, and so does
+`provenance.TemplateTable`, which interns the paths and their weights.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from functools import cached_property
 from operator import attrgetter
 
-from .cq import Atom, Query, _Value
+from .cq import Query, _Value
 
 __all__ = [
     "Veo",
@@ -25,13 +26,12 @@ __all__ = [
     "OmegaNode",
     "TooManyVariables",
     "InvalidPermutation",
+    "NonRpOrdering",
     "veo_node",
     "enumerate_veos",
     "dissociation_of",
     "enumerate_mveo",
-    "prefix_path",
     "build_ordering",
-    "check_rp",
 ]
 
 Node = tuple[str, ...]
@@ -46,6 +46,11 @@ class TooManyVariables(ValueError):
 
 class InvalidPermutation(ValueError):
     """A flat ordering permutation does not cover mveo(Q) exactly once."""
+
+
+class NonRpOrdering(ValueError):
+    """An ordering lacks the running-prefixes property that strict mode
+    (``provfact --strict-rp``) asks for."""
 
 
 def _node_str(node: Node) -> str:
@@ -178,33 +183,25 @@ def enumerate_veos(q: Query) -> tuple[Veo, ...]:
     return trees(variables, constraints)
 
 
-def prefix_path(v: Veo, avars: frozenset[str]) -> tuple[Node, ...]:
-    """The minimal root path of v whose variable union covers `avars`."""
-    path: list[Node] = []
-    rest = set(avars)
-    cur = v
-    while True:
-        path.append(cur.node)
-        rest.difference_update(cur.node)
-        if not rest:
-            return tuple(path)
-        nxt = None
-        for c in cur.children:
-            if c.vars_below & rest:
-                if nxt is not None or not rest <= c.vars_below:
-                    raise ValueError(f"variables {sorted(avars)} not on one root path of {v}")
-                nxt = c
-        if nxt is None:
-            raise ValueError(f"variables {sorted(avars)} missing from {v}")
-        cur = nxt
+def anchored(q: Query, pathvars: set[str] | frozenset[str], node: Node) -> list[int]:
+    """The indices of q's atoms anchored at `node`, the last node of a root
+    path whose variables are `pathvars`: the atoms whose variables lie on
+    the path and meet `node`.  In a legal plan each atom is anchored at
+    exactly one node, and the path to it is the atom's table prefix."""
+    return [
+        i for i, a in enumerate(q.atoms) if a.varset <= pathvars and not a.varset.isdisjoint(node)
+    ]
 
 
 def dissociation_of(v: Veo, q: Query) -> tuple[frozenset[str], ...]:
     """Per-atom added-variable sets: vars on the atom's table prefix minus its own."""
-    out = []
-    for a in q.atoms:
-        pvars = frozenset(x for node in prefix_path(v, a.varset) for x in node)
-        out.append(pvars - a.varset)
+    out = [frozenset()] * len(q.atoms)
+    stack = [(v, frozenset(v.node))]
+    while stack:
+        t, pathvars = stack.pop()
+        for i in anchored(q, pathvars, t.node):
+            out[i] = pathvars - q.atoms[i].varset
+        stack.extend((c, pathvars.union(c.node)) for c in t.children)
     return tuple(out)
 
 
@@ -212,23 +209,20 @@ def enumerate_mveo(q: Query) -> tuple[Veo, ...]:
     """The Pareto-minimal VEOs under componentwise subset order of dissociations.
 
     VEOs with identical dissociations collapse to the lexicographically
-    smallest serialization; the result is sorted by serialization.
+    smallest serialization; the result is sorted by serialization.  A
+    dominator is strictly smaller in total size, so visiting the
+    dissociations by size and comparing each only with the minimal ones
+    kept so far finds them all (dominance is transitive).
     """
-    by_dissoc: dict[tuple[frozenset[str], ...], Veo] = {}
-    for v in enumerate_veos(q):
-        d = dissociation_of(v, q)
-        cur = by_dissoc.get(d)
-        if cur is None or v.serial < cur.serial:
-            by_dissoc[d] = v
-    items = sorted(by_dissoc.items(), key=lambda kv: kv[1].serial)
-
-    def dominates(d1, d2) -> bool:
-        return d1 != d2 and all(a <= b for a, b in zip(d1, d2))
-
-    minimal = [
-        v for d, v in items if not any(dominates(d2, d) for d2, _ in items)
-    ]
-    return tuple(minimal)
+    first: dict[tuple[frozenset[str], ...], Veo] = {}
+    for v in enumerate_veos(q):  # in serial order, so the first of each is the smallest
+        first.setdefault(dissociation_of(v, q), v)
+    minimal: list[tuple[frozenset[str], ...]] = []
+    for d in sorted(first, key=lambda d: sum(map(len, d))):
+        if not any(all(map(frozenset.__le__, m, d)) for m in minimal):
+            minimal.append(d)
+    keep = set(minimal)
+    return tuple(v for d, v in first.items() if d in keep)
 
 
 # --------------------------------------------------------------------------
@@ -238,10 +232,10 @@ def enumerate_mveo(q: Query) -> tuple[Veo, ...]:
 class OmegaNode(_Value):
     """One segment of a nested ordering.
 
-    Exactly one of the following holds: `sub` is set (a leaf fragment hanging
-    below the shared `ext` path, which may be empty), `seq` is nonempty
-    (sequential alternatives below `ext`), or `par` is nonempty (independent
-    parallel components below `ext`, combined by Cartesian product).
+    Exactly one of the following holds: `sub` is set (a whole plan fragment,
+    with no `ext`), `seq` is nonempty (sequential alternatives below the
+    shared `ext` path), or `par` is nonempty (independent parallel
+    components below `ext`, combined by Cartesian product).
     """
 
     __slots__ = ("ext", "sub", "seq", "par")
@@ -258,29 +252,15 @@ class OmegaNode(_Value):
 
     def fragments(self) -> list[Veo]:
         """All plan fragments represented by this segment."""
+        if self.sub is not None:
+            return [self.sub]
         if self.seq:
-            tails = [f for alt in self.seq for f in alt.fragments()]
-        elif self.par:
-            comps = [[f for alt in comp for f in alt.fragments()] for comp in self.par]
-            tails = None
-            out = []
-            for combo in itertools.product(*comps):
-                out.append(_chain(self.ext, tuple(combo)))
-            return out
-        else:
-            tails = [self.sub] if self.sub is not None else []
-            if not self.ext:
-                return list(tails)
-            if not tails:
-                return [_chain(self.ext, ())]
-        return [_chain(self.ext, (t,)) for t in tails]
+            return [_chain(self.ext, (f,)) for alt in self.seq for f in alt.fragments()]
+        comps = [[f for alt in comp for f in alt.fragments()] for comp in self.par]
+        return [_chain(self.ext, combo) for combo in itertools.product(*comps)]
 
 
 def _chain(ext: tuple[Node, ...], tails: tuple[Veo, ...]) -> Veo:
-    if not ext:
-        if len(tails) != 1:
-            raise ValueError("empty chain requires exactly one tail")
-        return tails[0]
     cur = veo_node(ext[-1], tails)
     for nd in reversed(ext[:-1]):
         cur = veo_node(nd, (cur,))
@@ -298,60 +278,20 @@ class Ordering(_Value):
     def __init__(self, mode: str, alts: tuple[OmegaNode, ...]) -> None:
         self.mode, self.alts = mode, alts  # mode: "flat" | "nested-rp"
         self.veos = tuple(f for alt in alts for f in alt.fragments())
-        self.rp = self._check_rp()
-
-    @property
-    def has_parallel(self) -> bool:
-        def walk(n: OmegaNode) -> bool:
-            return bool(n.par) or any(walk(c) for c in n.seq) or any(
-                walk(c) for comp in n.par for c in comp
-            )
-        return any(walk(a) for a in self.alts)
-
-    def _check_rp(self) -> bool:
-        if not self.has_parallel:
-            return check_rp(self.veos)
-        # Parallel segments: a shared path must either be a trie path of the
-        # segment structure (covered by some cumulative ext) or confined to
-        # one component's contiguous alternatives; validated recursively.
-        ok = True
-
-        def walk(alts: tuple[OmegaNode, ...], cum: tuple[Node, ...]):
-            nonlocal ok
-            frag_lists = []
-            for alt in alts:
-                frags = alt.fragments()
-                frag_lists.append(frags)
-            # contiguity across this sequence of alternatives
-            cols: dict[tuple[Node, ...], list[int]] = {}
-            for i, frags in enumerate(frag_lists):
-                for f in frags:
-                    for p in f.root_paths:
-                        lst = cols.setdefault(p, [])
-                        if not lst or lst[-1] != i:
-                            lst.append(i)
-            for p, idxs in cols.items():
-                if idxs[-1] - idxs[0] + 1 != len(idxs):
-                    ok = False
-            for alt in alts:
-                sub_cum = cum + alt.ext
-                if alt.seq:
-                    walk(alt.seq, sub_cum)
-                for comp in alt.par:
-                    walk(comp, sub_cum)
-
-        walk(self.alts, ())
-        return ok
+        self.rp = _running_prefixes(alts)
 
 
-def check_rp(veos: tuple[Veo, ...] | list[Veo]) -> bool:
-    """Running-prefixes check for a flat sequence: every shared root path
-    must occupy a contiguous range of positions."""
-    cols: dict[tuple[Node, ...], list[int]] = {}
-    for i, v in enumerate(veos):
-        for p in v.root_paths:
-            cols.setdefault(p, []).append(i)
-    return all(c[-1] - c[0] + 1 == len(c) for c in cols.values())
+def _running_prefixes(alts: tuple[OmegaNode, ...]) -> bool:
+    """Whether each root path of the fragments of `alts` lies in one
+    contiguous run of them, and so on along every sequence and parallel
+    component below them (whose fragments hang below the segment's `ext`)."""
+    last: dict[tuple[Node, ...], int] = {}
+    for i, alt in enumerate(alts):
+        for p in {p for f in alt.fragments() for p in f.root_paths}:
+            if last.setdefault(p, i) < i - 1:
+                return False
+            last[p] = i
+    return all(_running_prefixes(alt.seq) and all(map(_running_prefixes, alt.par)) for alt in alts)
 
 
 def _nest(fragments: list[Veo]) -> tuple[OmegaNode, ...]:

@@ -264,6 +264,29 @@ def brute_read_once(q, witness_set, plans):
     return brute_minfact(q, witness_set, plans) == distinct_tuple_count(witness_set)
 
 
+def detect_p4(W: WitnessSet):
+    """Find a P4 pattern (w1, r, w2, s, w3): w2 shares r with w1 and s with w3,
+    while w1 lacks s and w3 lacks r.  Returns the pattern or None (read-once)."""
+    ws = [(w, w.tuple_set) for w in W.witnesses]  # each set made once
+    for w2, t2 in ws:
+        for w1, t1 in ws:
+            if w1 is w2:
+                continue
+            shared_r = t1 & t2
+            if not shared_r:
+                continue
+            for w3, t3 in ws:
+                if w3 is w2 or w3 is w1:
+                    continue
+                shared_s = (t3 & t2) - t1
+                if not shared_s:
+                    continue
+                for r in sorted(shared_r - t3):
+                    s = min(shared_s)
+                    return (w1, r, w2, s, w3)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Covering model
 # ---------------------------------------------------------------------------
@@ -403,6 +426,20 @@ def brute_min_node_cut(g) -> int:
                 best = weight
     assert best is not None, "sink not disconnectable by capacitated nodes"
     return best
+
+
+# ---------------------------------------------------------------------------
+# Orderings
+# ---------------------------------------------------------------------------
+
+def reference_rp(veos):
+    """Running-prefixes check for a flat sequence of plans: every root path
+    shared by the plans must occupy a contiguous range of positions."""
+    cols = {}
+    for i, v in enumerate(veos):
+        for p in v.root_paths:
+            cols.setdefault(p, []).append(i)
+    return all(c[-1] - c[0] + 1 == len(c) for c in cols.values())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ import time
 import pytest
 
 import oracles
+from oracles import detect_p4
 from conftest import seeded_witness_sets
 from provfact.bench import run_sweep
 from provfact.exact import solve_exact
@@ -44,7 +45,7 @@ from provfact.gen import (
     random_graph,
 )
 from provfact.ilp import build_ilp, model_stats, solve_model
-from provfact.provenance import compute_witnesses, detect_p4, verify_equivalence
+from provfact.provenance import compute_witnesses, verify_equivalence
 from provfact.special import (
     dispatch,
     single_plan_baseline,

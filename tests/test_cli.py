@@ -198,6 +198,24 @@ def test_disconnected_query_refuses_an_ordering(capsys, split, tmp_path, monkeyp
     assert not (tmp_path / "split.dot").exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--method", "exact"], ["--dump-graph", "g.dot"]])
+def test_strict_rp_refuses_a_non_rp_ordering(capsys, tmp_path, monkeypatch, extra):
+    """Under `--strict-rp` an ordering built from `--order` without running
+    prefixes is refused, whatever the method, before a graph is written;
+    one with them runs."""
+    monkeypatch.chdir(tmp_path)
+    q = fixture_query("2chain-we")
+    (tmp_path / "q.q").write_text(str(q))
+    (tmp_path / "q.db").write_text(gen_random(GenSpec(query=q, d=5, tuples=8, seed=1)).text())
+    argv = ["--strict-rp", "factorize", "q.q", "q.db", *extra, "--order"]
+    rc, out, err = run(capsys, [*argv, "flat:1,2,4,3,5"])
+    assert (rc, out) == (1, "")
+    assert err == "error: ordering violates the running-prefixes property in strict mode\n"
+    assert not (tmp_path / "g.dot").exists()
+    rc, out, _ = run(capsys, [*argv, "flat"])
+    assert rc == 0 and "length" in dict(l.split(": ", 1) for l in out.splitlines())
+
+
 def test_ilp_stats_solve_and_lp(capsys, files, tmp_path):
     lp_path = tmp_path / "model.lp"
     rc, out, _ = run(

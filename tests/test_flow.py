@@ -19,7 +19,6 @@ from provfact.flow import (
     Arcs,
     ExtractionFailure,
     FlowResult,
-    NonRpOrdering,
     build_flow_graph,
     extract_factorization,
     kernel_name,
@@ -176,14 +175,15 @@ def test_cut_value_matches_brute_force_on_every_fixture(name, mode):
 
 
 def test_strict_rp_rejects_non_rp_ordering():
+    """The library takes an ordering without running prefixes: it builds,
+    cuts, extracts and verifies.  Refusing one is the CLI's `--strict-rp`
+    (`test_cli`)."""
     q = fixture_query("2chain-we")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=10, seed=5)))
     assert len(W.witnesses) >= 2
     bad = build_ordering(q, mode="flat", perm=[0, 1, 3, 2, 4])
     assert bad.rp is False
-    with pytest.raises(NonRpOrdering):
-        build_flow_graph(q, W, bad, strict_rp=True)
-    g = build_flow_graph(q, W, bad)  # non-strict mode still builds
+    g = build_flow_graph(q, W, bad)
     res = min_cut(g)
     fact, _ = extract_factorization(g, res)
     assert verify_equivalence(fact, W)
@@ -313,6 +313,10 @@ def test_dot_labels_are_quoted_strings():
     assert all(t in names or f"{t}.out" in names for t in texts)
 
 
+def _has_parallel(alts) -> bool:
+    return any(alt.par or _has_parallel(alt.seq) for alt in alts)
+
+
 def _plan_orderings(q):
     """The nested-rp and flat orderings of q and, past two plans, of each plan pair."""
     plans = enumerate_mveo(q)
@@ -361,5 +365,5 @@ def test_flow_tail_matches_the_reference(name):
                 assert [asg[w] for w in W.witnesses] == expected
                 # every witness holds one of the ordering's own plan objects
                 chosen.update(index[id(asg[w])] for w in W.witnesses)
-        if ordering.has_parallel:
+        if _has_parallel(ordering.alts):
             assert chosen == set(range(len(ordering.veos)))

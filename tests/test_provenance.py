@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
+from oracles import detect_p4
 from provfact.cq import Query, connected_components, parse_query
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.provenance import (
@@ -27,7 +28,6 @@ from provfact.provenance import (
     WitnessSet,
     assemble,
     compute_witnesses,
-    detect_p4,
     e_and,
     e_or,
     e_var,

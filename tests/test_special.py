@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
-from provfact import exact, special
+from provfact import exact, provenance, special, veo
 from provfact.cq import Atom, DisconnectedQueryError, Query, connected_components, parse_query
 from provfact.exact import fact_decision, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
@@ -58,6 +58,23 @@ def test_classify_hierarchical_and_disconnected():
     assert cls.k == 1
     cls2 = classify(parse_query("Q :- R(x), S(y)"))
     assert "disconnected" in cls2.tags
+
+
+@pytest.mark.parametrize("text", [
+    "classify_split :- R(x), S(y)",
+    "classify_split :- R(x,y), S(y,z), T(z,x), A(u), B(u,v), C(v,w)",
+])
+def test_classify_lists_no_plans_of_a_disconnected_query(monkeypatch, text):
+    """`dispatch` solves each part with its own plans, so `classify` lists
+    none of the whole query's: no plan count and no `two-mveo` tag."""
+    def refuse(q):
+        raise AssertionError(f"listed the plans of {q}")
+
+    monkeypatch.setattr(provenance, "enumerate_mveo", refuse)
+    monkeypatch.setattr(veo, "enumerate_mveo", refuse)
+    cls = classify(parse_query(text))
+    assert "disconnected" in cls.tags and "two-mveo" not in cls.tags
+    assert cls.k is None
 
 
 SHAPES = {

@@ -6,18 +6,16 @@ import pytest
 
 import oracles
 from provfact.cq import parse_query
-from provfact.gen import fixture_query
+from provfact.gen import FIXTURE_QUERIES, fixture_query
 from provfact.provenance import TemplateTable
 from provfact.veo import (
     InvalidPermutation,
     TooManyVariables,
     Veo,
     build_ordering,
-    check_rp,
     dissociation_of,
     enumerate_mveo,
     enumerate_veos,
-    prefix_path,
     veo_node,
 )
 
@@ -131,21 +129,17 @@ def test_table_prefixes_3chain():
     assert all(table.weights[t] == 1 for ids in table.prefix_ids for t in ids)
 
 
-def test_prefix_path_matches_oracle():
-    """prefix_path agrees with an independently computed minimal covering
-    root path, across every fixture plan and atom."""
-    for name in MVEO_SETS:
+def test_dissociation_matches_oracle():
+    """Each atom's dissociation in every legal plan of every fixture is the
+    variables of its independently computed minimal covering root path
+    minus its own."""
+    for name in FIXTURE_QUERIES:
         q = fixture_query(name)
-        for v in enumerate_mveo(q):
-            for atom in q.atoms:
-                assert prefix_path(v, atom.varset) == oracles.anchor_path(v, atom.varset)
-
-
-def test_prefix_path_rejects_uncovered():
-    q = fixture_query("q2star")
-    v = enumerate_mveo(q)[0]
-    with pytest.raises(ValueError):
-        prefix_path(v, frozenset({"q"}))
+        for v in enumerate_veos(q):
+            assert dissociation_of(v, q) == tuple(
+                frozenset(x for node in oracles.anchor_path(v, a.varset) for x in node) - a.varset
+                for a in q.atoms
+            )
 
 
 def test_too_many_variables():
@@ -206,7 +200,19 @@ def test_non_rp_flat_ordering_detected():
 
 def test_check_rp():
     q = fixture_query("2chain-we")
-    mv = enumerate_mveo(q)
-    assert check_rp(mv) is True
-    bad = [mv[0], mv[2], mv[1], mv[3], mv[4]]
-    assert check_rp(bad) is False
+    assert build_ordering(q, mode="flat", perm=[0, 1, 2, 3, 4]).rp is True
+    assert build_ordering(q, mode="flat", perm=[0, 2, 1, 3, 4]).rp is False
+
+
+@pytest.mark.parametrize("name", ["2chain-we", "q3star", "4chain"])
+def test_flat_rp_matches_the_reference(name):
+    """On every flat permutation of the minimal plans, `Ordering.rp` is the
+    reference's contiguity check over the plan sequence."""
+    q = fixture_query(name)
+    plans = enumerate_mveo(q)
+    seen = set()
+    for perm in itertools.permutations(range(len(plans))):
+        o = build_ordering(q, mode="flat", perm=list(perm), mveo=plans)
+        assert o.rp is oracles.reference_rp(o.veos)
+        seen.add(o.rp)
+    assert seen == {True, False}
