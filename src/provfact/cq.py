@@ -70,20 +70,17 @@ class Atom(_Value):
     """One subgoal ``R(x, y, ...)``: a relation name and its variable list.
     Atoms order by relation, then variables."""
 
-    __slots__ = ("relation", "vars")
+    __slots__ = ("relation", "vars", "varset")
     _key = attrgetter("relation", "vars")
 
     def __init__(self, relation: str, vars: tuple[str, ...]) -> None:
         self.relation, self.vars = relation, vars
+        self.varset = frozenset(vars)
 
     def __lt__(self, other: Atom) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) < other._key(other)
-
-    @property
-    def varset(self) -> frozenset[str]:
-        return frozenset(self.vars)
 
     def __str__(self) -> str:
         return f"{self.relation}({','.join(self.vars)})"

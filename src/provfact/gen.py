@@ -12,7 +12,8 @@ pattern through any triad's atoms.
 from __future__ import annotations
 
 import random
-from operator import attrgetter
+from itertools import islice, repeat
+from operator import add, attrgetter, floordiv, mod, mul
 
 from .cq import Query, _Value, has_triad, parse_query
 from .provenance import Database
@@ -76,19 +77,30 @@ def gen_random(spec: GenSpec) -> Database:
     Draws are with replacement and deduplicated, so relations may end up
     slightly smaller than requested; identical specs yield identical data.
     Equal constants are one object.
+
+    The draws are `Random.choice`'s, read as one stream.  A constant is
+    kept as its rank in string order, so that a row is one base-d int.
     """
     if spec.tuples < 0:
         raise ValueError(f"cannot draw a negative number of rows (tuples={spec.tuples})")
     if spec.d < 1 and spec.tuples > 0:
         raise ValueError(f"cannot draw rows from an empty domain (d={spec.d})")
-    choice = random.Random(spec.seed).choice
-    consts = [str(c) for c in range(spec.d)]
+    d = spec.d
+    names = sorted(map(str, range(d)))
+    rank = dict(zip(map(int, names), range(d)))
+    getrandbits = random.Random(spec.seed).getrandbits
+    draws = map(rank.__getitem__, filter(d.__gt__, map(getrandbits, repeat(d.bit_length()))))
     rels: dict[str, tuple[tuple[str, ...], ...]] = {}
     for atom in spec.query.atoms:
         arity = len(atom.vars)
-        draws = iter([choice(consts) for _ in range(arity * spec.tuples)])
-        rows = set(zip(*[draws] * arity))  # each row takes the next `arity` draws
-        rels[atom.relation] = tuple(sorted(rows))
+        ranks = list(islice(draws, arity * spec.tuples))  # row i is ranks[i*arity:(i+1)*arity]
+        keys = ranks[::arity]
+        for i in range(1, arity):
+            keys = map(add, map(mul, keys, repeat(d)), ranks[i::arity])
+        keys = sorted(set(keys))
+        columns = [map(mod, map(floordiv, keys, repeat(d**e)), repeat(d))
+                   for e in reversed(range(arity))]
+        rels[atom.relation] = tuple(zip(*[map(names.__getitem__, c) for c in columns]))
     return Database(rels)
 
 

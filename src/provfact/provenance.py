@@ -24,7 +24,7 @@ import os
 import re
 from array import array
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -139,48 +139,64 @@ def _read_row(line: str, intern) -> tuple[str, ...] | None:
     return None if "" in row else tuple(map(intern, row, row))
 
 
-def parse_database(text: str) -> Database:
-    """Parse the sectioned text format: ``[Rel]`` headers, one comma-separated
-    row per line; ``#`` starts a comment."""
-    intern = {}.setdefault
-    rels: dict[str, set[tuple[str, ...]]] = {}
-    rows: set[tuple[str, ...]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        if line[0] == "[" and line[-1] == "]":
-            name = line[1:-1].strip()
-            if not name:
-                raise FormatError(f"line {lineno}: empty relation name")
-            rows = rels.setdefault(name, set())
-            continue
-        if rows is None:
-            raise FormatError(f"line {lineno}: row before any [Relation] header")
+def _read_block(lines: list[str], rows: dict, intern) -> int | None:
+    """Add the rows of `lines` (stripped, nonempty) to the keys of `rows`;
+    the index of the first line with an empty constant, else None.  Rows
+    of one width and no empty constant are read whole, others row by row."""
+    commas = set(map(str.count, lines, repeat(",")))
+    cells = list(map(str.strip, ",".join(lines).split(",")))
+    if len(commas) == 1 and "" not in cells:
+        rows.update(zip(zip(*[map(intern, cells, cells)] * (commas.pop() + 1)), repeat(None)))
+        return None
+    for i, line in enumerate(lines):
         row = _read_row(line, intern)
         if row is None:
-            raise FormatError(f"line {lineno}: empty constant in row {line!r}")
-        rows.add(row)
+            return i
+        rows[row] = None
+    return None
+
+
+def parse_database(text: str) -> Database:
+    """Parse the sectioned text format: ``[Rel]`` headers, one comma-separated
+    row per line; ``#`` starts a comment.  Rows keep their first-seen
+    order, so rows written sorted are sorted again in linear time."""
+    intern = {}.setdefault
+    rels: dict[str, dict[tuple[str, ...], None]] = {}
+    rows: dict[tuple[str, ...], None] | None = None
+    lines = [*map(str.strip, text.splitlines()), ""]  # the blank line ends the last block
+    start = 0  # the first line of the current block of rows
+    for i, line in enumerate(lines):
+        if line and line[0] != "#" and not (line[0] == "[" and line[-1] == "]"):
+            continue
+        if start < i:
+            if rows is None:
+                raise FormatError(f"line {start + 1}: row before any [Relation] header")
+            bad = _read_block(lines[start:i], rows, intern)
+            if bad is not None:
+                bad += start
+                raise FormatError(f"line {bad + 1}: empty constant in row {lines[bad]!r}")
+        start = i + 1
+        if line[:1] == "[":
+            name = line[1:-1].strip()
+            if not name:
+                raise FormatError(f"line {i + 1}: empty relation name")
+            rows = rels.setdefault(name, {})
     return Database({name: tuple(sorted(rows)) for name, rows in rels.items()})
 
 
 def load_database(source: str | os.PathLike) -> Database:
     """Load a database from a sectioned text file or a directory of
-    ``Rel.csv`` files (headerless, comma-separated rows)."""
+    ``Rel.csv`` files (headerless, comma-separated rows, blank lines skipped)."""
     p = Path(source)
     if p.is_dir():
         intern = {}.setdefault
-        rels: dict[str, set[tuple[str, ...]]] = {}
+        rels: dict[str, dict[tuple[str, ...], None]] = {}
         for csv_path in sorted(p.glob("*.csv")):
-            rows = rels[csv_path.stem] = set()
-            for lineno, raw in enumerate(csv_path.read_text().splitlines(), start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                row = _read_row(line, intern)
-                if row is None:
-                    raise FormatError(f"{csv_path.name}:{lineno}: empty constant")
-                rows.add(row)
+            lines = list(map(str.strip, csv_path.read_text().splitlines()))
+            block = list(filter(None, lines))
+            bad = _read_block(block, rels.setdefault(csv_path.stem, {}), intern)
+            if bad is not None:  # an earlier equal line would have been bad too
+                raise FormatError(f"{csv_path.name}:{lines.index(block[bad]) + 1}: empty constant")
         if not rels:
             raise FormatError(f"{p}: no .csv files found")
         return Database({name: tuple(sorted(rows)) for name, rows in rels.items()})

@@ -36,6 +36,64 @@ def reference_gen_random(spec):
     return Database.from_dict(rels)
 
 
+def _reference_read_row(line: str, intern) -> tuple[str, ...] | None:
+    row = tuple(map(str.strip, line.split(",")))
+    return None if "" in row else tuple(map(intern, row, row))
+
+
+def reference_parse_database(text: str):
+    """The line-at-a-time parser, the reference for
+    ``provenance.parse_database``: one row read per line into a set, each
+    set sorted at the end."""
+    from provfact.provenance import Database, FormatError
+
+    intern = {}.setdefault
+    rels: dict[str, set[tuple[str, ...]]] = {}
+    rows: set[tuple[str, ...]] | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1].strip()
+            if not name:
+                raise FormatError(f"line {lineno}: empty relation name")
+            rows = rels.setdefault(name, set())
+            continue
+        if rows is None:
+            raise FormatError(f"line {lineno}: row before any [Relation] header")
+        row = _reference_read_row(line, intern)
+        if row is None:
+            raise FormatError(f"line {lineno}: empty constant in row {line!r}")
+        rows.add(row)
+    return Database({name: tuple(sorted(rows)) for name, rows in rels.items()})
+
+
+def reference_load_csv_dir(path):
+    """The line-at-a-time CSV directory reader, the reference for the
+    directory branch of ``provenance.load_database``."""
+    from pathlib import Path
+
+    from provfact.provenance import Database, FormatError
+
+    p = Path(path)
+    intern = {}.setdefault
+    rels: dict[str, set[tuple[str, ...]]] = {}
+    for csv_path in sorted(p.glob("*.csv")):
+        rows = rels[csv_path.stem] = set()
+        for lineno, raw in enumerate(csv_path.read_text().splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            row = _reference_read_row(line, intern)
+            if row is None:
+                raise FormatError(f"{csv_path.name}:{lineno}: empty constant")
+            rows.add(row)
+    if not rels:
+        raise FormatError(f"{p}: no .csv files found")
+    return Database({name: tuple(sorted(rows)) for name, rows in rels.items()})
+
+
 # ---------------------------------------------------------------------------
 # Queries
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,12 @@ def assert_interned(db: Database) -> None:
                 assert seen.setdefault(c, c) is c, c
 
 
-@pytest.mark.parametrize("d, tuples", [(1, 3), (4, 6), (30, 200)])
+# d = 2, 8, 9, 1024 and 1025 sit where `bit_length` steps, so a draw is
+# redrawn most often; from d = 11 on, string order is not numeric order.
+@pytest.mark.parametrize(
+    "d, tuples",
+    [(1, 3), (2, 5), (4, 6), (8, 30), (9, 30), (12, 400), (30, 200), (1024, 300), (1025, 300)],
+)
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_gen_random_matches_the_reference_and_parses_back(name, d, tuples):
     q = parse_query(QUERIES[name])
@@ -77,6 +83,80 @@ def test_format_error_messages(text, message):
     with pytest.raises(FormatError) as exc:
         parse_database(text)
     assert str(exc.value) == message
+
+
+_BREAKS = ["\n", "\n", "\r\n", "\x0b", "\x85", "\u2028"]
+_CELLS = ["1", "2", "10", "a", "a b", "[x", "x]", "#"]
+
+
+def _fuzz_lines(rng: random.Random, sections: bool) -> list[str]:
+    """Lines of a database text (`sections`) or of one CSV file: runs of rows
+    of one width or of mixed widths, with padded, empty and bracketed cells,
+    among comments, blank lines and well- and ill-formed headers."""
+    def pad(s: str) -> str:
+        return rng.choice(["", "", "", " ", "\t"]) + s + rng.choice(["", "", "", " ", "\t "])
+
+    lines: list[str] = []
+    for _ in range(rng.randrange(1, 6)):
+        r = rng.random()
+        if r < 0.25 and sections:
+            name = rng.choice(["R", "S", " R ", "S", "", " "])
+            lines.append(pad("[" + name + rng.choice(["]", "]", "]", ""])))
+        elif r < 0.35:
+            lines.append(pad(rng.choice(["", "# c", "#1,,2", "[R]", "[x"])))
+        else:
+            width = rng.randrange(1, 4)
+            for _ in range(rng.randrange(1, 9)):
+                cells = [rng.choice(_CELLS) for _ in range(width + (rng.random() < 0.1))]
+                if rng.random() < 0.15:
+                    cells = [pad(c) for c in cells]
+                if rng.random() < 0.03:
+                    cells[rng.randrange(len(cells))] = rng.choice(["", " "])
+                lines.append(pad(",".join(cells)) if rng.random() < 0.2 else ",".join(cells))
+    return lines
+
+
+def _join(rng: random.Random, lines: list[str]) -> str:
+    """`lines`, each ended by a random line break, the last one sometimes not."""
+    ends = [rng.choice(_BREAKS) for _ in lines]
+    if rng.random() < 0.2:
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+def _outcome(read, source):
+    """What `read` returns for `source`, or its `FormatError` message."""
+    try:
+        db = read(source)
+    except FormatError as exc:
+        return str(exc)
+    assert_interned(db)
+    return db
+
+
+def test_parse_database_matches_the_reference_on_fuzzed_text():
+    rng = random.Random(23)
+    read = 0
+    for _ in range(3000):
+        text = _join(rng, ([] if rng.random() < 0.1 else ["[R]"]) + _fuzz_lines(rng, True))
+        got = _outcome(parse_database, text)
+        assert got == _outcome(oracles.reference_parse_database, text), text
+        read += isinstance(got, Database)
+    assert 1000 < read < 2900  # both outcomes are exercised
+
+
+def test_csv_directory_matches_the_reference_on_fuzzed_files(tmp_path):
+    rng = random.Random(23)
+    read = 0
+    for i in range(300):
+        d = tmp_path / str(i)
+        d.mkdir()
+        for name in rng.sample(["R", "S", "T"], rng.randrange(1, 4)):
+            (d / f"{name}.csv").write_text(_join(rng, _fuzz_lines(rng, False)))
+        got = _outcome(load_database, d)
+        assert got == _outcome(oracles.reference_load_csv_dir, d), i
+        read += isinstance(got, Database)
+    assert 100 < read < 290
 
 
 def test_csv_format_error_messages(tmp_path):

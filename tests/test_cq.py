@@ -113,3 +113,9 @@ def test_query_equality_and_hash():
     q2 = parse_query("Q :- R(x), S(x,y), T(y)")
     assert q1 == q2 and hash(q1) == hash(q2)
     assert q1 != parse_query("Q :- R(x), S(x,y)")
+
+
+def test_atom_varset_is_made_once():
+    a = Atom("S", ("x", "y"))
+    assert a.varset == frozenset({"x", "y"})
+    assert a.varset is a.varset
