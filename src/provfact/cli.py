@@ -30,13 +30,32 @@ from .veo import NonRpOrdering, build_ordering, dissociation_of
 log = logging.getLogger("provfact")
 
 
-def _load_query(path: str):
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except FileNotFoundError:  # worded as `load_database` words a missing database
         raise FileNotFoundError(f"{path}: no such file or directory") from None
-    return parse_query(text)
+
+
+def _load_query(path: str):
+    return parse_query(_read(path))
+
+
+def _load_edges(path: str) -> list[tuple[int, int]]:
+    """An edge list: one ``u v`` pair of integer vertices per line; ``#``
+    starts a comment.  A malformed line is named as ``FILE:LINE``."""
+    edges = []
+    for i, line in enumerate(_read(path).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{i}: expected two integer vertices, got {line!r}") from None
+        edges.append((u, v))
+    return edges
 
 
 def _parse_order(spec: str):
@@ -164,15 +183,7 @@ def cmd_gen(args) -> int:
     if args.gadget:
         if not args.graph:
             raise ValueError("--gadget requires --graph EDGELIST")
-        edges = []
-        with open(args.graph) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                u, v = line.split()
-                edges.append((int(u), int(v)))
-        g = GraphInput.from_edges(edges)
+        g = GraphInput.from_edges(_load_edges(args.graph))
         if args.gadget == "3star":
             db = gen_3star_gadget(g)
         else:

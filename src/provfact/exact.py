@@ -49,10 +49,6 @@ class ExactResult:
     def expression(self):
         return self.factorization.expression
 
-    @property
-    def assignment(self):
-        return self.factorization.assignment
-
 
 def lower_bound(q: Query, witnesses) -> int:
     """Admissible bound: per witness, the cheapest full-variable prefix load
@@ -162,7 +158,7 @@ def _components(n, kept, inst_lists, pb):
 def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
     """Lex-first DFS over one sharing component.
 
-    Returns (cost, assignment dict wi->vi, nodes, exhausted, frontier).
+    Returns (cost, (wi, vi) pairs in search order, nodes, exhausted, frontier).
     The greedy incumbent only seeds the bound (exclusive, +1), so the first
     complete assignment the DFS accepts is the lexicographically first
     optimum in search order.
@@ -339,17 +335,17 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
         ]
         frontier = min([cost] + open_bounds)
 
-    assignment = {order[p]: plans[p][chosen[p]] for p in range(n)}
-    return cost, assignment, nodes, exhausted, frontier
+    picks = [(wi, plans[p][chosen[p]]) for p, wi in enumerate(order)]
+    return cost, picks, nodes, exhausted, frontier
 
 
 def _search(inst_lists, weights, tiebreak, budget):
     """Minimize the weighted count of distinct ids over one choice per item.
 
     `inst_lists[i][c]` lists the ids that choice c of item i uses; `tiebreak[i]`
-    orders items that share equally.  Returns (cost, {item: choice}, nodes,
-    exhausted, lower bound); the bound equals the cost unless `budget` cut
-    the search short.
+    orders items that share equally.  Returns (cost, the choice per item,
+    nodes, exhausted, lower bound); the bound equals the cost unless
+    `budget` cut the search short.
     """
     n = len(inst_lists)
     kept, pb = _reduce_plans(inst_lists, weights)
@@ -370,19 +366,20 @@ def _search(inst_lists, weights, tiebreak, budget):
     total_nodes = 0
     total_frontier = 0
     any_exhausted = False
-    full_assign: dict[int, int] = {}
+    chosen = [0] * n
     for wits in comps:
         left = max(budget - total_nodes, 0)
-        cost, assignment, nodes, exhausted, frontier = _solve_component(
+        cost, picks, nodes, exhausted, frontier = _solve_component(
             wits, kept, inst_lists, weights, pb, order_key, left
         )
         total_cost += cost
         total_nodes += nodes
         total_frontier += frontier
         any_exhausted = any_exhausted or exhausted
-        full_assign.update(assignment)
+        for wi, vi in picks:
+            chosen[wi] = vi
     bound = total_frontier if any_exhausted else total_cost
-    return total_cost, full_assign, total_nodes, any_exhausted, bound
+    return total_cost, chosen, total_nodes, any_exhausted, bound
 
 
 def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
@@ -392,16 +389,14 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
     returned with optimal=False and a frontier-derived lower bound.
     """
     if not len(W):
-        empty = assemble(q, W, {})
-        return ExactResult(empty, 0, True, 0, 0)
+        return ExactResult(assemble(W, ()), 0, True, 0, 0)
 
     inst, inst_lists, weights = _prepare(W)
     total_cost, chosen, total_nodes, exhausted, bound = _search(
         inst_lists, weights, [w.key for w in W.witnesses], budget
     )
 
-    assignment = {W.witnesses[wi]: inst.table.plans[vi] for wi, vi in chosen.items()}
-    fact = assemble(q, W, assignment)
+    fact = assemble(W, [inst.table.plans[vi] for vi in chosen])
     if fact.length != total_cost:
         raise AssertionError(
             f"assembled length {fact.length} != searched cost {total_cost}"

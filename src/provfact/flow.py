@@ -36,7 +36,7 @@ from itertools import compress, product, repeat
 
 from ._mincut import max_flow
 from .cq import Query
-from .provenance import Factorization, TemplateTable, Witness, WitnessSet, assemble
+from .provenance import Factorization, TemplateTable, WitnessSet, assemble
 from .veo import Ordering, Veo
 
 __all__ = [
@@ -381,30 +381,30 @@ def min_cut(g: FlowGraph) -> FlowResult:
 
 def extract_factorization(
     g: FlowGraph, res: FlowResult
-) -> tuple[Factorization, dict[Witness, Veo]]:
+) -> tuple[Factorization, tuple[Veo, ...]]:
     """Give each witness the first plan of the ordering whose needs the cut
-    meets (the leftmost selected alternative) and assemble the assignment;
-    guaranteed no longer than the cut value."""
+    meets (the leftmost selected alternative) and assemble those plans, one
+    per witness in witness order; guaranteed no longer than the cut value."""
     cut = res.cut_mask
     paid = bytearray(map(cut.__getitem__, g.payer))  # per instance id; unread at payer -1
     width = len(g.skeleton.sites)
     nleaves = len(g.skeleton.leaves)
-    plans = list(zip(g.ordering.veos, g.skeleton.needs))
-    assignment: dict[Witness, Veo] = {}
+    options = list(zip(g.ordering.veos, g.skeleton.needs))
+    plans: list[Veo] = []
     for wi, w in enumerate(g.witnesses.witnesses):
         ids = g.slots[wi * width:(wi + 1) * width]
         qoff = wi * nleaves
-        for plan, (slots, leaves) in plans:
+        for plan, (slots, leaves) in options:
             if all(paid[ids[j]] for j in slots) and all(cut[qoff + leaf] for leaf in leaves):
-                assignment[w] = plan
+                plans.append(plan)
                 break
         else:
             raise ExtractionFailure(
                 f"no plan for witness {w.key} is fully covered by the cut"
             )
-    fact = assemble(g.query, g.witnesses, assignment)
+    fact = assemble(g.witnesses, plans)
     if fact.length > res.value:
         raise AssertionError(
             f"extracted length {fact.length} exceeds cut value {res.value}"
         )
-    return fact, assignment
+    return fact, fact.plans

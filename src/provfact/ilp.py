@@ -298,7 +298,7 @@ def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, in
     cost, chosen, nodes, exhausted, _ = _search(
         inst_lists, weights, range(len(inst_lists)), budget
     )
-    used = {i for item, c in chosen.items() for i in inst_lists[item][c]}
+    used = {i for choices, c in zip(inst_lists, chosen) for i in choices[c]}
     solution = {v: 1 for v in sorted(names[i] for i in used)}
     if exhausted:
         raise ModelBudgetExhausted(cost + m.constant, solution, nodes)

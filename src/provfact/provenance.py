@@ -9,7 +9,7 @@ template is and what it weighs: it interns each plan root path as a
 template id with its anchored atoms and their count.  `Instances`, one per
 witness set, is the one place that interns an instance, ``(template id,
 binding pairs)``, as an id; exact, the ILP, flow and assembly all read it.
-Assembly builds the expression for a witness→plan assignment by merging
+Assembly builds the expression for one plan per witness by merging
 shared instances in a trie, so that equal instances — even across
 different plans — are written once.  The trie's rows are instance ids,
 kept in columns; it makes one leaf per tuple key and one node per row,
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from array import array
 from functools import cached_property, lru_cache
 from itertools import chain, islice, product, repeat
 from operator import attrgetter, itemgetter
@@ -679,16 +678,13 @@ def expand(e: Expr, max_terms: int = 200_000) -> set[frozenset[TupleKey]]:
 
 
 class Factorization:
-    """A witness→plan assignment together with its assembled expression."""
+    """One plan per witness, in witness order (`WitnessSet.witnesses`),
+    together with its assembled expression."""
 
-    __slots__ = ("assignment", "expression", "length", "repeats")
+    __slots__ = ("plans", "expression", "length", "repeats")
 
-    def __init__(
-        self, assignment: tuple[tuple[Witness, Veo], ...], expression: Expr, length: int, repeats: int
-    ) -> None:
-        self.assignment, self.expression, self.length, self.repeats = (
-            assignment, expression, length, repeats
-        )
+    def __init__(self, plans: tuple[Veo, ...], expression: Expr, length: int, repeats: int) -> None:
+        self.plans, self.expression, self.length, self.repeats = plans, expression, length, repeats
 
     def pretty(self, ascii_only: bool = False) -> str:
         return self.expression.pretty(ascii_only)
@@ -698,68 +694,83 @@ class Factorization:
 # Assembly
 # --------------------------------------------------------------------------
 
-class _Trie:
-    """The assembly trie of a witness→plan assignment, in columns.
+def _plan_steps(table: TemplateTable, v: Veo) -> list[tuple]:
+    """`v`'s nodes in preorder, each as ``(template id, getter, parent step
+    or -1, node, branch signature)``, the signature being the sorted child
+    nodes, () at a leaf.  Raises `IllegalAssignment` unless `v` covers
+    exactly the query's variables."""
+    q = table.query
+    if v.vars_below != q.variables:
+        raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
+    steps: list[tuple] = []
+    stack = [(v, -1, -1)]  # (subtree, parent step, parent template id)
+    while stack:
+        t, parent, ptid = stack.pop()
+        tid = table.child(ptid, t.node)
+        stack.extend((c, len(steps), tid) for c in reversed(t.children))
+        steps.append(
+            (tid, table.getters[tid], parent, t.node, tuple(sorted(c.node for c in t.children)))
+        )
+    return steps
 
-    A row is an instance of the witness set (`WitnessSet.instances`), which
-    fixes its parent, and is addressed by its id.  Per id, `maker`
-    (``array("i")``, -1 off the trie) is the index in `items` of the witness
-    that made the row, off which its template's anchored atoms read its
-    tuple keys, and `ends` a 1 where a plan ends.  `groups` has the inner
-    rows only: row -> {branch signature (its plans' sorted child nodes):
-    {child node: rows}}.  `build` makes one `Expr("var")` per tuple key in
-    `leaves` and one expression per row in `built`, dropping the row's
-    groups once it is built, so a row in several groups is one shared node.
+
+class _Trie:
+    """The assembly trie of one plan per witness, in columns.
+
+    Each distinct plan object's preorder steps (`_plan_steps`) run over its
+    witnesses a step at a time.  A row is an instance of the witness set
+    (`WitnessSet.instances`), which fixes its parent, and is addressed by
+    its id.  Per id, `tuples` holds the tuple keys of a witness on the row
+    (None off the trie), off which its template's anchored atoms read, and
+    `ends` a 1 where a plan ends.  `groups` has the inner rows only: row ->
+    {branch signature: {child node: rows}}.  `build` makes one `Expr("var")`
+    per tuple key in `leaves` and one expression per row in `built`,
+    dropping the row's groups once it is built, so a row in several groups
+    is one shared node.
     """
 
-    __slots__ = ("items", "inst", "maker", "ends", "groups", "roots", "leaves", "built")
+    __slots__ = ("inst", "tuples", "ends", "groups", "roots", "leaves", "built")
 
-    def __init__(self, q: Query, W: WitnessSet, items: tuple[tuple[Witness, Veo], ...]) -> None:
-        def check(v: Veo) -> None:
-            if v.vars_below != q.variables:
-                raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
-
+    def __init__(self, W: WitnessSet, plans: tuple[Veo, ...] | list[Veo]) -> None:
+        witnesses = W.witnesses
         try:
-            inst = W.instances
+            inst = self.inst = W.instances
         except UnboundVariable:  # name the first variable the plans meet unbound, in preorder
-            for w, v in items:
-                check(v)
-                vals, stack = w.values, [v]
-                while stack:
-                    t = stack.pop()
-                    stack.extend(reversed(t.children))
-                    if unbound := [x for x in t.node if x not in vals]:
-                        raise IllegalAssignment(f"witness {w.key} does not bind {unbound[0]}")
+            table = TemplateTable.of(W.query)
+            for w, v in zip(witnesses, plans):
+                vals = w.values
+                if unbound := [x for s in _plan_steps(table, v) for x in s[3] if x not in vals]:
+                    raise IllegalAssignment(f"witness {w.key} does not bind {unbound[0]}")
             raise
-        child, getters = inst.table.child, inst.table.getters
-        self.items, self.inst = items, inst
-        maker, ends = self.maker, self.ends = array("i", [-1]) * len(inst), bytearray(len(inst))
+        tuples, ends = self.tuples, self.ends = [], bytearray()
         groups: dict[int, dict] = {}
         roots = self.roots = set()
-        for wi, (w, v) in enumerate(items):
-            check(v)
-            binding = w.binding
-            stack = [(v, -1, None)]  # (subtree, parent template id, parent's branches), preorder
-            while stack:
-                t, ptid, branches = stack.pop()
-                node = t.node
-                tid = child(ptid, node)
-                r = inst[tid, getters[tid](binding)]
-                if r == len(maker):
-                    maker.append(wi)
-                    ends.append(0)
-                elif maker[r] < 0:
-                    maker[r] = wi
-                (roots if branches is None else branches.setdefault(node, set())).add(r)
-                if t.children:
-                    sig = tuple(sorted(c.node for c in t.children))
-                    kids = groups.setdefault(r, {}).setdefault(sig, {})
-                    stack.extend((c, tid, kids) for c in reversed(t.children))
+        for v in dict(zip(map(id, plans), plans)).values():  # each plan once, first seen first
+            steps = _plan_steps(inst.table, v)
+            on = [w for w, p in zip(witnesses, plans) if p is v]
+            bindings = [w.binding for w in on]
+            rows_at: list[list[int]] = []  # per step, its rows, aligned with `on`
+            for tid, get, parent, node, sig in steps:
+                rows = list(map(inst.__getitem__, zip(repeat(tid), map(get, bindings))))
+                rows_at.append(rows)
+                grow = len(inst) - len(tuples)
+                tuples.extend(repeat(None, grow))
+                ends.extend(bytes(grow))
+                made = dict(zip(rows, on))  # each row once, with a witness on it
+                for r, w in made.items():
+                    tuples[r] = w.tuples
+                    if sig:
+                        groups.setdefault(r, {}).setdefault(sig, {n: set() for n in sig})
+                    else:
+                        ends[r] = 1
+                if parent < 0:
+                    roots.update(made)
                 else:
-                    ends[r] = 1
+                    for rp, r in set(zip(rows_at[parent], rows)):
+                        groups[rp][steps[parent][4]][node].add(r)
         self.groups = groups
         self.leaves: dict[TupleKey, Expr] = {}
-        self.built: list[Expr | None] = [None] * len(maker)
+        self.built: list[Expr | None] = [None] * len(tuples)
 
     def order(self, r: int) -> tuple:
         """Sort key of sibling (or root) rows: the last node's serialization,
@@ -776,7 +787,7 @@ class _Trie:
         e = self.built[r]
         if e is not None:
             return e
-        tuples, leaves = self.items[self.maker[r]][0].tuples, self.leaves
+        tuples, leaves = self.tuples[r], self.leaves
         parts: list[Expr] = []
         for key in map(tuples.__getitem__, self.inst.table.atoms[self.inst.keys[r][0]]):
             parts.append(leaves.get(key) or leaves.setdefault(key, e_var(key)))
@@ -803,8 +814,9 @@ class _Trie:
         return e
 
 
-def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factorization:
-    """Build the factorization expression for a witness→plan assignment.
+def assemble(W: WitnessSet, plans: tuple[Veo, ...] | list[Veo]) -> Factorization:
+    """Build the factorization expression for one plan per witness of `W`,
+    aligned with `W.witnesses`.
 
     The expression is a trie over prefix instances: at each node, AND the
     tuples anchored there with, per branch signature, an AND over branches
@@ -814,13 +826,13 @@ def assemble(q: Query, W: WitnessSet, assignment: dict[Witness, Veo]) -> Factori
     is a DAG: each tuple key is one leaf object and each row one node,
     however often they occur; `length` counts the occurrences.
     """
-    if set(assignment) != set(W.witnesses):
+    if len(plans) != len(W):
         raise IllegalAssignment("assignment must cover exactly the witness set")
-    if not W.witnesses:
+    if not plans:
         return Factorization((), Expr("false"), 0, 0)
-    trie = _Trie(q, W, tuple(sorted(assignment.items(), key=lambda kv: kv[0].key)))
+    trie = _Trie(W, plans)
     expr = e_or([trie.build(r) for r in sorted(trie.roots, key=trie.order)])
-    return Factorization(trie.items, expr, expr.length, expr.length - len(expr.tuple_keys))
+    return Factorization(tuple(plans), expr, expr.length, expr.length - len(expr.tuple_keys))
 
 
 def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000) -> bool:

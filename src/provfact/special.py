@@ -33,7 +33,6 @@ from .provenance import (
     Factorization,
     TemplateTable,
     TupleKey,
-    Witness,
     WitnessSet,
     assemble,
     e_and,
@@ -184,16 +183,11 @@ def solve_q2star(W: WitnessSet) -> Factorization:
         edges.append((("L", vals[x]), ("R", vals[y])))
     cover_l, cover_r = _min_cover(edges)
 
-    assignment: dict[Witness, Veo] = {}
-    for w, (l, r) in zip(W.witnesses, edges):
-        if r not in cover_r:  # right endpoint independent: orient into it
-            assignment[w] = plan_x
-        elif l not in cover_l:  # left endpoint independent
-            assignment[w] = plan_y
-        else:  # both covered: orientation free, keep the x-rooted plan
-            assignment[w] = plan_x
+    # orient into an independent endpoint, the right one first; with both
+    # endpoints covered the orientation is free: keep the x-rooted plan
+    plans = [plan_y if r in cover_r and l not in cover_l else plan_x for l, r in edges]
     del edges, cover_l, cover_r  # freed before assembly builds its trie
-    return assemble(q, W, assignment)
+    return assemble(W, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -239,32 +233,26 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
     ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
     tidx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, z)))
 
-    # node spaces: left = xy-instances and x-instances, right = xz and yz;
-    # the first-type witnesses' edges come first, then the second type's
-    edges: list[tuple[tuple, tuple, Witness]] = []
-    second_type: list[tuple[tuple, tuple, Witness]] = []
+    # node spaces, one edge per witness: left = xy-instances (first type)
+    # and x-instances, right = xz and yz
+    edges: list[tuple[tuple, tuple]] = []
     for w in W.witnesses:
         vals = w.values
         vx, vy, vz = vals[x], vals[y], vals[z]
         if counts[w.tuples[ridx]] > 1 or counts[w.tuples[tidx]] > 1:
-            edges.append((("xy", vx, vy), ("xz", vx, vz), w))
+            edges.append((("xy", vx, vy), ("xz", vx, vz)))
         else:
-            second_type.append((("x", vx), ("yz", vy, vz), w))
-    forced = {("x", l[1]) for l, _, _ in edges}
-    edges += second_type
-    del second_type
+            edges.append((("x", vx), ("yz", vy, vz)))
+    forced = {("x", l[1]) for l, _ in edges if l[0] == "xy"}
 
-    cover_l, cover_r = _min_cover((l, r) for l, r, _ in edges if l not in forced)
+    cover_l, cover_r = _min_cover((l, r) for l, r in edges if l not in forced)
     cover = cover_l | cover_r | forced
 
-    assignment: dict[Witness, Veo] = {}
-    for l, r, w in edges:
-        if l[0] == "xy":
-            assignment[w] = plan_xy if l in cover else plan_xz
-        else:
-            assignment[w] = plan_xy if l in cover else plan_yz
+    plans = [
+        plan_xy if l in cover else plan_xz if l[0] == "xy" else plan_yz for l, _ in edges
+    ]
     del counts, edges, forced, cover, cover_l, cover_r  # freed before assembly
-    return assemble(q, W, assignment)
+    return assemble(W, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -307,24 +295,17 @@ def solve_two_chain_we(W: WitnessSet) -> Factorization:
     ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
     sidx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((y, z)))
 
-    assignment: dict[Witness, Veo] = {}
-    rest: list[Witness] = []
-    for w in W.witnesses:
-        if counts[w.tuples[ridx]] > 1 and counts[w.tuples[sidx]] > 1:
-            assignment[w] = plan_branch
-        else:
-            rest.append(w)
-
-    if rest:
-        sub = WitnessSet(q, tuple(rest))
-        ordering = build_ordering(q, mode="flat", mveo=omega)
-        g = build_flow_graph(q, sub, ordering)
-        assignment.update(extract_factorization(g, min_cut(g))[1])
+    branch = [counts[w.tuples[ridx]] > 1 and counts[w.tuples[sidx]] > 1 for w in W.witnesses]
+    del counts
+    cut = iter(())  # the remainder's plans, in witness order
+    if not all(branch):
+        sub = WitnessSet(q, tuple(w for w, b in zip(W.witnesses, branch) if not b))
+        g = build_flow_graph(q, sub, build_ordering(q, mode="flat", mveo=omega))
+        cut = iter(extract_factorization(g, min_cut(g))[1])
         # the flow network and the remainder's own factorization are freed
         # before assembly builds its trie
         del sub, g
-    del counts, rest
-    return assemble(q, W, assignment)
+    return assemble(W, [plan_branch if b else next(cut) for b in branch])
 
 
 # The special shapes as (tag, role matcher, solver), in the order `dispatch`
@@ -370,7 +351,7 @@ def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
     """Best factorization that uses one plan for every witness."""
     best = None
     for v in TemplateTable.of(q).plans:
-        f = assemble(q, W, {w: v for w in W.witnesses})
+        f = assemble(W, (v,) * len(W))
         if best is None or f.length < best.length:
             best = f
     if best is None:
@@ -395,7 +376,7 @@ def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] 
     return None
 
 
-_POLICIES = ("auto", "exact", "flow", "single-plan", "special")
+_POLICIES = ("auto", "exact", "flow", "single-plan")
 
 
 def _dispatch_components(q, W, policy, budget, ordering, verify, start) -> RunReport:
@@ -417,7 +398,7 @@ def _dispatch_components(q, W, policy, budget, ordering, verify, start) -> RunRe
     ]
     bounds = [p.length if p.optimal else p.lower_bound for p in reps]
     fact = Factorization(
-        assignment=(), expression=e_and([p.factorization.expression for p in reps]),
+        plans=(), expression=e_and([p.factorization.expression for p in reps]),
         length=sum(p.length for p in reps), repeats=sum(p.repeats for p in reps),
     )
     return RunReport(
@@ -445,7 +426,7 @@ def dispatch(
 ) -> RunReport:
     """Route to a solving method and return a uniform report.
 
-    policy: auto | exact | flow | single-plan | special; any other value
+    policy: auto | exact | flow | single-plan; any other value
     raises `ValueError`.  A disconnected query runs one connected component
     at a time under `policy`, on the parts of `W` (see
     `_dispatch_components`); a part with no witnesses makes the whole
@@ -459,7 +440,7 @@ def dispatch(
     nodes = 0
 
     if not len(W):
-        fact = assemble(q, W, {})
+        fact = assemble(W, ())
         return RunReport(
             query=q.name, method="empty", n=0, length=0, repeats=0,
             optimal=True, factorization=fact,
@@ -487,11 +468,6 @@ def dispatch(
     elif policy == "single-plan":
         fact = single_plan_baseline(q, W)
         optimal = "hierarchical" in cls
-    elif policy == "special":
-        routed = _special_solve(cls, W)
-        if routed is None:
-            raise ShapeMismatch(f"{q.name} matches no special-case solver")
-        fact, method = routed
     else:  # auto
         if "hierarchical" in cls:
             fact, method = single_plan_baseline(q, W), "single-plan"

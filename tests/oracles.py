@@ -218,10 +218,10 @@ def brute_minfact(q, witness_set, plans):
     return best
 
 
-def reference_assemble(q, witness_set, assignment):
+def reference_assemble(witness_set, plans):
     """A direct path-keyed trie assembler: the byte-identity reference for
     ``provenance.assemble`` (same expression text, length and repeats, or
-    the same exception).
+    the same exception), given one plan per witness in witness order.
 
     Nodes are keyed by their full instantiated path; a node's tuples are
     found by scanning the atoms against the path's variables; siblings and
@@ -255,7 +255,8 @@ def reference_assemble(q, witness_set, assignment):
                 out.append((a.relation, tuple(vals[v] for v in a.vars)))
         return tuple(sorted(set(out)))
 
-    if set(assignment) != set(witness_set.witnesses):
+    q = witness_set.query
+    if len(plans) != len(witness_set.witnesses):
         raise IllegalAssignment("assignment must cover exactly the witness set")
     if not witness_set.witnesses:
         return Factorization((), Expr("false"), 0, 0)
@@ -281,7 +282,7 @@ def reference_assemble(q, witness_set, assignment):
             groups.setdefault((), {})
         return step
 
-    items = sorted(assignment.items(), key=lambda kv: kv[0].key)
+    items = sorted(zip(witness_set.witnesses, plans), key=lambda kv: kv[0].key)
     for w, v in items:
         if v.vars_below != q.variables:
             raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
@@ -310,7 +311,7 @@ def reference_assemble(q, witness_set, assignment):
     expr = e_or([build(r) for r in sorted(roots, key=path_order)])
     length = count_leaves(expr)
     repeats = length - len(set(leaf_multiset(expr)))
-    return Factorization(tuple(items), expr, length, repeats)
+    return Factorization(tuple(plans), expr, length, repeats)
 
 
 def distinct_tuple_count(witness_set):

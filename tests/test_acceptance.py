@@ -65,7 +65,7 @@ def _verdict(capsys, n: int, ok: bool, detail: str) -> None:
 def _flow(q, W, ordering=None):
     g = build_flow_graph(q, W, ordering or build_ordering(q))
     res = min_cut(g)
-    fact, asg = extract_factorization(g, res)
+    fact, _ = extract_factorization(g, res)
     return res, fact
 
 

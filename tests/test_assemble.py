@@ -13,6 +13,7 @@ from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.provenance import (
     Expr,
     IllegalAssignment,
+    TemplateTable,
     Witness,
     WitnessSet,
     assemble,
@@ -22,14 +23,14 @@ from provfact.provenance import (
 from provfact.veo import Veo, build_ordering, enumerate_mveo, enumerate_veos
 
 
-def outcome(fn, q, W, asg):
-    """What an assembler makes of an assignment: its expression text, length,
-    repeats and assignment order, or its exception class and message."""
+def outcome(fn, W, plans):
+    """What an assembler makes of one plan per witness: its expression text,
+    length, repeats and plans, or its exception class and message."""
     try:
-        f = fn(q, W, asg)
+        f = fn(W, plans)
     except Exception as exc:  # noqa: BLE001
         return type(exc).__name__, str(exc)
-    return f.pretty(), f.length, f.repeats, f.expression.length, f.assignment
+    return f.pretty(), f.length, f.repeats, f.expression.length, f.plans
 
 
 def instances(name, seeds=range(8), sizes=((3, 5), (4, 7))):
@@ -41,14 +42,14 @@ def instances(name, seeds=range(8), sizes=((3, 5), (4, 7))):
 
 def assignments(q, W, seed):
     """Random plans per witness (minimal plans, then any legal plan), the
-    exact optimum's assignment and the flow cut's assignment."""
+    exact optimum's plans and the flow cut's plans, each in witness order."""
     rng = random.Random(seed)
     for plans in (enumerate_mveo(q), enumerate_veos(q)):
-        yield {w: rng.choice(plans) for w in W.witnesses}
+        yield [rng.choice(plans) for _ in W.witnesses]
     if not W.witnesses:
         return
     try:
-        yield dict(solve_exact(q, W).factorization.assignment)
+        yield solve_exact(q, W).factorization.plans
     except AssertionError:  # the known 4chain cost-model defect
         pass
     g = build_flow_graph(q, W, build_ordering(q))
@@ -63,8 +64,8 @@ def test_assemble_matches_reference(name):
     checked = 0
     for i, (q, W) in enumerate(instances(name)):
         for asg in assignments(q, W, i):
-            want = outcome(oracles.reference_assemble, q, W, asg)
-            assert outcome(assemble, q, W, asg) == want
+            want = outcome(oracles.reference_assemble, W, asg)
+            assert outcome(assemble, W, asg) == want
             checked += 1
     assert checked >= 24
 
@@ -75,27 +76,60 @@ def test_assemble_matches_reference_on_illegal_assignments():
     y, x, z = Veo(("y",)), Veo(("x",)), Veo(("z",))
     fork = Veo(("y",), (x, z))  # y <- (x, z)
     chain = Veo(("y",), (Veo(("x",), (z,)),))  # y <- x <- z
+    n = len(W)
     cases = [
-        {w: fork for w in W.witnesses[1:]},  # partial
-        {w: Veo(("x",), (y,)) for w in W.witnesses},  # misses z
+        [fork] * (n - 1),  # one plan short
+        [fork] * (n + 1),  # one plan over
+        [Veo(("x",), (y,))] * n,  # misses z
         # y <- x ends where y <- x <- z continues: mixed terminal node
-        {w: (fork, chain)[i % 2] for i, w in enumerate(W.witnesses)},
+        [(fork, chain)[i % 2] for i in range(n)],
     ]
     seen = set()
     for asg in cases:
-        want = outcome(oracles.reference_assemble, q, W, asg)
-        assert outcome(assemble, q, W, asg) == want
+        want = outcome(oracles.reference_assemble, W, asg)
+        assert outcome(assemble, W, asg) == want
         seen.add(want)
     # witnesses binding only (x, y), or only y: the first unbound variable
     # met in preorder is named
     for keep, plan in ((slice(0, 2), chain), (slice(1, 2), fork)):
         short = WitnessSet(q, tuple(Witness(w.binding[keep], w.tuples) for w in W.witnesses))
-        asg = {w: plan for w in short.witnesses}
-        want = outcome(oracles.reference_assemble, q, short, asg)
-        assert outcome(assemble, q, short, asg) == want
+        asg = [plan] * len(short)
+        want = outcome(oracles.reference_assemble, short, asg)
+        assert outcome(assemble, short, asg) == want
         seen.add(want)
     assert all(s[0] == IllegalAssignment.__name__ for s in seen)
     assert {s[1].split()[-1] for s in seen} == {"set", "two_chain", "plans", "z", "x"}
+
+
+def test_assembly_walks_each_distinct_plan_once(monkeypatch):
+    """One `assemble` call asks the template table for each node of each
+    distinct plan object once, however many witnesses use the plan; a
+    plan list that is not one plan per witness is refused."""
+    q = fixture_query("3chain")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=30, tuples=200, seed=1)))
+    assert len(W) >= 1000
+    W.instances  # the shared table and the witness check, before counting
+    v1, v2 = enumerate_mveo(q)
+    calls = []
+    child = TemplateTable.child
+    monkeypatch.setattr(
+        TemplateTable, "child", lambda table, *args: calls.append(args) or child(table, *args)
+    )
+
+    def size(v):
+        return 1 + sum(map(size, v.children))
+
+    for plans, want in (
+        ([v1] * len(W), size(v1)),
+        ([(v1, v2)[i % 2] for i in range(len(W))], size(v1) + size(v2)),
+    ):
+        calls.clear()
+        assert assemble(W, plans).length > 0
+        assert len(calls) == want
+    for n in (len(W) - 1, len(W) + 1):
+        with pytest.raises(IllegalAssignment) as err:
+            assemble(W, [v1] * n)
+        assert str(err.value) == "assignment must cover exactly the witness set"
 
 
 def _occurrences(expr):
@@ -114,7 +148,7 @@ def test_assembled_leaves_are_one_node_per_tuple(name):
     for i, (q, W) in enumerate(instances(name, seeds=range(3))):
         for asg in assignments(q, W, i):
             try:
-                f = assemble(q, W, asg)
+                f = assemble(W, asg)
             except IllegalAssignment:
                 continue
             leaves = [e for e in _occurrences(f.expression) if e.op == "var"]
@@ -134,13 +168,13 @@ def test_branching_rows_are_shared_and_match_the_reference():
     for i, (_, W) in enumerate(instances("4chain")):
         rng = random.Random(i)
         for _ in range(3):
-            asg = {w: rng.choice(plans) for w in W.witnesses}
-            got = outcome(assemble, q, W, asg)
-            want = outcome(oracles.reference_assemble, q, W, asg)
+            asg = [rng.choice(plans) for _ in W.witnesses]
+            got = outcome(assemble, W, asg)
+            want = outcome(oracles.reference_assemble, W, asg)
             assert got == want
             if want[0] == IllegalAssignment.__name__:
                 continue
-            inner = [e for e in _occurrences(assemble(q, W, asg).expression) if e.children]
+            inner = [e for e in _occurrences(assemble(W, asg).expression) if e.children]
             shared += len(inner) - len({id(e) for e in inner})
             built += 1
     assert built >= 24 and shared > 0
@@ -150,13 +184,13 @@ def test_assemble_leaves_no_reference_cycles():
     q = fixture_query("triangle-u")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=8, tuples=40, seed=2)))
     assert len(W) > 20
-    asgs = [{w: v for w in W.witnesses} for v in enumerate_mveo(q)]
-    asgs.append(dict(solve_exact(q, W).factorization.assignment))
+    asgs = [[v] * len(W) for v in enumerate_mveo(q)]
+    asgs.append(solve_exact(q, W).factorization.plans)
     gc.collect()
     gc.disable()
     try:
         for asg in asgs:
-            fact = assemble(q, W, asg)
+            fact = assemble(W, asg)
             assert gc.collect() == 0
             assert fact.length > 0
     finally:

@@ -286,6 +286,19 @@ def test_gen_gadget(capsys, files, tmp_path):
     assert out2.startswith("[")
 
 
+@pytest.mark.parametrize("text,line,bad", [
+    ("1 2\n3\n", 2, "'3'"),
+    ("# header\n\n2 x  # comment\n", 3, "'2 x'"),
+    ("1 2 3\n", 1, "'1 2 3'"),
+])
+def test_gen_names_a_malformed_edge_line(capsys, tmp_path, monkeypatch, text, line, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(text)
+    rc, out, err = run(capsys, ["gen", "--gadget", "3star", "--graph", "g.txt"])
+    assert (rc, out) == (1, "")
+    assert err.strip() == f"error: g.txt:{line}: expected two integer vertices, got {bad}"
+
+
 def test_gen_errors(capsys, tmp_path):
     rc, _, err = run(capsys, ["gen", "--gadget", "3star"])
     assert rc == 1
@@ -345,6 +358,8 @@ def test_missing_inputs_are_named_alike(capsys, files, tmp_path, monkeypatch):
     rc, _, err = run(capsys, ["mveo", "nosuch.q"])
     assert rc == 1 and err.strip() == "error: nosuch.q: no such file or directory"
     rc, _, err = run(capsys, ["witnesses", files["q2star.q"], "nosuch.txt"])
+    assert rc == 1 and err.strip() == "error: nosuch.txt: no such file or directory"
+    rc, _, err = run(capsys, ["gen", "--gadget", "3star", "--graph", "nosuch.txt"])
     assert rc == 1 and err.strip() == "error: nosuch.txt: no such file or directory"
 
 

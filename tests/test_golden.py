@@ -82,7 +82,7 @@ def test_golden_digest_does_not_depend_on_call_history():
         assert W.witnesses, name
         shared = TemplateTable.of(q)
         for v in enumerate_veos(q):
-            assemble(q, W, {w: v for w in W.witnesses})
+            assemble(W, [v] * len(W))
             for path in v.root_paths:
                 shared.path_id(path)
     lines = {name: list(golden_lines([name])) for name in reversed(FIXTURE_QUERIES)}
@@ -114,7 +114,7 @@ def test_outputs_do_not_depend_on_call_history_within_a_witness_set(name):
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=8, seed=1)))
     assert len(W) > 1
     for v in reversed(enumerate_veos(q)):  # the trie's rows first, in its own order
-        _outcome(lambda: assemble(q, W, {w: v for w in W.witnesses}))
+        _outcome(lambda: assemble(W, [v] * len(W)))
     build_flow_graph(q, W, build_ordering(q))
     _outcome(lambda: solve_exact(q, W, budget=20_000))
     build_ilp(q, W)

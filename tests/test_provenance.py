@@ -284,9 +284,9 @@ def test_assemble_matches_oracle_on_fig2a(fig2a_db):
     v1, v2 = enumerate_mveo(q)
     # the hand-solved read-once split: x=1 witnesses on the x-rooted plan,
     # y=3 witnesses on the y-rooted plan
-    asg = {w: (v1 if w.values["x"] == "1" else v2) for w in W.witnesses}
-    fact = assemble(q, W, asg)
-    assert fact.length == 10 == oracles.oracle_length(q, W, asg)
+    plans = [v1 if w.values["x"] == "1" else v2 for w in W.witnesses]
+    fact = assemble(W, plans)
+    assert fact.length == 10 == oracles.oracle_length(q, W, dict(zip(W.witnesses, plans)))
     assert fact.repeats == 0
     assert verify_equivalence(fact, W)
     assert oracles.count_leaves(fact.expression) == 10
@@ -296,9 +296,8 @@ def test_assemble_rejects_partial_assignment(fig2a_db):
     q = fixture_query("q2star")
     W = compute_witnesses(q, fig2a_db)
     v1 = enumerate_mveo(q)[0]
-    asg = {w: v1 for w in W.witnesses[1:]}
     with pytest.raises(IllegalAssignment):
-        assemble(q, W, asg)
+        assemble(W, [v1] * (len(W) - 1))
 
 
 def test_assemble_rejects_non_covering_plan(fig2a_db):
@@ -308,7 +307,7 @@ def test_assemble_rejects_non_covering_plan(fig2a_db):
     W = compute_witnesses(q, fig2a_db)
     bad = veo_node(("x",))  # misses y
     with pytest.raises(IllegalAssignment):
-        assemble(q, W, {w: bad for w in W.witnesses})
+        assemble(W, [bad] * len(W))
 
 
 @given(st.integers(0, 400), st.integers(0, 3))
@@ -322,9 +321,9 @@ def test_assemble_length_matches_oracle(seed, variant):
         return
     plans = enumerate_mveo(q)
     # deterministic but seed-dependent assignment mixing the plans
-    asg = {w: plans[(i * 7 + seed) % len(plans)] for i, w in enumerate(W.witnesses)}
-    fact = assemble(q, W, asg)
-    assert fact.length == oracles.oracle_length(q, W, asg)
+    chosen = [plans[(i * 7 + seed) % len(plans)] for i in range(len(W))]
+    fact = assemble(W, chosen)
+    assert fact.length == oracles.oracle_length(q, W, dict(zip(W.witnesses, chosen)))
     assert fact.repeats == fact.length - len(W.distinct_tuples)
     assert verify_equivalence(fact, W)
     assert oracles.count_leaves(fact.expression) == fact.length
@@ -335,7 +334,7 @@ def test_verify_equivalence_rejects_wrong_expression(fig2a_db, fig2a_s13_db):
     W_small = compute_witnesses(q, fig2a_db)
     W_full = compute_witnesses(q, fig2a_s13_db)
     v1 = enumerate_mveo(q)[0]
-    fact = assemble(q, W_small, {w: v1 for w in W_small.witnesses})
+    fact = assemble(W_small, [v1] * len(W_small))
     assert verify_equivalence(fact, W_small)
     assert not verify_equivalence(fact, W_full)
 
@@ -344,7 +343,7 @@ def test_expansion_cap(fig2a_db):
     q = fixture_query("q2star")
     W = compute_witnesses(q, fig2a_db)
     v1 = enumerate_mveo(q)[0]
-    fact = assemble(q, W, {w: v1 for w in W.witnesses})
+    fact = assemble(W, [v1] * len(W))
     with pytest.raises(ExpansionTooLarge):
         verify_equivalence(fact, W, max_terms=1)
 
@@ -364,7 +363,7 @@ def test_verify_equivalence_checks_every_term(fig2a_db):
 
     assert verified(_dnf(terms))
     assert verified(_dnf(reversed(terms)))
-    fact = assemble(q, W, {w: enumerate_mveo(q)[0] for w in W.witnesses})
+    fact = assemble(W, [enumerate_mveo(q)[0]] * len(W))
     assert verified(e_or([fact.expression, fact.expression]))  # repeated terms
     assert not verified(_dnf(terms[1:]))  # a witness term missing
     assert not verified(_dnf(terms + [terms[0] + (r2,)]))  # a strict superset
@@ -439,9 +438,9 @@ def test_assemble_memory_per_witness():
     built inside the measured call."""
     q = fixture_query("triangle-u")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=28, tuples=900, seed=1)))
-    assignment = dict(solve_triangle_unary(W).assignment)
+    plans = solve_triangle_unary(W).plans
     W = WitnessSet(q, W.witnesses)
-    fact, peak = _traced_peak(lambda: assemble(q, W, assignment))
+    fact, peak = _traced_peak(lambda: assemble(W, plans))
     assert len(W) > 5000 and fact.length > 0
     assert peak / len(W) <= 560, f"{peak / len(W):.0f} B/witness"
 
@@ -599,11 +598,11 @@ def test_a_given_plan_needs_no_plan_enumeration():
     plan = None
     for i in reversed(range(9)):  # x0 <- x1 <- ... <- x8
         plan = Veo((f"x{i}",), (plan,) if plan else ())
-    f = assemble(q, W, {w: plan for w in W.witnesses})
+    f = assemble(W, [plan] * len(W))
     assert verify_equivalence(f, W)
     g = build_flow_graph(q, W, build_ordering(q, mveo=(plan,)))
-    flow_f, assignment = extract_factorization(g, min_cut(g))
-    assert set(assignment.values()) == {plan}
+    flow_f, plans = extract_factorization(g, min_cut(g))
+    assert set(plans) == {plan}
     assert flow_f.expression == f.expression
 
 

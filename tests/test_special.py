@@ -144,7 +144,7 @@ def test_solve_q2star_golden(fig2a_db, fig2a_s13_db):
         fact = solve_q2star(W)
         assert fact.length == want
         assert verify_equivalence(fact, W)
-        assert set(dict(fact.assignment)) == set(W.witnesses)
+        assert len(fact.plans) == len(W)
 
 
 def test_specials_reject_wrong_shape(fig2a_db, fig7d_db):
@@ -521,7 +521,7 @@ def test_dispatch_tells_apart_instances_with_equal_serials(policy):
 def test_dispatch_rejects_an_unknown_policy():
     q = fixture_query("2chain")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=8, seed=1)))
-    with pytest.raises(ValueError, match="exatc.*auto, exact, flow, single-plan, special"):
+    with pytest.raises(ValueError, match="exatc.*options: auto, exact, flow, single-plan$"):
         dispatch(q, W, policy="exatc")
     with pytest.raises(ValueError):  # checked before the empty-set shortcut
         dispatch(q, WitnessSet(q, ()), policy="")
