@@ -44,8 +44,10 @@ def _load_query(path: str):
 
 def _load_edges(path: str) -> list[tuple[int, int]]:
     """An edge list: one ``u v`` pair of integer vertices per line; ``#``
-    starts a comment.  A malformed line is named as ``FILE:LINE``."""
+    starts a comment.  A malformed line, a self-loop and a repeated edge
+    are named as ``FILE:LINE``."""
     edges = []
+    first: dict[tuple[int, int], int] = {}  # each edge's first line
     for i, line in enumerate(_read(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -54,6 +56,10 @@ def _load_edges(path: str) -> list[tuple[int, int]]:
             u, v = map(int, line.split())
         except ValueError:
             raise ValueError(f"{path}:{i}: expected two integer vertices, got {line!r}") from None
+        if u == v:
+            raise ValueError(f"{path}:{i}: self-loop at vertex {u}")
+        if (seen := first.setdefault((min(u, v), max(u, v)), i)) != i:
+            raise ValueError(f"{path}:{i}: duplicate edge ({u},{v}), first on line {seen}")
         edges.append((u, v))
     return edges
 

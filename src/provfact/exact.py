@@ -64,7 +64,8 @@ def lower_bound(q: Query, witnesses) -> int:
 
 
 def _prepare(W: WitnessSet):
-    """Every (witness, plan) prefix-instance list, as ids of `W.instances`.
+    """Every (witness, plan) prefix-instance list, as ids of `W.instances`
+    read one column per table-prefix template (`Instances.ids`).
 
     Returns the instance table, the id lists per witness and plan (in
     ``table.plans`` order) and the weight of each id.  Raises
@@ -72,14 +73,12 @@ def _prepare(W: WitnessSet):
     before `W.instances` reads its witnesses, a product not built yet.
     """
     prefix_ids = TemplateTable.of(W.query).prefix_ids
-    inst = W.instances
-    table = inst.table  # the shared table's plan paths have the same ids in every copy
-    plans = [[(tid, table.getters[tid]) for tid in ids] for ids in prefix_ids]
-    inst_lists = []  # [witness][plan] -> instance ids
-    for w in W.witnesses:
-        binding = w.binding
-        inst_lists.append([[inst[tid, get(binding)] for tid, get in plan] for plan in plans])
-    return inst, inst_lists, [table.weights[tid] for tid, _ in inst]
+    inst = W.instances  # the shared table's plan paths have the same ids in every copy
+    tids = dict.fromkeys(tid for ids in prefix_ids for tid in ids)
+    column = {tid: inst.ids(tid, W.witnesses) for tid in tids}
+    # [witness][plan] -> instance ids
+    inst_lists = list(zip(*[zip(*map(column.__getitem__, ids)) for ids in prefix_ids]))
+    return inst, inst_lists, [inst.table.weights[tid] for tid, _ in inst]
 
 
 def _reduce_plans(inst_lists, weights):

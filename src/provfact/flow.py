@@ -249,34 +249,30 @@ def build_flow_graph(q: Query, W: WitnessSet, ordering: Ordering) -> FlowGraph:
     table = inst.table
     sk = _skeleton(table, ordering)
     k = sk.connectors
-    plan = [(tid, table.getters[tid], a, b, leaf) for tid, a, b, leaf in sk.sites]
+    columns = [inst.ids(tid, W.witnesses) for tid, _, _, _ in sk.sites]  # per site
 
-    # pass 1: intern every witness's instances and merge their sites into
-    # runs.  A run spans connectors run_left -> run_right; run_leaf is the
-    # index ``wi * len(sk.leaves) + leaf`` of its leaf node, or -1 when it is
-    # no leaf site or was extended.  An instance's runs are chained from
-    # first[iid] to last[iid] through run_next (-1 ends the chain); last is
-    # -1 on an instance of `W` that this graph has not met; `seen` holds the
-    # graph's own instances in the order it met them, and `weight` theirs.
+    # pass 1: merge every witness's sites into runs.  A run spans connectors
+    # run_left -> run_right; run_leaf is the index ``wi * len(sk.leaves) +
+    # leaf`` of its leaf node, or -1 when it is no leaf site or was extended.
+    # An instance's runs are chained from first[iid] to last[iid] through
+    # run_next (-1 ends the chain); last is -1 on an instance of `W` that
+    # this graph has not met; `seen` holds the graph's own instances in the
+    # order it met them, and `weight` theirs.
     nleaves = len(sk.leaves)
     first, last = array("i", [-1]) * len(inst), array("i", [-1]) * len(inst)
     seen, weight = array("i"), []
     run_left, run_right = array("i"), array("i")
     run_leaf, run_next = array("i"), array("i")
     slots = array("i")
-    for wi, w in enumerate(W.witnesses):
-        binding = w.binding
+    for wi in range(len(W.witnesses)):
         off = wi * k
         qoff = wi * nleaves
-        for tid, get, a, b, leaf in plan:
+        for (tid, a, b, leaf), column in zip(sk.sites, columns):
+            iid = column[wi]
             if a > _T:
                 a += off
             if b > _T:
                 b += off
-            iid = inst[tid, get(binding)]
-            if iid == len(last):
-                first.append(-1)
-                last.append(-1)
             r = last[iid]
             if r < 0:
                 seen.append(iid)

@@ -172,26 +172,22 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         # identified by its first two nodes
         deepest = [max(v.root_paths, key=len) for v in table.plans]
         head2 = [table.path_id(path[:2]) for path in deepest]
+        # a head of weight > 0 is a table prefix of its plan, so each
+        # witness's instance of it has a p variable, never a folded one
         if (uniform and len(q.variables) >= 3 and len(set(head2)) == len(head2)
-                and all(len(path) == len(q.variables) for path in deepest)):
-            merge_map: dict[str, str] = {}
-            for (wi, vi), qn in q_names.items():
-                tid = head2[vi]
-                # only this model's own p variables, not what other layers interned
-                pn = p_names.get(inst.get((tid, table.getters[tid](W.witnesses[wi].binding))))
-                if pn is None or pn not in objective:
-                    break
-                merge_map[qn] = pn
-            else:
-                plan_constraints = [
-                    (label, [merge_map[qn] for qn in choices])
-                    for label, choices in plan_constraints
-                ]
-                prefix_constraints = [
-                    (pn, cn) for pn, qn in prefix_constraints
-                    if (cn := merge_map.get(qn, qn)) != pn
-                ]
-                q_names = {}
+                and all(len(path) == len(q.variables) for path in deepest)
+                and all(table.weights[tid] for tid in head2)):
+            heads = [inst.ids(tid, W.witnesses) for tid in head2]
+            merge_map = {qn: p_names[heads[vi][wi]] for (wi, vi), qn in q_names.items()}
+            plan_constraints = [
+                (label, [merge_map[qn] for qn in choices])
+                for label, choices in plan_constraints
+            ]
+            prefix_constraints = [
+                (pn, cn) for pn, qn in prefix_constraints
+                if (cn := merge_map.get(qn, qn)) != pn
+            ]
+            q_names = {}
 
     binaries = sorted(set(q_names.values()) | set(objective if reduce else p_names.values()))
     model = IlpModel(

@@ -8,7 +8,8 @@ prefix instances.  `TemplateTable` is the one place that says what a
 template is and what it weighs: it interns each plan root path as a
 template id with its anchored atoms and their count.  `Instances`, one per
 witness set, is the one place that interns an instance, ``(template id,
-binding pairs)``, as an id; exact, the ILP, flow and assembly all read it.
+binding pairs)``, as an id; exact, the ILP, flow and assembly all read it,
+one column of ids per template (`Instances.ids`).
 Assembly builds the expression for one plan per witness by merging
 shared instances in a trie, so that equal instances — even across
 different plans — are written once.  The trie's rows are instance ids,
@@ -404,9 +405,10 @@ class TemplateTable:
     above a root).  Per id the table keeps the node path, the indices of the
     atoms anchored at its last node (`veo.anchored`: those whose variables
     lie on the path and meet that node) in relation-name order, their count
-    as the template's weight, and a getter that reads the path's binding pairs, in
-    path order, off a `Witness.binding`.  A prefix instance is
-    ``(template id, pairs)``, interned per witness set by `Instances`.
+    as the template's weight, and a getter that reads the path's binding
+    pairs, in path order, off a `Witness.binding`; only `Instances.ids`
+    applies it.  A prefix instance is ``(template id, pairs)``, interned per
+    witness set by `Instances`.
 
     `prefix_ids` lists, per plan, the ids of its root paths that anchor at
     least one atom, in the order of their text (``y <- (xz)``); on a
@@ -515,7 +517,8 @@ class Instances(dict):
     one table exact, the ILP, flow and assembly intern in: ``(template id,
     binding pairs)`` -> a dense id, which reading an unseen key gives in
     first-seen order (`get` reads without interning); `keys` lists the keys
-    by id.  No id reaches an output: a layer lists instances in its own
+    by id.  Each layer reads its witnesses' ids a template at a time, with
+    `ids`.  No id reaches an output: a layer lists instances in its own
     first-use order.  `table` is ``TemplateTable.of(W.query)``, taken once,
     so an instance keeps its path whatever the shared cache holds later;
     taking it raises `UnboundVariable`, naming missing and extra variables,
@@ -544,6 +547,12 @@ class Instances(dict):
         iid = self[key] = len(self.keys)
         self.keys.append(key)
         return iid
+
+    def ids(self, tid: int, witnesses) -> list[int]:
+        """The id of each witness's instance of template `tid`, in the order
+        given, interning unseen ones: the one reader of the table's getters."""
+        pairs = map(self.table.getters[tid], map(attrgetter("binding"), witnesses))
+        return list(map(self.__getitem__, zip(repeat(tid), pairs)))
 
 
 # --------------------------------------------------------------------------
@@ -695,10 +704,10 @@ class Factorization:
 # --------------------------------------------------------------------------
 
 def _plan_steps(table: TemplateTable, v: Veo) -> list[tuple]:
-    """`v`'s nodes in preorder, each as ``(template id, getter, parent step
-    or -1, node, branch signature)``, the signature being the sorted child
-    nodes, () at a leaf.  Raises `IllegalAssignment` unless `v` covers
-    exactly the query's variables."""
+    """`v`'s nodes in preorder, each as ``(template id, parent step or -1,
+    node, branch signature)``, the signature being the sorted child nodes,
+    () at a leaf.  Raises `IllegalAssignment` unless `v` covers exactly the
+    query's variables."""
     q = table.query
     if v.vars_below != q.variables:
         raise IllegalAssignment(f"plan {v} does not cover the variables of {q.name}")
@@ -708,9 +717,7 @@ def _plan_steps(table: TemplateTable, v: Veo) -> list[tuple]:
         t, parent, ptid = stack.pop()
         tid = table.child(ptid, t.node)
         stack.extend((c, len(steps), tid) for c in reversed(t.children))
-        steps.append(
-            (tid, table.getters[tid], parent, t.node, tuple(sorted(c.node for c in t.children)))
-        )
+        steps.append((tid, parent, t.node, tuple(sorted(c.node for c in t.children))))
     return steps
 
 
@@ -739,7 +746,7 @@ class _Trie:
             table = TemplateTable.of(W.query)
             for w, v in zip(witnesses, plans):
                 vals = w.values
-                if unbound := [x for s in _plan_steps(table, v) for x in s[3] if x not in vals]:
+                if unbound := [x for s in _plan_steps(table, v) for x in s[2] if x not in vals]:
                     raise IllegalAssignment(f"witness {w.key} does not bind {unbound[0]}")
             raise
         tuples, ends = self.tuples, self.ends = [], bytearray()
@@ -748,10 +755,9 @@ class _Trie:
         for v in dict(zip(map(id, plans), plans)).values():  # each plan once, first seen first
             steps = _plan_steps(inst.table, v)
             on = [w for w, p in zip(witnesses, plans) if p is v]
-            bindings = [w.binding for w in on]
             rows_at: list[list[int]] = []  # per step, its rows, aligned with `on`
-            for tid, get, parent, node, sig in steps:
-                rows = list(map(inst.__getitem__, zip(repeat(tid), map(get, bindings))))
+            for tid, parent, node, sig in steps:
+                rows = inst.ids(tid, on)
                 rows_at.append(rows)
                 grow = len(inst) - len(tuples)
                 tuples.extend(repeat(None, grow))
@@ -767,7 +773,7 @@ class _Trie:
                     roots.update(made)
                 else:
                     for rp, r in set(zip(rows_at[parent], rows)):
-                        groups[rp][steps[parent][4]][node].add(r)
+                        groups[rp][steps[parent][3]][node].add(r)
         self.groups = groups
         self.leaves: dict[TupleKey, Expr] = {}
         self.built: list[Expr | None] = [None] * len(tuples)

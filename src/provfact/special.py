@@ -1,19 +1,20 @@
 """Query classification and special-case solvers.
 
 Three query shapes admit dedicated polynomial algorithms (matched up to
-renaming of relations and variables and reordering of atoms, by one role
-matcher per shape):
+renaming of relations and variables and reordering of atoms by one pattern
+matcher, `_match`):
 
 * two-star   A(x), B(x,y), C(y)        — orient witness edges away from a
   maximum independent set of the bipartite value graph;
 * unary triangle  U(x), R(x,y), S(y,z), T(z,x) — a two-level vertex-cover
-  instance over prefix-instance nodes with forcing;
+  instance with forcing;
 * endpoint two-chain  A(x), R(x,y), S(y,z), B(z) — pre-assign the branching
   plan to doubly-shared witnesses, then run the flow solver over a fixed
   four-plan ordering.
 
-Both vertex covers are minimum cuts of a unit bipartite network
-(`_min_cover`), found by the one max-flow kernel, `_mincut.max_flow`.
+The value graphs' vertices are the witnesses' own tuple keys.  Both vertex
+covers are minimum cuts of a unit bipartite network (`_min_cover`), found
+by the one max-flow kernel, `_mincut.max_flow`.
 
 `dispatch` routes a (query, witness set) to the cheapest method that is
 still exact where exactness is known, falling back to exact search plus the
@@ -23,6 +24,9 @@ flow heuristic elsewhere.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from itertools import permutations
+from operator import itemgetter
 
 from .cq import Query, connected_components, is_hierarchical, has_triad
 from .exact import solve_exact
@@ -32,7 +36,6 @@ from .provenance import (
     Expr,
     Factorization,
     TemplateTable,
-    TupleKey,
     WitnessSet,
     assemble,
     e_and,
@@ -75,8 +78,8 @@ class QueryClass:
 
 
 def classify(q: Query) -> QueryClass:
-    """Structural tags of `q`; a special shape's tag is set exactly when its
-    role matcher in `_SHAPES` accepts `q`.  `k` is None past the enumeration
+    """Structural tags of `q`; a special shape's tag is set exactly when
+    `_match` finds its pattern in `q`.  `k` is None past the enumeration
     cap and on a disconnected query, whose parts `dispatch` solves apart,
     each with its own plans; the whole query's plans are never listed."""
     tags = set()
@@ -86,12 +89,7 @@ def classify(q: Query) -> QueryClass:
         tags.add("triad")
     else:
         tags.add("linear")
-    for tag, roles, _ in _SHAPES:
-        try:
-            roles(q)
-        except ShapeMismatch:
-            continue
-        tags.add(tag)
+    tags.update(tag for tag, pattern, _ in _SHAPES if _match(q, pattern) is not None)
     k = None
     if len(connected_components(q)) > 1:
         tags.add("disconnected")
@@ -105,19 +103,53 @@ def classify(q: Query) -> QueryClass:
     return QueryClass(tags=frozenset(tags), k=k)
 
 
-def _tuple_counts(W: WitnessSet) -> dict[TupleKey, int]:
-    counts: dict[TupleKey, int] = {}
-    for w in W.witnesses:
-        for t in w.tuples:
-            counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
 def _find_plan(q: Query, plan: Veo) -> Veo:
     for v in TemplateTable.of(q).plans:
         if v == plan:
             return v
     raise AssertionError(f"constructed plan {plan} not among minimal plans")
+
+
+# The special shapes' variable patterns, one variable tuple per atom.
+_Q2STAR = (("x",), ("x", "y"), ("y",))  # A(x), B(x,y), C(y)
+_TRIANGLE = (("x",), ("x", "y"), ("y", "z"), ("z", "x"))  # U(x), R(x,y), S(y,z), T(z,x)
+_TWO_CHAIN = (("x",), ("x", "y"), ("y", "z"), ("z",))  # A(x), R(x,y), S(y,z), B(z)
+
+
+def _incidence(atom_vars) -> dict[frozenset[int], str]:
+    """Each variable, keyed by the positions of the atoms it occurs in."""
+    at: dict[str, set[int]] = {}
+    for i, vs in enumerate(atom_vars):
+        for v in vs:
+            at.setdefault(v, set()).add(i)
+    return {frozenset(s): v for v, s in at.items()}
+
+
+def _match(q: Query, pattern) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
+    """`q` as `pattern` up to renaming of variables and order of atoms:
+    (renaming, the query variable of each pattern variable in name order;
+    per pattern atom, the index of the query atom it becomes), else None.
+    Of several matches, the one whose relation names, in pattern order,
+    sort first.  Each pattern variable lies in its own set of atoms, so an
+    atom order fixes the renaming."""
+    atoms = q.atoms
+    want = _incidence(pattern)
+    arities = sorted(len(a.vars) for a in atoms)
+    if len(want) != len(q.variables) or arities != sorted(map(len, pattern)):
+        return None
+    for perm in permutations(sorted(range(len(atoms)), key=lambda i: atoms[i].relation)):
+        got = _incidence(atoms[i].vars for i in perm)
+        if got.keys() == want.keys():
+            return tuple(got[s] for s in sorted(want, key=want.__getitem__)), perm
+    return None
+
+
+def _roles(q: Query, pattern, shape: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """`_match`, raising `ShapeMismatch` where `q` is not `shape`."""
+    match = _match(q, pattern)
+    if match is None:
+        raise ShapeMismatch(f"{q.name} is not {shape}")
+    return match
 
 
 # ---------------------------------------------------------------------------
@@ -150,37 +182,22 @@ def _min_cover(edges) -> tuple[set, set]:
     )
 
 
-def _q2star_roles(q: Query) -> tuple[str, str]:
-    """(x, y) of ``A(x), B(x,y), C(y)`` under any renaming and atom order;
-    `ShapeMismatch` for any other query."""
-    unary = sorted((a for a in q.atoms if len(a.vars) == 1), key=lambda a: a.relation)
-    binary = [a for a in q.atoms if len(a.vars) == 2]
-    if len(q.atoms) != 3 or len(unary) != 2 or len(binary) != 1:
-        raise ShapeMismatch(f"{q.name} is not a two-star query")
-    x, y = unary[0].vars[0], unary[1].vars[0]
-    if binary[0].varset != frozenset((x, y)):
-        raise ShapeMismatch(f"{q.name} is not a two-star query")
-    return x, y
-
-
 def solve_q2star(W: WitnessSet) -> Factorization:
     """Optimal factorization for the two-star query.
 
-    Witnesses are edges of a bipartite value graph; rooting a witness at one
-    side shares that side's prefix.  Every orientation's sink set is an
-    independent set, so a maximum independent set (complement of a minimum
-    vertex cover) gives the minimum number of distinct roots.  The cover is
-    `_min_cover`'s canonical one, a minimum cut found by `_mincut.max_flow`.
+    Witnesses are edges (A tuple, C tuple) of a bipartite value graph;
+    rooting a witness at one side shares that side's prefix.  Every
+    orientation's sink set is an independent set, so a maximum independent
+    set (complement of a minimum vertex cover) gives the minimum number of
+    distinct roots.  The cover is `_min_cover`'s canonical one, a minimum
+    cut found by `_mincut.max_flow`.
     """
     q = W.query
-    x, y = _q2star_roles(q)
+    (x, y), (a, _, c) = _roles(q, _Q2STAR, "a two-star query")
     plan_x = _find_plan(q, veo_node((x,), (veo_node((y,)),)))
     plan_y = _find_plan(q, veo_node((y,), (veo_node((x,)),)))
 
-    edges = []
-    for w in W.witnesses:
-        vals = w.values
-        edges.append((("L", vals[x]), ("R", vals[y])))
+    edges = [(w.tuples[a], w.tuples[c]) for w in W.witnesses]
     cover_l, cover_r = _min_cover(edges)
 
     # orient into an independent endpoint, the right one first; with both
@@ -194,64 +211,39 @@ def solve_q2star(W: WitnessSet) -> Factorization:
 # unary triangle: U(x), R(x,y), S(y,z), T(z,x)
 # ---------------------------------------------------------------------------
 
-def _triangle_roles(q: Query) -> tuple[str, str, str]:
-    """(x, y, z) of ``U(x), R(x,y), S(y,z), T(z,x)`` under any renaming and
-    atom order; `ShapeMismatch` for any other query."""
-    unary = [a for a in q.atoms if len(a.vars) == 1]
-    binary = sorted((a for a in q.atoms if len(a.vars) == 2), key=lambda a: a.relation)
-    if len(q.atoms) != 4 or len(unary) != 1 or len(binary) != 3:
-        raise ShapeMismatch(f"{q.name} is not a unary-triangle query")
-    x = unary[0].vars[0]
-    with_x = [a for a in binary if x in a.varset]
-    rest = [a for a in binary if x not in a.varset]
-    if len(with_x) != 2 or len(rest) != 1:
-        raise ShapeMismatch(f"{q.name} is not a unary-triangle query")
-    y = next(v for v in with_x[0].vars if v != x)
-    z = next(v for v in with_x[1].vars if v != x)
-    if rest[0].varset != frozenset((y, z)):
-        raise ShapeMismatch(f"{q.name} is not a unary-triangle query")
-    return x, y, z
-
-
 def solve_triangle_unary(W: WitnessSet) -> Factorization:
     """Optimal factorization for the unary triangle.
 
-    A witness whose x-y or x-z binary tuple repeats must take a linear plan
-    (conflict graph on the two second-level prefix instances); the rest trade
-    the shared x prefix against the shared (yz) root.  Both graphs are
-    bipartite, solved together by one vertex cover with the x nodes of
-    conflicted values forced into the cover; the rest of the cover is
-    `_min_cover`'s canonical one, a minimum cut found by `_mincut.max_flow`.
+    A witness whose R or T tuple repeats must take a linear plan (conflict
+    graph on its R and T tuples, the two second-level prefixes); the rest
+    trade the shared U tuple (the x prefix) against the shared S tuple (the
+    yz root).  Both graphs are bipartite, solved together by one vertex
+    cover with the U tuples of conflicted witnesses forced into the cover;
+    the rest of the cover is `_min_cover`'s canonical one, a minimum cut
+    found by `_mincut.max_flow`.
     """
     q = W.query
-    x, y, z = _triangle_roles(q)
+    (x, y, z), (u, r, s, t) = _roles(q, _TRIANGLE, "a unary-triangle query")
     plan_xy = _find_plan(q, veo_node((x,), (veo_node((y,), (veo_node((z,)),)),)))
     plan_xz = _find_plan(q, veo_node((x,), (veo_node((z,), (veo_node((y,)),)),)))
     plan_yz = _find_plan(q, veo_node((y, z), (veo_node((x,)),)))
 
-    counts = _tuple_counts(W)
-    ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
-    tidx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, z)))
+    tuples = [w.tuples for w in W.witnesses]
+    repeats = Counter(map(itemgetter(r), tuples))
+    repeats.update(map(itemgetter(t), tuples))
+    conflicted = [repeats[ts[r]] > 1 or repeats[ts[t]] > 1 for ts in tuples]
+    # one edge per witness: left = R and U tuples, right = T and S tuples
+    edges = [(ts[r], ts[t]) if c else (ts[u], ts[s]) for ts, c in zip(tuples, conflicted)]
+    forced = {ts[u] for ts, c in zip(tuples, conflicted) if c}
 
-    # node spaces, one edge per witness: left = xy-instances (first type)
-    # and x-instances, right = xz and yz
-    edges: list[tuple[tuple, tuple]] = []
-    for w in W.witnesses:
-        vals = w.values
-        vx, vy, vz = vals[x], vals[y], vals[z]
-        if counts[w.tuples[ridx]] > 1 or counts[w.tuples[tidx]] > 1:
-            edges.append((("xy", vx, vy), ("xz", vx, vz)))
-        else:
-            edges.append((("x", vx), ("yz", vy, vz)))
-    forced = {("x", l[1]) for l, _ in edges if l[0] == "xy"}
-
-    cover_l, cover_r = _min_cover((l, r) for l, r in edges if l not in forced)
+    cover_l, cover_r = _min_cover((l, rt) for l, rt in edges if l not in forced)
     cover = cover_l | cover_r | forced
 
     plans = [
-        plan_xy if l in cover else plan_xz if l[0] == "xy" else plan_yz for l, _ in edges
+        plan_xy if l in cover else plan_xz if c else plan_yz
+        for (l, _), c in zip(edges, conflicted)
     ]
-    del counts, edges, forced, cover, cover_l, cover_r  # freed before assembly
+    del tuples, repeats, conflicted, edges, forced, cover, cover_l, cover_r  # freed before assembly
     return assemble(W, plans)
 
 
@@ -259,62 +251,43 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
 # endpoint two-chain: A(x), R(x,y), S(y,z), B(z)
 # ---------------------------------------------------------------------------
 
-def _two_chain_roles(q: Query) -> tuple[str, str, str]:
-    """(x, y, z) of ``A(x), R(x,y), S(y,z), B(z)`` under any renaming and
-    atom order; `ShapeMismatch` for any other query."""
-    unary = sorted((a for a in q.atoms if len(a.vars) == 1), key=lambda a: a.relation)
-    binary = [a for a in q.atoms if len(a.vars) == 2]
-    if len(q.atoms) != 4 or len(unary) != 2 or len(binary) != 2:
-        raise ShapeMismatch(f"{q.name} is not an endpoint two-chain")
-    x, z = unary[0].vars[0], unary[1].vars[0]
-    r_atom = next((a for a in binary if x in a.varset), None)
-    s_atom = next((a for a in binary if z in a.varset), None)
-    if r_atom is None or s_atom is None or r_atom is s_atom:
-        raise ShapeMismatch(f"{q.name} is not an endpoint two-chain")
-    y = next(v for v in r_atom.vars if v != x)
-    if s_atom.varset != frozenset((y, z)):
-        raise ShapeMismatch(f"{q.name} is not an endpoint two-chain")
-    return x, y, z
-
-
 def solve_two_chain_we(W: WitnessSet) -> Factorization:
     """Optimal factorization for the endpoint two-chain.
 
-    Witnesses whose x-y tuple and y-z tuple both repeat take the branching
+    Witnesses whose R tuple and S tuple both repeat take the branching
     plan y <- (x, z); the remainder is solved exactly by the flow cut over
     the fixed linear-plan ordering [x<-z<-y, x<-y<-z, z<-y<-x, z<-x<-y].
     """
     q = W.query
-    x, y, z = _two_chain_roles(q)
+    (x, y, z), (_, r, s, _) = _roles(q, _TWO_CHAIN, "an endpoint two-chain")
     plan_branch = _find_plan(q, veo_node((y,), (veo_node((x,)), veo_node((z,)))))
     chain = lambda a, b, c: veo_node((a,), (veo_node((b,), (veo_node((c,)),)),))
     orders = ((x, z, y), (x, y, z), (z, y, x), (z, x, y))
     omega = tuple(_find_plan(q, chain(a, b, c)) for a, b, c in orders)
 
-    counts = _tuple_counts(W)
-    ridx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((x, y)))
-    sidx = next(i for i, a in enumerate(q.atoms) if a.varset == frozenset((y, z)))
-
-    branch = [counts[w.tuples[ridx]] > 1 and counts[w.tuples[sidx]] > 1 for w in W.witnesses]
-    del counts
+    tuples = [w.tuples for w in W.witnesses]
+    repeats = Counter(map(itemgetter(r), tuples))
+    repeats.update(map(itemgetter(s), tuples))
+    branch = [repeats[ts[r]] > 1 and repeats[ts[s]] > 1 for ts in tuples]
+    del tuples, repeats
     cut = iter(())  # the remainder's plans, in witness order
     if not all(branch):
         sub = WitnessSet(q, tuple(w for w, b in zip(W.witnesses, branch) if not b))
         g = build_flow_graph(q, sub, build_ordering(q, mode="flat", mveo=omega))
         cut = iter(extract_factorization(g, min_cut(g))[1])
-        # the flow network and the remainder's own factorization are freed
-        # before assembly builds its trie
-        del sub, g
-    return assemble(W, [plan_branch if b else next(cut) for b in branch])
+        del sub, g  # the flow network and the remainder's own factorization
+    plans = [plan_branch if b else next(cut) for b in branch]
+    del branch, cut  # freed before assembly builds its trie
+    return assemble(W, plans)
 
 
-# The special shapes as (tag, role matcher, solver), in the order `dispatch`
+# The special shapes as (tag, pattern, solver), in the order `dispatch`
 # tries them; the tag is also the method a run reports.  Each solver is
 # looked up when called, so a wrapper set on its module name sees the call.
 _SHAPES = (
-    ("q2star", _q2star_roles, lambda W: solve_q2star(W)),
-    ("triangle-unary", _triangle_roles, lambda W: solve_triangle_unary(W)),
-    ("two-chain-we", _two_chain_roles, lambda W: solve_two_chain_we(W)),
+    ("q2star", _Q2STAR, lambda W: solve_q2star(W)),
+    ("triangle-unary", _TRIANGLE, lambda W: solve_triangle_unary(W)),
+    ("two-chain-we", _TWO_CHAIN, lambda W: solve_two_chain_we(W)),
 )
 
 

@@ -314,6 +314,51 @@ def reference_assemble(witness_set, plans):
     return Factorization(tuple(plans), expr, length, repeats)
 
 
+def min_formula_length(witness_set) -> int:
+    """Length of the shortest monotone AND/OR formula over the witness set's
+    tuples that is equivalent to its provenance DNF, found with no plan
+    model: formulas are built bottom-up by length, the two parts of a
+    length-L formula having lengths a and L - a, and one formula is kept per
+    truth table, at the first length that makes it.
+
+    A table is read only at the points that decide a monotone function:
+    the DNF's minimal true points (the witnesses' tuple sets) and its
+    maximal false points.  A monotone formula true on the first and false
+    on the second is equivalent to the DNF, and AND and OR act point by
+    point, so keeping one formula per such table loses no optimum: a
+    function's shortest formula is an AND or OR of two parts whose shortest
+    lengths add up to its own."""
+    keys = sorted({t for w in witness_set.witnesses for t in w.tuples})
+    if len(keys) > 8:
+        raise ValueError(f"{len(keys)} distinct tuples; the oracle takes at most 8")
+    if not keys:
+        return 0
+    bit = {k: 1 << i for i, k in enumerate(keys)}
+    terms = {sum(map(bit.get, w.tuples)) for w in witness_set.witnesses}
+    truth = {p for p in range(1 << len(keys)) if any(t & p == t for t in terms)}
+    maximal_false = [
+        p for p in range(1 << len(keys))
+        if p not in truth and all(p | b in truth for b in bit.values() if not p & b)
+    ]
+    points = sorted(terms) + maximal_false
+    literal = [sum(1 << j for j, p in enumerate(points) if p & b) for b in bit.values()]
+    target = (1 << len(terms)) - 1  # true on the terms, false elsewhere
+    by_length = [set(), set(literal)]
+    seen = set(literal)
+    while target not in seen:
+        length = len(by_length)
+        made = set()
+        for a in range(1, length // 2 + 1):
+            right = by_length[length - a]
+            for f in by_length[a]:
+                made.update([f & g for g in right])
+                made.update([f | g for g in right])
+        made -= seen
+        seen |= made
+        by_length.append(made)
+    return len(by_length) - 1
+
+
 def distinct_tuple_count(witness_set):
     return len({t for w in witness_set.witnesses for t in w.tuples})
 

@@ -299,6 +299,24 @@ def test_gen_names_a_malformed_edge_line(capsys, tmp_path, monkeypatch, text, li
     assert err.strip() == f"error: g.txt:{line}: expected two integer vertices, got {bad}"
 
 
+@pytest.mark.parametrize("gadget", ["3star", "triad"])
+@pytest.mark.parametrize("text,message", [
+    ("1 2\n1 1\n", "g.txt:2: self-loop at vertex 1"),
+    ("1 2\n# comment\n\n2 1\n", "g.txt:4: duplicate edge (2,1), first on line 1"),
+    ("1 2\n2 3\n2  3  # again\n", "g.txt:3: duplicate edge (2,3), first on line 2"),
+])
+def test_gen_names_the_line_of_a_bad_edge(capsys, tmp_path, monkeypatch, gadget, text, message):
+    """Self-loops and repeated edges are found while the lines are read, so
+    the error names the file and line, under either gadget."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(text)
+    (tmp_path / "t.q").write_text("triangle :- R(x,y), S(y,z), T(z,x)\n")
+    args = ["gen", "--gadget", gadget, "--graph", "g.txt"]
+    rc, out, err = run(capsys, args + (["--query", "t.q"] if gadget == "triad" else []))
+    assert (rc, out) == (1, "")
+    assert err.strip() == f"error: {message}"
+
+
 def test_gen_errors(capsys, tmp_path):
     rc, _, err = run(capsys, ["gen", "--gadget", "3star"])
     assert rc == 1

@@ -629,9 +629,17 @@ def test_one_instance_table_per_witness_set():
         for ids in per_plan:
             for iid in ids:
                 tid, pairs = inst.keys[iid]
-                assert pairs == inst.table.getters[tid](w.binding) and inst.table.weights[tid]
+                names = [v for node in inst.table.paths[tid] for v in node]
+                assert pairs == tuple((v, dict(w.binding)[v]) for v in names)
+                assert inst.table.weights[tid]
     size = len(inst)
     assert inst.get((0, ())) is None and len(inst) == size  # `get` does not intern
+    # `ids` gives one id per witness, in the order given; these instances
+    # are all in already, so it interns nothing
+    tid = inst.keys[lists[0][0][0]][0]
+    column = [per_plan[0][0] for per_plan in lists]
+    assert inst.ids(tid, W.witnesses[::-1]) == column[::-1]
+    assert len(inst) == size and inst.ids(tid, ()) == []
 
 
 def test_instance_table_refuses_a_witness_without_a_query_variable():
@@ -662,14 +670,17 @@ def test_instance_table_names_a_variable_outside_the_query():
 
 
 def test_template_getter_reads_path_pairs(fig2a_db):
+    """`Instances.ids` reads a witness's pairs in path order, not name order,
+    and interns one instance per distinct ``(y, x)`` binding."""
     q = fixture_query("q2star")
     W = compute_witnesses(q, fig2a_db)
-    table = TemplateTable(q)
-    tid = table.path_id((("y",), ("x",)))
-    for w in W.witnesses:
-        pairs = table.getters[tid](w.binding)
-        assert pairs == (("y", w.values["y"]), ("x", w.values["x"]))
-        assert table.serial(tid, pairs) == f"y{w.values['y']} <- x{w.values['x']}"
+    inst = W.instances
+    tid = inst.table.path_id((("y",), ("x",)))
+    ids = inst.ids(tid, W.witnesses)
+    assert len(set(ids)) == len(W)
+    for w, iid in zip(W.witnesses, ids):
+        assert inst.keys[iid] == (tid, (("y", w.values["y"]), ("x", w.values["x"])))
+        assert inst.table.serial(*inst.keys[iid]) == f"y{w.values['y']} <- x{w.values['x']}"
 
 
 @pytest.mark.parametrize("name", ["2chain", "triangle", "4chain"])

@@ -101,6 +101,65 @@ def test_classify_tags_a_shape_exactly_on_its_isomorphic_queries():
     assert matched == {"q2star": 6 * 6, "triangle-unary": 3 * 8 * 24, "two-chain-we": 3 * 4 * 24}
 
 
+# (fixture, tag, d, tuples, seed): each instance has witnesses of both
+# kinds its closed form tells apart (conflicted or not, branching or not)
+RENAMED_SHAPES = [
+    ("q2star", "q2star", 4, 8, 1),
+    ("triangle-u", "triangle-unary", 3, 6, 1),
+    ("2chain-we", "two-chain-we", 3, 5, 1),
+]
+RENAMED_DIGEST = "14ea7e9a43bbefb9785621b8ee92529d3f2915d82668844f61231253ebb4823b"
+
+
+def test_shape_roles_are_fixed_under_every_atom_order_and_renaming():
+    """Each shape's instance under every atom order x permutation of its
+    relation names (36 + 576 + 576 queries): `classify` tags the shape,
+    `dispatch` routes to it, and the method, length and expression text of
+    all 1,188 runs hash to a pinned digest, so a changed role tie-break
+    shows."""
+    digest = hashlib.sha256()
+    runs = 0
+    for name, tag, d, t, seed in RENAMED_SHAPES:
+        q = fixture_query(name)
+        db = gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed))
+        rels = [a.relation for a in q.atoms]
+        for order in itertools.permutations(q.atoms):
+            for names in itertools.permutations(rels):
+                rename = dict(zip(rels, names))
+                renamed = Query(q.name, tuple(Atom(rename[a.relation], a.vars) for a in order))
+                assert tag in classify(renamed), str(renamed)
+                W = compute_witnesses(
+                    renamed, provenance.Database({rename[r]: rows for r, rows in db.relations.items()})
+                )
+                rep = dispatch(renamed, W)
+                assert rep.method == tag and rep.optimal and rep.verified
+                text = rep.factorization.pretty(ascii_only=True)
+                digest.update(f"{renamed}|{rep.method}|{rep.length}|{text}\n".encode())
+                runs += 1
+    assert runs == 36 + 576 + 576
+    assert digest.hexdigest() == RENAMED_DIGEST
+
+
+@pytest.mark.parametrize("text", [
+    "Q :- A(x), B(x,y), C(x)",  # two unary atoms on one variable
+    "Q :- A(x), R(x,y), S(y,z), B(x)",
+    "Q :- A(x), B(x,y), C(y), D(y)",  # an extra atom
+    "Q :- A(x), R(x,y), S(y,z), B(z), C(x,z)",
+    "Q :- U(x), R(x,y), S(y,z), T(z,x), V(y)",
+    "Q :- A(x), R(x,y), S(y,x), B(y)",  # two atoms with one variable set
+    "Q :- U(x), R(x,y), S(x,z), T(z,x)",
+    "Q :- A(x), B(x,y), C(x,y)",
+])
+def test_near_misses_of_the_shapes_are_not_tagged(text):
+    """Queries one step off a shape get no shape tag, and each closed form
+    refuses them before it reads a witness."""
+    q = parse_query(text)
+    assert not classify(q).tags & set(SHAPES)
+    for solve in (solve_q2star, solve_triangle_unary, solve_two_chain_we):
+        with pytest.raises(ShapeMismatch):
+            solve(WitnessSet(q))
+
+
 @pytest.mark.parametrize(
     "renamed, canonical, method",
     [
@@ -189,6 +248,35 @@ def test_solve_two_chain_we_matches_exact(seed):
     fact = solve_two_chain_we(W)
     assert fact.length == solve_exact(q, W).length
     assert verify_equivalence(fact, W)
+
+
+# (fixture, d, tuples, seed, method, shortest formula length, distinct
+# tuples): each repeats a tuple, but the read-once ones at the end
+FORMULA_ORACLE = [
+    ("q2star", 2, 3, 1, "q2star", 8, 7),
+    ("q2star", 3, 3, 5, "q2star", 8, 7),
+    ("triangle-u", 3, 4, 28, "triangle-unary", 9, 8),
+    ("2chain-we", 2, 3, 5, "two-chain-we", 9, 8),
+    ("2chain-we", 3, 4, 19, "two-chain-we", 9, 8),
+    ("3chain", 2, 3, 2, "flow", 9, 8),
+    ("3chain", 2, 3, 4, "flow", 8, 7),
+    ("q2star", 2, 2, 7, "q2star", 5, 5),
+    ("2chain-we", 2, 2, 0, "two-chain-we", 6, 6),
+    ("3chain", 2, 3, 0, "flow", 6, 6),
+]
+
+
+@pytest.mark.parametrize("name, d, t, seed, method, length, distinct", FORMULA_ORACLE)
+def test_closed_forms_and_exact_reach_the_shortest_formula(name, d, t, seed, method, length, distinct):
+    """The shortest formula, found with no plan model
+    (`oracles.min_formula_length`), is what `dispatch` (a closed form, or
+    flow on the two-plan 3chain) and `solve_exact` reach."""
+    q = fixture_query(name)
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed)))
+    assert (oracles.min_formula_length(W), len(W.distinct_tuples)) == (length, distinct)
+    rep = dispatch(q, W)
+    assert (rep.method, rep.length, rep.optimal) == (method, length, True)
+    assert solve_exact(q, W).length == length
 
 
 # --- bipartite vertex covers and deep instances ---------------------------
