@@ -24,7 +24,7 @@ from .gen import (
     gen_triad_gadget,
 )
 from .provenance import TemplateTable, compute_witnesses, load_database
-from .special import classify, dispatch
+from .special import _POLICIES, classify, dispatch
 from .veo import NonRpOrdering, build_ordering, dissociation_of
 
 log = logging.getLogger("provfact")
@@ -253,11 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="compute a minimal factorization")
     p.add_argument("query")
     p.add_argument("database")
-    p.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "exact", "flow", "single-plan"],
-    )
+    p.add_argument("--method", default="auto", choices=_POLICIES)
     p.add_argument("--budget", type=int, default=500_000, help="exact search node cap")
     p.add_argument(
         "--order",

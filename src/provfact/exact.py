@@ -12,8 +12,14 @@ witnesses that could still use them.
 
 `_search` sees only integer id lists (one list per choice per item), so the
 covering model of `ilp` is solved by the same search over its choice
-variables' implication closures.  `fact_decision` answers "at most k
-repeats?" only where the search's length or certified bound settles it.
+variables' implication closures.  A search cut short by its node budget
+still proves its incumbent when the bound of its open frontier meets it,
+so `solve_exact`, `ilp.solve_model` and `fact_decision` agree on what is
+proven.  `fact_decision` answers "at most k repeats?" only where the
+search's length or certified bound settles it.
+
+`RunReport` is the one result record of a run: `solve_exact` returns it
+with method ``exact``, and `special.dispatch` returns it for every method.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import sys
 from .cq import Query
 from .provenance import (
     Database,
+    Expr,
     Factorization,
     TemplateTable,
     WitnessSet,
@@ -31,22 +38,43 @@ from .provenance import (
     compute_witnesses,
 )
 
-__all__ = ["ExactResult", "solve_exact", "lower_bound", "fact_decision"]
+__all__ = ["RunReport", "solve_exact", "lower_bound", "fact_decision"]
 
 _EPS = 1e-6
 
 
-class ExactResult:
-    __slots__ = ("factorization", "length", "optimal", "nodes", "lower_bound")
+class RunReport:
+    """Outcome of one factorization run: the factorization found, whether
+    it is proven optimal, and a certified lower bound where one is known.
+    Its length and repeats are the factorization's.  `nodes` counts exact
+    search nodes, 0 when the exact search did not run; `special.dispatch`
+    sets `verified` and `elapsed_ms`."""
+
+    __slots__ = (
+        "query", "method", "n", "optimal", "factorization", "lower_bound",
+        "elapsed_ms", "notes", "verified", "nodes",
+    )
 
     def __init__(
-        self, factorization: Factorization, length: int, optimal: bool, nodes: int, lower_bound: int
+        self, query: str, method: str, n: int, optimal: bool, factorization: Factorization,
+        lower_bound: int | None = None, notes: tuple[str, ...] = (),
+        verified: bool | None = None, nodes: int = 0,
     ) -> None:
-        self.factorization, self.length, self.optimal = factorization, length, optimal
-        self.nodes, self.lower_bound = nodes, lower_bound
+        self.query, self.method, self.n = query, method, n
+        self.optimal, self.factorization, self.lower_bound = optimal, factorization, lower_bound
+        self.notes, self.verified, self.nodes = notes, verified, nodes
+        self.elapsed_ms = 0.0
 
     @property
-    def expression(self):
+    def length(self) -> int:
+        return self.factorization.length
+
+    @property
+    def repeats(self) -> int:
+        return self.factorization.repeats
+
+    @property
+    def expression(self) -> Expr:
         return self.factorization.expression
 
 
@@ -157,7 +185,8 @@ def _components(n, kept, inst_lists, pb):
 def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
     """Lex-first DFS over one sharing component.
 
-    Returns (cost, (wi, vi) pairs in search order, nodes, exhausted, frontier).
+    Returns (cost, (wi, vi) pairs in search order, nodes, frontier); the
+    frontier bound is the cost unless the budget ran out.
     The greedy incumbent only seeds the bound (exclusive, +1), so the first
     complete assignment the DFS accepts is the lexicographically first
     optimum in search order.
@@ -335,7 +364,7 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
         frontier = min([cost] + open_bounds)
 
     picks = [(wi, plans[p][chosen[p]]) for p, wi in enumerate(order)]
-    return cost, picks, nodes, exhausted, frontier
+    return cost, picks, nodes, frontier
 
 
 def _search(inst_lists, weights, tiebreak, budget):
@@ -343,8 +372,9 @@ def _search(inst_lists, weights, tiebreak, budget):
 
     `inst_lists[i][c]` lists the ids that choice c of item i uses; `tiebreak[i]`
     orders items that share equally.  Returns (cost, the choice per item,
-    nodes, exhausted, lower bound); the bound equals the cost unless
-    `budget` cut the search short.
+    nodes, lower bound).  The bound is the cost unless `budget` cut the
+    search short of a proof: a truncated search whose open frontier meets
+    its incumbent has proven it optimal all the same.
     """
     n = len(inst_lists)
     kept, pb = _reduce_plans(inst_lists, weights)
@@ -363,35 +393,33 @@ def _search(inst_lists, weights, tiebreak, budget):
 
     total_cost = 0
     total_nodes = 0
-    total_frontier = 0
-    any_exhausted = False
+    total_frontier = 0  # a component searched to the end adds its cost
     chosen = [0] * n
     for wits in comps:
         left = max(budget - total_nodes, 0)
-        cost, picks, nodes, exhausted, frontier = _solve_component(
+        cost, picks, nodes, frontier = _solve_component(
             wits, kept, inst_lists, weights, pb, order_key, left
         )
         total_cost += cost
         total_nodes += nodes
         total_frontier += frontier
-        any_exhausted = any_exhausted or exhausted
         for wi, vi in picks:
             chosen[wi] = vi
-    bound = total_frontier if any_exhausted else total_cost
-    return total_cost, chosen, total_nodes, any_exhausted, bound
+    return total_cost, chosen, total_nodes, total_frontier
 
 
-def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
+def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> RunReport:
     """Search all plan assignments for a minimum-length factorization.
 
-    `budget` caps the number of search nodes; when exhausted the incumbent is
-    returned with optimal=False and a frontier-derived lower bound.
+    Returns the report of method ``exact``.  `budget` caps the number of
+    search nodes; when it runs out before a proof, the incumbent is
+    reported with optimal=False and a frontier-derived lower bound.
     """
     if not len(W):
-        return ExactResult(assemble(W, ()), 0, True, 0, 0)
+        return RunReport(q.name, "exact", 0, True, assemble(W, ()), lower_bound=0)
 
     inst, inst_lists, weights = _prepare(W)
-    total_cost, chosen, total_nodes, exhausted, bound = _search(
+    total_cost, chosen, total_nodes, bound = _search(
         inst_lists, weights, [w.key for w in W.witnesses], budget
     )
 
@@ -400,20 +428,12 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> ExactResult:
         raise AssertionError(
             f"assembled length {fact.length} != searched cost {total_cost}"
         )
+    optimal = bound == total_cost
     if "logging" in sys.modules:  # a process that never imported it shows no record
         sys.modules["logging"].getLogger(__name__).debug(
-            "exact search: %d nodes, length %d, optimal=%s",
-            total_nodes,
-            total_cost,
-            not exhausted,
+            "exact search: %d nodes, length %d, optimal=%s", total_nodes, total_cost, optimal
         )
-    return ExactResult(
-        factorization=fact,
-        length=total_cost,
-        optimal=not exhausted,
-        nodes=total_nodes,
-        lower_bound=bound,
-    )
+    return RunReport(q.name, "exact", len(W), optimal, fact, lower_bound=bound, nodes=total_nodes)
 
 
 def fact_decision(q: Query, d: Database, k: int, budget: int = 500_000) -> bool | None:

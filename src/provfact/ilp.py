@@ -271,7 +271,7 @@ def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, in
     closure at that variable's objective weight.  Returns (optimal
     objective including the folded constant, assignment of 1-variables).
     Raises `ModelBudgetExhausted`, carrying the incumbent, when `budget`
-    cuts the search off before it is complete.
+    cuts the search off before it proves the incumbent optimal.
     """
     implied_by: dict[str, list[str]] = {}
     for pn, qn in m.prefix_constraints:
@@ -291,11 +291,9 @@ def solve_model(m: IlpModel, budget: int = 2_000_000) -> tuple[int, dict[str, in
     inst_lists = [[closure(c) for c in choices] for _, choices in m.plan_constraints]
     names = list(var_ids)
     weights = [m.objective.get(v, 0) for v in names]
-    cost, chosen, nodes, exhausted, _ = _search(
-        inst_lists, weights, range(len(inst_lists)), budget
-    )
+    cost, chosen, nodes, bound = _search(inst_lists, weights, range(len(inst_lists)), budget)
     used = {i for choices, c in zip(inst_lists, chosen) for i in choices[c]}
     solution = {v: 1 for v in sorted(names[i] for i in used)}
-    if exhausted:
+    if bound < cost:
         raise ModelBudgetExhausted(cost + m.constant, solution, nodes)
     return cost + m.constant, solution

@@ -18,7 +18,9 @@ by the one max-flow kernel, `_mincut.max_flow`.
 
 `dispatch` routes a (query, witness set) to the cheapest method that is
 still exact where exactness is known, falling back to exact search plus the
-flow heuristic elsewhere.
+flow heuristic elsewhere.  Every run yields one record, `exact.RunReport`
+(re-exported here): `_solve` builds it once per route, and `dispatch`
+verifies it and sets its time in one place, for every route.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from itertools import permutations
 from operator import itemgetter
 
 from .cq import Query, connected_components, is_hierarchical, has_triad
-from .exact import solve_exact
+from .exact import RunReport, solve_exact
 from ._mincut import max_flow
 from .flow import Arcs, ExtractionFailure, build_flow_graph, extract_factorization, min_cut
 from .provenance import (
-    Expr,
     Factorization,
     TemplateTable,
     WitnessSet,
@@ -295,31 +296,6 @@ _SHAPES = (
 # dispatch
 # ---------------------------------------------------------------------------
 
-class RunReport:
-    """Outcome of one factorization run; `nodes` counts exact search nodes,
-    0 when the exact search did not run."""
-
-    __slots__ = (
-        "query", "method", "n", "length", "repeats", "optimal", "factorization",
-        "lower_bound", "elapsed_ms", "notes", "verified", "nodes",
-    )
-
-    def __init__(
-        self, query: str, method: str, n: int, length: int, repeats: int, optimal: bool,
-        factorization: Factorization | None, lower_bound: int | None = None,
-        elapsed_ms: float = 0.0, notes: tuple[str, ...] = (), verified: bool | None = None,
-        nodes: int = 0,
-    ) -> None:
-        self.query, self.method, self.n, self.length = query, method, n, length
-        self.repeats, self.optimal, self.factorization = repeats, optimal, factorization
-        self.lower_bound, self.elapsed_ms, self.notes = lower_bound, elapsed_ms, notes
-        self.verified, self.nodes = verified, nodes
-
-    @property
-    def expression(self) -> Expr | None:
-        return self.factorization.expression if self.factorization else None
-
-
 def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
     """Best factorization that uses one plan for every witness."""
     best = None
@@ -340,19 +316,54 @@ def _flow_run(q, W, ordering=None) -> tuple[Factorization, int]:
     return extract_factorization(g, res)[0], res.value
 
 
-def _special_solve(cls: QueryClass, W: WitnessSet) -> tuple[Factorization, str] | None:
-    """Run the closed-form solver for the first special shape `cls` has,
-    as (factorization, method); None when it has none."""
-    for tag, _, solve in _SHAPES:
-        if tag in cls:
-            return solve(W), tag
-    return None
-
-
 _POLICIES = ("auto", "exact", "flow", "single-plan")
 
 
-def _dispatch_components(q, W, policy, budget, ordering, verify, start) -> RunReport:
+def _solve(q, W, policy, budget, ordering) -> RunReport:
+    """The unverified report of connected `q` on its witnesses `W`, at
+    least one, under `policy`.  Flow is proven optimal on queries with at
+    most two minimal plans; one plan for all on hierarchical queries, which
+    are exactly those with one minimal plan."""
+    cls = classify(q)
+    if policy == "exact":
+        rep = solve_exact(q, W, budget=budget)
+        if not rep.optimal:
+            rep.notes = (f"budget exhausted after {rep.nodes} nodes",)
+        return rep
+    if policy == "flow":
+        fact, cut_value = _flow_run(q, W, ordering)
+        if cls.k is not None and cls.k <= 2:
+            return RunReport(q.name, "flow", len(W), True, fact)
+        note = f"cut value {cut_value}; optimality not guaranteed"
+        return RunReport(q.name, "flow", len(W), False, fact, notes=(note,))
+    # single-plan, and auto on a hierarchical query, whose one plan is optimal
+    if policy == "single-plan" or "hierarchical" in cls:
+        fact = single_plan_baseline(q, W)
+        return RunReport(q.name, "single-plan", len(W), "hierarchical" in cls, fact)
+    # the rest of auto: a closed form, two-plan flow, else exact search
+    for tag, _, solve in _SHAPES:
+        if tag in cls:
+            return RunReport(q.name, tag, len(W), True, solve(W))
+    if cls.k == 2:
+        return RunReport(q.name, "flow", len(W), True, _flow_run(q, W, ordering)[0])
+    rep = solve_exact(q, W, budget=budget)
+    if rep.optimal:
+        return rep
+    # the budget ran out: flow's result replaces a longer incumbent, and is
+    # proven where it meets the search's bound
+    rep.notes = (f"exact budget exhausted after {rep.nodes} nodes; lower bound {rep.lower_bound}",)
+    try:
+        fact = _flow_run(q, W, ordering)[0]
+    except ExtractionFailure:
+        rep.notes += ("flow extraction failed",)
+    else:
+        if fact.length < rep.length:
+            rep.method, rep.factorization = "flow", fact
+            rep.optimal = fact.length == rep.lower_bound
+    return rep
+
+
+def _dispatch_components(q, W, policy, budget, ordering, verify) -> RunReport:
     """`dispatch` on a disconnected query: each connected component runs
     alone, with the caller's settings, on its part of `W` (`W.parts`, which
     `compute_witnesses` makes), and the report ANDs the parts.  Length and
@@ -371,15 +382,12 @@ def _dispatch_components(q, W, policy, budget, ordering, verify, start) -> RunRe
     ]
     bounds = [p.length if p.optimal else p.lower_bound for p in reps]
     fact = Factorization(
-        plans=(), expression=e_and([p.factorization.expression for p in reps]),
+        plans=(), expression=e_and([p.expression for p in reps]),
         length=sum(p.length for p in reps), repeats=sum(p.repeats for p in reps),
     )
     return RunReport(
-        query=q.name, method="components", n=len(W),
-        length=fact.length, repeats=fact.repeats,
-        optimal=all(p.optimal for p in reps), factorization=fact,
+        q.name, "components", len(W), all(p.optimal for p in reps), fact,
         lower_bound=None if None in bounds else sum(bounds),
-        elapsed_ms=(time.perf_counter() - start) * 1000,
         notes=tuple(
             note for p in reps
             for note in (f"{p.query}: {p.method}", *(f"{p.query}: {n}" for n in p.notes))
@@ -397,7 +405,8 @@ def dispatch(
     ordering=None,
     verify: bool = True,
 ) -> RunReport:
-    """Route to a solving method and return a uniform report.
+    """Route to a solving method and return its report, verified when
+    `verify` asks and expansion is feasible, and timed.
 
     policy: auto | exact | flow | single-plan; any other value
     raises `ValueError`.  A disconnected query runs one connected component
@@ -408,92 +417,19 @@ def dispatch(
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; options: {', '.join(_POLICIES)}")
     start = time.perf_counter()
-    notes: list[str] = []
-    lower = None
-    nodes = 0
-
     if not len(W):
-        fact = assemble(W, ())
-        return RunReport(
-            query=q.name, method="empty", n=0, length=0, repeats=0,
-            optimal=True, factorization=fact,
-            elapsed_ms=(time.perf_counter() - start) * 1000,
-        )
-
-    if len(connected_components(q)) > 1:
-        return _dispatch_components(q, W, policy, budget, ordering, verify, start)
-
-    cls = classify(q)
-    method = policy
-    optimal = True
-    fact: Factorization | None = None
-
-    if policy == "exact":
-        res = solve_exact(q, W, budget=budget)
-        fact, optimal, lower, nodes = res.factorization, res.optimal, res.lower_bound, res.nodes
-        if not res.optimal:
-            notes.append(f"budget exhausted after {res.nodes} nodes")
-    elif policy == "flow":
-        fact, cut_value = _flow_run(q, W, ordering)
-        optimal = cls.k is not None and (cls.k <= 2 or "hierarchical" in cls)
-        if not optimal:
-            notes.append(f"cut value {cut_value}; optimality not guaranteed")
-    elif policy == "single-plan":
-        fact = single_plan_baseline(q, W)
-        optimal = "hierarchical" in cls
-    else:  # auto
-        if "hierarchical" in cls:
-            fact, method = single_plan_baseline(q, W), "single-plan"
-        elif (routed := _special_solve(cls, W)) is not None:
-            fact, method = routed
-        elif cls.k == 2:
-            fact = _flow_run(q, W, ordering)[0]
-            method = "flow"
-        else:
-            res = solve_exact(q, W, budget=budget)
-            nodes = res.nodes
-            if res.optimal:
-                fact, method, lower = res.factorization, "exact", res.lower_bound
+        rep = RunReport(q.name, "empty", 0, True, assemble(W, ()))
+    elif len(connected_components(q)) > 1:
+        rep = _dispatch_components(q, W, policy, budget, ordering, verify)
+    else:
+        rep = _solve(q, W, policy, budget, ordering)
+        if verify:
+            try:
+                rep.verified = verify_equivalence(rep.factorization, W)
+            except ExpansionTooLarge:
+                rep.notes += ("equivalence verification skipped (expansion too large)",)
             else:
-                optimal = False
-                lower = res.lower_bound
-                notes.append(
-                    f"exact budget exhausted after {res.nodes} nodes;"
-                    f" lower bound {res.lower_bound}"
-                )
-                try:
-                    flow_fact = _flow_run(q, W, ordering)[0]
-                except ExtractionFailure:
-                    flow_fact = None
-                    notes.append("flow extraction failed")
-                if flow_fact is not None and flow_fact.length < res.length:
-                    fact, method = flow_fact, "flow"
-                else:
-                    fact, method = res.factorization, "exact"
-
-    assert fact is not None
-    verified = None
-    if verify:
-        try:
-            verified = verify_equivalence(fact, W)
-        except ExpansionTooLarge:
-            notes.append("equivalence verification skipped (expansion too large)")
-        else:
-            if not verified:
-                raise AssertionError(
-                    f"{method} produced a non-equivalent factorization"
-                )
-    return RunReport(
-        query=q.name,
-        method=method,
-        n=len(W),
-        length=fact.length,
-        repeats=fact.repeats,
-        optimal=optimal,
-        factorization=fact,
-        lower_bound=lower,
-        elapsed_ms=(time.perf_counter() - start) * 1000,
-        notes=tuple(notes),
-        verified=verified,
-        nodes=nodes,
-    )
+                if not rep.verified:
+                    raise AssertionError(f"{rep.method} produced a non-equivalent factorization")
+    rep.elapsed_ms = (time.perf_counter() - start) * 1000
+    return rep

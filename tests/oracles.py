@@ -98,6 +98,33 @@ def reference_load_csv_dir(path):
 # Queries
 # ---------------------------------------------------------------------------
 
+def connected_queries(max_vars: int, max_atoms: int, max_arity: int):
+    """Every connected self-join-free query with at most these variables,
+    atoms and atom arities, once up to renaming of variables and order of
+    atoms.  An atom is a set of variables (two atoms may hold the same
+    set); relations are named R0, R1, ... in the canonical atom order."""
+    from provfact.cq import Atom, Query, connected_components
+
+    seen = set()
+    for nv in range(1, max_vars + 1):
+        names = "abcdefgh"[:nv]
+        scopes = [c for r in range(1, max_arity + 1) for c in itertools.combinations(names, r)]
+        for m in range(1, max_atoms + 1):
+            for atoms in itertools.combinations_with_replacement(scopes, m):
+                if set().union(*atoms) != set(names):
+                    continue
+                canon = min(
+                    tuple(sorted(tuple(sorted(perm[names.index(v)] for v in a)) for a in atoms))
+                    for perm in itertools.permutations(names)
+                )
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                q = Query("Q", tuple(Atom(f"R{i}", a) for i, a in enumerate(canon)))
+                if len(connected_components(q)) == 1:
+                    yield q
+
+
 def isomorphic(q1, q2) -> bool:
     """Whether a bijection of the variables maps q1's atom variable sets
     onto q2's, as multisets; relation names and atom order play no part.

@@ -115,6 +115,21 @@ def test_factorize_methods_and_exit_codes(capsys, files):
     assert lines["length"] == "13"
 
 
+def test_factorize_proves_a_truncated_search_that_meets_its_bound(capsys, files):
+    """Triangle d=5 t=12 seed 2: 20 nodes leave the search open, but its
+    bound meets the incumbent, 15, so the run is proven and exits 0."""
+    db = gen_random(GenSpec(query=fixture_query("triangle"), d=5, tuples=12, seed=2))
+    db_path = files["dir"] / "tri.db"
+    db_path.write_text(db.text())
+    for method in ("exact", "auto"):
+        rc, out, err = run(
+            capsys, ["factorize", files["triangle.q"], str(db_path), "--method", method, "--budget", "20"]
+        )
+        lines = dict(l.split(": ", 1) for l in out.splitlines())
+        assert (rc, lines["length"], lines["optimal"], err) == (0, "15", "true", "")
+        assert "lower-bound" not in lines
+
+
 def test_factorize_flat_order(capsys, files):
     rc, out, _ = run(
         capsys,

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 import oracles
 from provfact.cq import DisconnectedQueryError, parse_query
-from provfact.exact import lower_bound, solve_exact
+from provfact.exact import fact_decision, lower_bound, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
+from provfact.ilp import ModelBudgetExhausted, build_ilp, solve_model
 from provfact.provenance import WitnessSet, compute_witnesses, verify_equivalence
 from provfact.special import dispatch
 from provfact.veo import enumerate_mveo
@@ -144,6 +145,45 @@ def test_budget_exhaustion():
     assert capped.lower_bound <= full.length <= capped.length
     if full.optimal:
         assert full.length <= capped.length
+
+
+def test_a_truncated_search_whose_bound_meets_its_incumbent_is_proven():
+    """Triangle d=5 t=12 seed 2: the whole search takes 24 nodes, and after
+    18 its open frontier's bound, 15, meets its incumbent.  A budget of 20
+    cuts the search short, yet every front end reports 15 as proven."""
+    q = fixture_query("triangle")
+    db = gen_random(GenSpec(query=q, d=5, tuples=12, seed=2))
+    W = compute_witnesses(q, db)
+    assert solve_exact(q, W).nodes == 24
+    res = solve_exact(q, W, budget=20)
+    assert (res.length, res.optimal, res.lower_bound, res.nodes) == (15, True, 15, 20)
+    for policy in ("exact", "auto"):
+        rep = dispatch(q, W, policy=policy, budget=20)
+        assert (rep.method, rep.length, rep.optimal, rep.lower_bound, rep.notes) == (
+            "exact", 15, True, 15, ()
+        )
+    model = build_ilp(q, W)
+    with pytest.raises(ModelBudgetExhausted):  # before the bound meets the incumbent
+        solve_model(model, budget=17)
+    assert solve_model(model, budget=20)[0] == 15
+    distinct = len(W.distinct_tuples)
+    assert fact_decision(q, db, 15 - distinct, budget=20) is True
+    assert fact_decision(q, db, 14 - distinct, budget=20) is False
+
+
+def test_auto_proves_a_flow_result_that_meets_the_search_bound():
+    """Triangle d=4 t=8 seed 2: 5 nodes leave exact at 16 with bound 15, and
+    flow's 15 replaces the incumbent as a proven optimum."""
+    q = fixture_query("triangle")
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=8, seed=2)))
+    capped = solve_exact(q, W, budget=5)
+    assert (capped.length, capped.optimal, capped.lower_bound) == (16, False, 15)
+    rep = dispatch(q, W, budget=5)
+    assert (rep.method, rep.length, rep.optimal, rep.lower_bound, rep.nodes) == (
+        "flow", 15, True, 15, 5
+    )
+    assert rep.notes == ("exact budget exhausted after 5 nodes; lower bound 15",)
+    assert rep.verified and solve_exact(q, W).length == 15
 
 
 def test_budget_flag_consistency(appb1_db):

@@ -13,7 +13,7 @@ import oracles
 from provfact import exact, provenance, special, veo
 from provfact.cq import Atom, DisconnectedQueryError, Query, connected_components, parse_query
 from provfact.exact import fact_decision, solve_exact
-from provfact.gen import GenSpec, fixture_query, gen_random
+from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.ilp import EmptyWitnessSet, build_ilp
 from provfact.provenance import (
     WitnessSet,
@@ -22,6 +22,7 @@ from provfact.provenance import (
     verify_equivalence,
 )
 from provfact.special import (
+    _POLICIES,
     ShapeMismatch,
     _min_cover,
     classify,
@@ -566,6 +567,50 @@ def test_dispatch_solves_the_parts_without_their_product():
     )
     assert rep.notes == ("Q.1: single-plan", "Q.2: single-plan")
     assert hashlib.sha256(rep.factorization.pretty().encode()).hexdigest()[:12] == "c1f8bfac5cec"
+
+
+def test_every_report_keeps_its_invariants(monkeypatch):
+    """Every fixture under every policy on seeded instances (d=4, t=6, seeds
+    0-2), at a budget that cuts exact search short and at the default one;
+    then two disconnected queries, an empty witness set, and the triangle
+    whose search is proven after 20 of its 24 nodes.  Each report's length
+    is its expression's, its lower bound is at most its length and proves
+    it where the two meet, and it counts no nodes unless exact ran.  The
+    only run that returns no report is the 4chain cost-model defect's."""
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return solve_exact(*args, **kwargs)
+
+    monkeypatch.setattr(special, "solve_exact", counted)
+    runs = [
+        (q, W, policy, budget)
+        for q in map(fixture_query, FIXTURE_QUERIES)
+        for seed in range(3)
+        for W in [compute_witnesses(q, gen_random(GenSpec(query=q, d=4, tuples=6, seed=seed)))]
+        for policy in _POLICIES
+        for budget in (10, 500_000)
+    ]
+    runs += [(q, W, policy, 5) for q, _, W, _ in map(_disconnected, range(2)) for policy in _POLICIES]
+    q = fixture_query("triangle")
+    runs += [(q, WitnessSet(q, ()), policy, 10) for policy in _POLICIES]
+    W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=12, seed=2)))
+    runs += [(q, W, policy, 20) for policy in _POLICIES]
+    defects = 0
+    for q, W, policy, budget in runs:
+        searches.clear()
+        try:
+            rep = dispatch(q, W, policy=policy, budget=budget)
+        except AssertionError as exc:  # ROADMAP item 1
+            assert q.name == "four_chain" and "length" in str(exc), (q.name, policy, exc)
+            defects += 1
+            continue
+        assert rep.length == rep.factorization.length == rep.expression.length
+        assert rep.lower_bound is None or rep.lower_bound <= rep.length
+        assert rep.optimal or rep.lower_bound != rep.length, (q.name, policy, budget)
+        assert searches or rep.nodes == 0
+    assert 0 < defects < len(runs) // 10
 
 
 def test_dispatch_budget_exhaustion_falls_back_to_flow():

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import oracles
-from provfact.cq import parse_query
+from provfact.cq import is_hierarchical, parse_query
 from provfact.gen import FIXTURE_QUERIES, fixture_query
 from provfact.provenance import TemplateTable
 from provfact.veo import (
@@ -48,6 +48,18 @@ MVEO_SETS = {
 def test_mveo_sets(name):
     q = fixture_query(name)
     assert [v.serial for v in enumerate_mveo(q)] == MVEO_SETS[name]
+
+
+def test_a_connected_query_is_hierarchical_exactly_when_it_has_one_plan():
+    """A hierarchical query's safe plan has no dissociation, so it dominates
+    every other plan (Dalvi & Suciu); any other connected query has at
+    least two minimal plans.  `dispatch`'s flow policy proves optimality
+    from the plan count alone because of this.  The space: every connected
+    query with at most 4 variables, 4 atoms and arity 3, up to renaming."""
+    queries = list(oracles.connected_queries(4, 4, 3))
+    assert (len(queries), sum(map(is_hierarchical, queries))) == (173, 70)
+    for q in queries:
+        assert is_hierarchical(q) == (len(enumerate_mveo(q)) == 1), q
 
 
 def test_mveo_are_pareto_minimal():
