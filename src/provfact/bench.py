@@ -73,6 +73,8 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
     methods = config.get("methods", ["exact", "flow", "single-plan"])
     base_seed = config.get("seed", 0)
     budget = config.get("budget", 500_000)
+    if reps < 0:
+        raise ValueError(f"cannot run a negative number of repetitions (reps={reps})")
 
     rows: list[BenchRow] = []
     for qname in queries:

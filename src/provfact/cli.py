@@ -25,7 +25,7 @@ from .gen import (
 )
 from .provenance import TemplateTable, compute_witnesses, load_database
 from .special import _POLICIES, classify, dispatch
-from .veo import NonRpOrdering, build_ordering, dissociation_of
+from .veo import InvalidPermutation, NonRpOrdering, build_ordering, dissociation_of
 
 log = logging.getLogger("provfact")
 
@@ -124,7 +124,11 @@ def cmd_factorize(args) -> int:
         mode, perm = _parse_order(args.order)
         if W.parts:  # `dispatch` refuses this; refuse before the whole query's plans and graph
             raise ValueError(f"{q.name} is disconnected; an ordering needs a connected query")
-        ordering = build_ordering(q, mode=mode, perm=perm, mveo=TemplateTable.of(q).plans)
+        plans = TemplateTable.of(q).plans
+        try:
+            ordering = build_ordering(q, mode=mode, perm=perm, mveo=plans)
+        except InvalidPermutation:  # named as written, in the v numbers `mveo` prints
+            raise ValueError(f"{args.order} is not a permutation of v1..v{len(plans)}") from None
         # only an ordering given here can lack running prefixes: the solvers' own have them
         if args.strict_rp and not ordering.rp:
             raise NonRpOrdering("ordering violates the running-prefixes property in strict mode")
@@ -308,7 +312,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 1
     except (ValueError, KeyError, OSError, RuntimeError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # unquoted
+        print(f"error: {msg}", file=sys.stderr)
         if args.verbose:
             raise
         return 1

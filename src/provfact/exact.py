@@ -119,6 +119,10 @@ def _reduce_plans(inst_lists, weights):
     (private + all its shareable weights) does not exceed the private cost.
     Dropping plans shrinks the potential-user sets, which may privatize more
     instances, hence the fixpoint loop.
+
+    Returns per witness its kept plans and, aligned, their private costs and
+    shared ids (used by more than one witness) as the last pass split them,
+    in `inst_lists` order, which fixes the float order of the search bound.
     """
     n = len(inst_lists)
     kept = [list(range(len(choices))) for choices in inst_lists]
@@ -129,40 +133,40 @@ def _reduce_plans(inst_lists, weights):
                 for i in inst_lists[wi][vi]:
                     pb.setdefault(i, set()).add(wi)
         changed = False
+        privc, shares = [], []
         for wi in range(n):
-            share = {}
-            priv = {}
+            priv, share = [], []
             for vi in kept[wi]:
-                ids = inst_lists[wi][vi]
-                share[vi] = frozenset(i for i in ids if len(pb[i]) > 1)
-                priv[vi] = sum(weights[i] for i in ids if len(pb[i]) == 1)
-            new = []
-            for vi in kept[wi]:
-                dominated = False
-                for vj in kept[wi]:
-                    if vj == vi:
-                        continue
-                    if share[vj] == share[vi]:
-                        if (priv[vj], vj) < (priv[vi], vi):
-                            dominated = True
-                            break
-                    elif share[vj] < share[vi]:
-                        worst = priv[vj] + sum(weights[i] for i in share[vj])
-                        if worst < priv[vi] or (worst == priv[vi] and vj < vi):
-                            dominated = True
-                            break
-                if not dominated:
-                    new.append(vi)
+                pc, sh = 0, []
+                for i in inst_lists[wi][vi]:
+                    if len(pb[i]) > 1:
+                        sh.append(i)
+                    else:
+                        pc += weights[i]
+                priv.append(pc)
+                share.append(sh)
+            privc.append(priv)
+            shares.append(share)
+            sets = list(map(frozenset, share))
+            worst = [pc + sum(weights[i] for i in ids) for pc, ids in zip(priv, sets)]
+            new = [
+                vi for a, vi in enumerate(kept[wi])
+                if not any(
+                    (priv[b] if sets[b] == sets[a] else worst[b], vj) < (priv[a], vi)
+                    for b, vj in enumerate(kept[wi])
+                    if b != a and sets[b] <= sets[a]
+                )
+            ]
             if new != kept[wi]:
                 kept[wi] = new
                 changed = True
         if not changed:
-            return kept, pb
+            return kept, privc, shares
 
 
-def _components(n, kept, inst_lists, pb):
-    """Union witnesses that can share an instance through kept plans."""
-    parent = list(range(n))
+def _components(shares):
+    """Union witnesses that share an id through kept plans."""
+    parent = list(range(len(shares)))
 
     def find(a):
         while parent[a] != a:
@@ -170,19 +174,18 @@ def _components(n, kept, inst_lists, pb):
             a = parent[a]
         return a
 
-    for i, users in pb.items():
-        if len(users) > 1:
-            it = iter(users)
-            first = find(next(it))
-            for other in it:
-                parent[find(other)] = first
+    first: dict[int, int] = {}  # each shared id's first user
+    for wi, share in enumerate(shares):
+        for ids in share:
+            for i in ids:
+                parent[find(wi)] = find(first.setdefault(i, wi))
     groups: dict[int, list[int]] = {}
-    for wi in range(n):
+    for wi in range(len(parent)):
         groups.setdefault(find(wi), []).append(wi)
     return list(groups.values())
 
 
-def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
+def _solve_component(wits, kept, priv, share, weights, order_key, budget):
     """Lex-first DFS over one sharing component.
 
     Returns (cost, (wi, vi) pairs in search order, nodes, frontier); the
@@ -193,20 +196,11 @@ def _solve_component(wits, kept, inst_lists, weights, pb, order_key, budget):
     """
     order = sorted(wits, key=order_key)
     n = len(order)
-    pos_of = {wi: p for p, wi in enumerate(order)}
 
-    # per-position kept plans, split into private cost and shareable ids
+    # per-position kept plans, with their private costs and shared ids
     plans = [kept[wi] for wi in order]
-    privc = []
-    shares = []
-    for p, wi in enumerate(order):
-        pc, sh = [], []
-        for vi in plans[p]:
-            ids = inst_lists[wi][vi]
-            pc.append(sum(weights[i] for i in ids if len(pb[i]) == 1))
-            sh.append([i for i in ids if len(pb[i]) > 1])
-        privc.append(pc)
-        shares.append(sh)
+    privc = [priv[wi] for wi in order]
+    shares = [share[wi] for wi in order]
 
     # shared-instance bookkeeping local to the component
     users: dict[int, list[tuple[int, int]]] = {}
@@ -376,29 +370,25 @@ def _search(inst_lists, weights, tiebreak, budget):
     search short of a proof: a truncated search whose open frontier meets
     its incumbent has proven it optimal all the same.
     """
-    n = len(inst_lists)
-    kept, pb = _reduce_plans(inst_lists, weights)
+    kept, privc, shares = _reduce_plans(inst_lists, weights)
 
     # search order: most shared-id candidates first, then the tie-break
-    shared_count = [
-        sum(1 for vi in kept[wi] for i in inst_lists[wi][vi] if len(pb[i]) > 1)
-        for wi in range(n)
-    ]
+    shared_count = [sum(map(len, share)) for share in shares]
 
     def order_key(wi):
         return (-shared_count[wi], tiebreak[wi])
 
-    comps = _components(n, kept, inst_lists, pb)
+    comps = _components(shares)
     comps.sort(key=lambda ws: min(order_key(wi) for wi in ws))
 
     total_cost = 0
     total_nodes = 0
     total_frontier = 0  # a component searched to the end adds its cost
-    chosen = [0] * n
+    chosen = [0] * len(inst_lists)
     for wits in comps:
         left = max(budget - total_nodes, 0)
         cost, picks, nodes, frontier = _solve_component(
-            wits, kept, inst_lists, weights, pb, order_key, left
+            wits, kept, privc, shares, weights, order_key, left
         )
         total_cost += cost
         total_nodes += nodes

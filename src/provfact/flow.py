@@ -23,16 +23,20 @@ uncontracted network.  Prefix instances are the ids of the witness set's
 one table (`WitnessSet.instances`, keyed by ``(template id, binding
 pairs)``), whose `TemplateTable` gives their weights; the graph numbers
 their nodes in the order it meets them.  The ordering's shape is walked
-once, and each witness keeps only its instance ids.  A capacity node is addressed only by
-its index and stored only as its arc.  Extraction hands each witness one of
-the ordering's own plan objects: the first whose needs the cut meets.
+once, and the graph keeps one column of instance ids per site.  A capacity
+node is addressed only by its index and stored only as its arc, and the cut
+only as a mask over them.  Extraction hands each witness one of the
+ordering's own plan objects, the first whose needs the cut meets, choosing
+for all witnesses a plan at a time.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from functools import reduce
 from itertools import compress, product, repeat
+from operator import and_, or_
 
 from ._mincut import max_flow
 from .cq import Query
@@ -180,24 +184,24 @@ class FlowGraph:
     Instance ids are those of ``witnesses.instances``, which names them, and
     index `payer` (the cap node that carries the instance's weight: its
     own, or the leaf it was folded into; -1 on an instance the graph lacks).
-    `slots` holds each witness's instance ids, ``len(skeleton.sites)`` per
-    witness.
+    `columns` holds one ``array("i")`` per skeleton site: the id of each
+    witness's instance there, in witness order.
     """
 
     __slots__ = (
         "query", "witnesses", "ordering", "node_count", "arcs", "source", "sink",
-        "cap_arc", "p_instance", "inf", "skeleton", "payer", "slots",
+        "cap_arc", "p_instance", "inf", "skeleton", "payer", "columns",
     )
 
     def __init__(
         self, query: Query, witnesses: WitnessSet, ordering: Ordering, node_count: int,
         arcs: Arcs, source: int, sink: int, cap_arc: array, p_instance: array, inf: int,
-        skeleton: _Skeleton, payer: array, slots: array,
+        skeleton: _Skeleton, payer: array, columns: list[array],
     ) -> None:
         self.query, self.witnesses, self.ordering = query, witnesses, ordering
         self.node_count, self.arcs, self.source, self.sink = node_count, arcs, source, sink
         self.cap_arc, self.p_instance, self.inf = cap_arc, p_instance, inf
-        self.skeleton, self.payer, self.slots = skeleton, payer, slots
+        self.skeleton, self.payer, self.columns = skeleton, payer, columns
 
     def cap_text(self, c: int) -> str:
         """Readable name of cap node `c`, e.g. ``q3.1`` or ``p[x1 <- y2]``."""
@@ -234,13 +238,13 @@ class FlowGraph:
 
 
 class FlowResult:
-    """A maximum flow's value and canonical cut: `reachable` marks the source
-    side, and `cut_mask` holds a 1 per cut cap node, by index."""
+    """A maximum flow's value and its canonical cut: `cut_mask` holds a 1 per
+    cut cap node, by index."""
 
-    __slots__ = ("value", "cut_mask", "reachable")
+    __slots__ = ("value", "cut_mask")
 
-    def __init__(self, value: int, cut_mask: bytearray, reachable: list[bool]) -> None:
-        self.value, self.cut_mask, self.reachable = value, cut_mask, reachable
+    def __init__(self, value: int, cut_mask: bytearray) -> None:
+        self.value, self.cut_mask = value, cut_mask
 
 
 def build_flow_graph(q: Query, W: WitnessSet, ordering: Ordering) -> FlowGraph:
@@ -249,7 +253,7 @@ def build_flow_graph(q: Query, W: WitnessSet, ordering: Ordering) -> FlowGraph:
     table = inst.table
     sk = _skeleton(table, ordering)
     k = sk.connectors
-    columns = [inst.ids(tid, W.witnesses) for tid, _, _, _ in sk.sites]  # per site
+    columns = [array("i", inst.ids(tid, W.witnesses)) for tid, _, _, _ in sk.sites]
 
     # pass 1: merge every witness's sites into runs.  A run spans connectors
     # run_left -> run_right; run_leaf is the index ``wi * len(sk.leaves) +
@@ -263,12 +267,10 @@ def build_flow_graph(q: Query, W: WitnessSet, ordering: Ordering) -> FlowGraph:
     seen, weight = array("i"), []
     run_left, run_right = array("i"), array("i")
     run_leaf, run_next = array("i"), array("i")
-    slots = array("i")
-    for wi in range(len(W.witnesses)):
+    for wi, ids in enumerate(zip(*columns)):
         off = wi * k
         qoff = wi * nleaves
-        for (tid, a, b, leaf), column in zip(sk.sites, columns):
-            iid = column[wi]
+        for (tid, a, b, leaf), iid in zip(sk.sites, ids):
             if a > _T:
                 a += off
             if b > _T:
@@ -281,11 +283,9 @@ def build_flow_graph(q: Query, W: WitnessSet, ordering: Ordering) -> FlowGraph:
             elif run_right[r] == a:  # adjacent to the previous run: extend it
                 run_right[r] = b
                 run_leaf[r] = -1
-                slots.append(iid)
                 continue
             else:
                 run_next[r] = last[iid] = len(run_left)
-            slots.append(iid)
             run_left.append(a)
             run_right.append(b)
             run_leaf.append(-1 if leaf is None else qoff + leaf)
@@ -347,7 +347,7 @@ def build_flow_graph(q: Query, W: WitnessSet, ordering: Ordering) -> FlowGraph:
         inf=inf,
         skeleton=sk,
         payer=payer,
-        slots=slots,
+        columns=columns,
     )
     if "logging" in sys.modules:  # a process that never imported it shows no record
         sys.modules["logging"].getLogger(__name__).debug(
@@ -372,7 +372,7 @@ def min_cut(g: FlowGraph) -> FlowResult:
         raise AssertionError(
             f"cut frontier weight {cut_weight} != flow value {value}"
         )
-    return FlowResult(int(value), mask, reachable)
+    return FlowResult(int(value), mask)
 
 
 def extract_factorization(
@@ -380,27 +380,26 @@ def extract_factorization(
 ) -> tuple[Factorization, tuple[Veo, ...]]:
     """Give each witness the first plan of the ordering whose needs the cut
     meets (the leftmost selected alternative) and assemble those plans, one
-    per witness in witness order; guaranteed no longer than the cut value."""
-    cut = res.cut_mask
+    per witness in witness order; guaranteed no longer than the cut value.
+    Plans are chosen a column at a time, with no loop per witness: per
+    plan, one 0/1 byte per witness ANDs its sites' paid bytes and its
+    leaves' cut bytes, each column read as one int so that ``&`` is bytewise."""
+    cut, n, nleaves = res.cut_mask, len(g.witnesses), len(g.skeleton.leaves)
     paid = bytearray(map(cut.__getitem__, g.payer))  # per instance id; unread at payer -1
-    width = len(g.skeleton.sites)
-    nleaves = len(g.skeleton.leaves)
-    options = list(zip(g.ordering.veos, g.skeleton.needs))
-    plans: list[Veo] = []
-    for wi, w in enumerate(g.witnesses.witnesses):
-        ids = g.slots[wi * width:(wi + 1) * width]
-        qoff = wi * nleaves
-        for plan, (slots, leaves) in options:
-            if all(paid[ids[j]] for j in slots) and all(cut[qoff + leaf] for leaf in leaves):
-                plans.append(plan)
-                break
-        else:
-            raise ExtractionFailure(
-                f"no plan for witness {w.key} is fully covered by the cut"
-            )
-    fact = assemble(g.witnesses, plans)
-    if fact.length > res.value:
-        raise AssertionError(
-            f"extracted length {fact.length} exceeds cut value {res.value}"
+    sites = [int.from_bytes(bytes(map(paid.__getitem__, col)), "big") for col in g.columns]
+    leaves = [int.from_bytes(cut[leaf:n * nleaves:nleaves], "big") for leaf in range(nleaves)]
+    every = int.from_bytes(b"\x01" * n, "big")
+    met = [
+        reduce(and_, [sites[j] for j in slots] + [leaves[f] for f in lvs], every)
+        for slots, lvs in g.skeleton.needs
+    ]
+    wi = reduce(or_, met, 0).to_bytes(n, "big").find(0)
+    if wi >= 0:
+        raise ExtractionFailure(
+            f"no plan for witness {g.witnesses.witnesses[wi].key} is fully covered by the cut"
         )
+    first = map(tuple.index, zip(*(m.to_bytes(n, "big") for m in met)), repeat(1))
+    fact = assemble(g.witnesses, list(map(g.ordering.veos.__getitem__, first)))
+    if fact.length > res.value:
+        raise AssertionError(f"extracted length {fact.length} exceeds cut value {res.value}")
     return fact, fact.plans

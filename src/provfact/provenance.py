@@ -566,7 +566,7 @@ class Expr(_Value):
     one node may occur at several places (`assemble` shares its leaves and
     rows); every reader walks occurrences, as in a tree.  `length` (the
     literal count) is set when the node is made, from its children's
-    lengths; `tuple_keys` walks the tree on each access and caches nothing.
+    lengths.  A node keeps no other derived fact.
     """
 
     __slots__ = ("op", "key", "children", "length")
@@ -583,19 +583,6 @@ class Expr(_Value):
 
     def __repr__(self) -> str:
         return f"Expr(op={self.op!r}, key={self.key!r}, children={self.children!r})"
-
-    @property
-    def tuple_keys(self) -> frozenset[TupleKey]:
-        """The distinct tuple keys at the leaves."""
-        keys: set[TupleKey] = set()
-        stack = [self]
-        while stack:
-            e = stack.pop()
-            if e.op == "var":
-                keys.add(e.key)
-            else:
-                stack.extend(e.children)
-        return frozenset(keys)
 
     def pretty(self, ascii_only: bool = False) -> str:
         return _pretty(self, " v " if ascii_only else " ∨ ")
@@ -838,7 +825,8 @@ def assemble(W: WitnessSet, plans: tuple[Veo, ...] | list[Veo]) -> Factorization
         return Factorization((), Expr("false"), 0, 0)
     trie = _Trie(W, plans)
     expr = e_or([trie.build(r) for r in sorted(trie.roots, key=trie.order)])
-    return Factorization(tuple(plans), expr, expr.length, expr.length - len(expr.tuple_keys))
+    # one leaf per distinct tuple key: the occurrences past it are repeats
+    return Factorization(tuple(plans), expr, expr.length, expr.length - len(trie.leaves))
 
 
 def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000) -> bool:

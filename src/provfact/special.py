@@ -408,14 +408,16 @@ def dispatch(
     """Route to a solving method and return its report, verified when
     `verify` asks and expansion is feasible, and timed.
 
-    policy: auto | exact | flow | single-plan; any other value
-    raises `ValueError`.  A disconnected query runs one connected component
+    policy: auto | exact | flow | single-plan; any other value, or a
+    negative `budget`, raises `ValueError`.  A disconnected query runs one connected component
     at a time under `policy`, on the parts of `W` (see
     `_dispatch_components`); a part with no witnesses makes the whole
     empty.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; options: {', '.join(_POLICIES)}")
+    if budget < 0:
+        raise ValueError(f"the exact search budget cannot be negative (budget={budget})")
     start = time.perf_counter()
     if not len(W):
         rep = RunReport(q.name, "empty", 0, True, assemble(W, ()))

@@ -651,7 +651,6 @@ def reference_select(g, cut_mask, alts):
     in witness order, or the message of the first witness left without one.
     """
     paid = [cut_mask[c] for c in g.payer]
-    width = len(g.skeleton.sites)
     nleaves = len(g.skeleton.leaves)
 
     def select(alt, wi, ids):
@@ -674,8 +673,7 @@ def reference_select(g, cut_mask, alts):
         return _hang(alt["ext"], tuple(tails))
 
     plans = []
-    for wi, w in enumerate(g.witnesses.witnesses):
-        ids = g.slots[wi * width:(wi + 1) * width]
+    for wi, (w, ids) in enumerate(zip(g.witnesses.witnesses, zip(*g.columns))):
         plan = next(filter(None, (select(alt, wi, ids) for alt in alts)), None)
         if plan is None:
             return f"no plan for witness {w.key} is fully covered by the cut"

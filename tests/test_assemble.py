@@ -211,12 +211,14 @@ def test_expression_counts_match_leaves(name, db, method):
     q = fixture_query(name)
     W = compute_witnesses(q, parse_database(db))
     if method == "exact":
-        expr = solve_exact(q, W).expression
+        fact = solve_exact(q, W).factorization
     else:
         g = build_flow_graph(q, W, build_ordering(q))
-        expr = extract_factorization(g, min_cut(g))[0].expression
+        fact = extract_factorization(g, min_cut(g))[0]
+    expr = fact.expression
     assert expr.length == oracles.count_leaves(expr)
-    assert expr.tuple_keys == frozenset(oracles.leaf_multiset(expr))
+    # repeats are the occurrences past one per distinct tuple key
+    assert fact.repeats == expr.length - len(set(oracles.leaf_multiset(expr)))
     nodes = [expr]
     while nodes:
         e = nodes.pop()

@@ -13,7 +13,7 @@ import oracles
 from provfact import cli, ilp
 from provfact.cli import main
 from provfact.cq import parse_query
-from provfact.gen import GenSpec, fixture_query, gen_random
+from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 
 Q2STAR = "Q :- R(x), S(x,y), T(y)\n"
 TRIANGLE = "Q :- R(x,y), S(y,z), T(z,x)\n"
@@ -370,6 +370,41 @@ def test_bench_rejects_an_unknown_config_key(capsys):
     assert err.strip() == (
         "error: unknown config key 'kernal'; keys: queries, d, tuples, reps, methods, seed, budget"
     )
+
+
+@pytest.mark.parametrize("method", cli._POLICIES)
+def test_factorize_refuses_a_negative_budget(capsys, files, method):
+    """Every policy refuses a negative budget, rather than running as budget 0."""
+    argv = ["factorize", files["q2star.q"], files["fig2a.db"], "--method", method, "--budget", "-5"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: the exact search budget cannot be negative (budget=-5)\n"
+
+
+@pytest.mark.parametrize("pair,message", [
+    ("reps=-1", "cannot run a negative number of repetitions (reps=-1)"),
+    ("budget=-3", "the exact search budget cannot be negative (budget=-3)"),
+])
+def test_bench_refuses_negative_counts(capsys, pair, message):
+    argv = ["bench", "--set", 'queries=["q2star"]', "--set", "tuples=[6]", "--set", "d=5"]
+    rc, out, err = run(capsys, [*argv, "--set", "reps=1", "--set", pair])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bench_names_an_unknown_query_without_quotes(capsys):
+    rc, out, err = run(capsys, ["bench", "--set", 'queries=["nope"]'])
+    assert (rc, out) == (1, "")
+    assert err == f"error: unknown fixture query 'nope'; options: {sorted(FIXTURE_QUERIES)}\n"
+
+
+@pytest.mark.parametrize("order", ["flat:v1,v1", "flat:v0", "flat:v2,v1", "flat:2"])
+def test_order_errors_name_plans_as_written(capsys, tmp_path, order):
+    """A bad permutation is named in the `v` numbers `mveo` prints, not 0-based."""
+    (tmp_path / "h.q").write_text("Q :- R(x), S(x,y)\n")  # one plan: x <- y
+    (tmp_path / "h.db").write_text("[R]\n1\n[S]\n1,2\n")
+    rc, out, err = run(capsys, ["factorize", str(tmp_path / "h.q"), str(tmp_path / "h.db"), "--order", order])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {order} is not a permutation of v1..v1\n"
 
 
 def test_bench_config_file(capsys, tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from provfact._mincut import max_flow
 from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.flow import (
@@ -199,12 +200,12 @@ def test_flow_result_invariants(fig7d_db):
     assert isinstance(res.cut_mask, bytearray) and len(res.cut_mask) == len(g.cap_arc)
     cut = [i for c, i in enumerate(g.cap_arc) if res.cut_mask[c]]
     assert sum(cap[i] for i in cut) == res.value
-    # reachable is indexed by node id over the residual graph
-    assert res.reachable[g.source]
-    assert not res.reachable[g.sink]
+    # the kernel's reachable set is indexed by node id over the residual graph
+    value, reachable = max_flow(g.node_count, g.arcs, g.source, g.sink)
+    assert value == res.value and reachable[g.source] and not reachable[g.sink]
     # a cap node is cut exactly when its arc's tail is reachable and its head is not
     for c, i in enumerate(g.cap_arc):
-        assert res.cut_mask[c] == (res.reachable[tail[i]] and not res.reachable[head[i]])
+        assert res.cut_mask[c] == (reachable[tail[i]] and not reachable[head[i]])
     # each cap node is one finite arc; leaf nodes come first, then instances
     assert list(g.cap_arc) == sorted(set(g.cap_arc))
     assert all(cap[i] < g.inf for i in g.cap_arc)
@@ -216,7 +217,7 @@ def test_flow_result_invariants(fig7d_db):
 def test_flow_graph_memory_per_witness():
     """Cap nodes live in typed arrays addressed by index: the network of
     3chain d=30 t=200 seed 1 (6,090 witnesses) retains at most 400 B per
-    witness (tracemalloc; about 330 B, and about 850 B when the cap nodes
+    witness (tracemalloc; about 290 B, and about 850 B when the cap nodes
     were a dict keyed by label tuples)."""
     q = fixture_query("3chain")
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=30, tuples=200, seed=1)))
@@ -229,7 +230,7 @@ def test_flow_graph_memory_per_witness():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    bufs = (g.cap_arc, g.p_instance, g.payer, g.slots)
+    bufs = (g.cap_arc, g.p_instance, g.payer, *g.columns)
     assert all(isinstance(buf, array) for buf in bufs)
     assert len(W) > 5000
     assert held / len(W) <= 400, f"{held / len(W):.0f} B/witness"
@@ -355,7 +356,7 @@ def test_flow_tail_matches_the_reference(name):
             ]
             for mask in masks:
                 expected = oracles.reference_select(g, mask, alts)
-                trial = FlowResult(sys.maxsize, mask, res.reachable)
+                trial = FlowResult(sys.maxsize, mask)
                 if isinstance(expected, str):
                     with pytest.raises(ExtractionFailure) as err:
                         extract_factorization(g, trial)

@@ -68,7 +68,7 @@ def test_flow_network_and_kernel_stay_flat():
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=30, tuples=200, seed=1)))
     g = build_flow_graph(q, W, build_ordering(q))
     assert all(isinstance(buf, array) for buf in (g.arcs.tail, g.arcs.head, g.arcs.cap))
-    assert isinstance(g.slots, array)
+    assert all(isinstance(col, array) for col in g.columns)
     arcs = len(g.arcs)
     assert arcs == sum(1 for _ in g.arcs) > 10_000
     gc.collect()
