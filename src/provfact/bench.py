@@ -1,82 +1,69 @@
 """Benchmarks: method sweeps over seeded random instances.
 
-Sweep output is CSV with one row per (instance, method) run.  The timing
-columns obviously vary between machines; everything else is deterministic
-for a fixed config.
+A sweep is one row per (instance, method) run, a dict keyed by
+`SWEEP_FIELDS`; `provfact bench` writes the rows as CSV.  The timing
+column obviously varies between machines; everything else is
+deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-
+from .cq import Query
 from .gen import GenSpec, fixture_query, gen_random
 from .provenance import compute_witnesses
 from .special import dispatch
 
-__all__ = [
-    "BenchRow",
-    "run_sweep",
-    "SWEEP_FIELDS",
-]
+__all__ = ["run_sweep", "SWEEP_FIELDS"]
 
 SWEEP_FIELDS = [
-    "query",
-    "d",
-    "tuples",
-    "witnesses",
-    "method",
-    "length",
-    "optimal",
-    "penalty_pct",
-    "solve_ms",
-    "seed",
-    "nodes",
+    "query", "d", "tuples", "witnesses", "method", "length", "optimal",
+    "penalty_pct", "solve_ms", "seed", "nodes",
 ]
 
-_CONFIG_KEYS = ("queries", "d", "tuples", "reps", "methods", "seed", "budget")
+# key -> (default, the type of a list's items or None for an integer, what it must be)
+_CONFIG = {
+    "queries": (["3chain"], (str, Query), "a list of fixture names or queries"),
+    "d": (10, None, "an integer"),
+    "tuples": ([20], int, "a list of integers"),
+    "reps": (3, None, "an integer"),
+    "methods": (["exact", "flow", "single-plan"], str, "a list of method names"),
+    "seed": (0, None, "an integer"),
+    "budget": (500_000, None, "an integer"),
+}
 
 
-class BenchRow:
-    """One CSV row; its fields are `SWEEP_FIELDS`, in that order."""
-
-    __slots__ = tuple(SWEEP_FIELDS)
-
-    def __init__(
-        self, query: str, d: int, tuples: int, witnesses: int, method: str, length: int,
-        optimal: bool, penalty_pct: float | None, solve_ms: float, seed: int, nodes: int,
-    ) -> None:
-        self.query, self.d, self.tuples, self.witnesses = query, d, tuples, witnesses
-        self.method, self.length, self.optimal = method, length, optimal
-        self.penalty_pct, self.solve_ms, self.seed, self.nodes = penalty_pct, solve_ms, seed, nodes
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def run_sweep(config: dict, out=None) -> list[BenchRow]:
-    """Run a sweep from a config dict (or JSON text path already loaded).
+def run_sweep(config: dict) -> list[dict]:
+    """Run a sweep from a config dict and return its rows.
 
-    Keys: queries (fixture names), d, tuples (list of sizes), reps,
-    methods, seed, budget.  Each method is a `dispatch` policy,
-    run without verification; a row's `method` is the policy and
-    `solve_ms` the dispatch call's time.  Writes CSV to `out` when given.
-    penalty_pct compares each method to the best exact length seen for the
-    same instance (None when exact didn't finish optimally).  Any other key
-    raises `ValueError`.
+    Keys: queries (fixture names or `Query` objects), d, tuples (list of
+    sizes), reps, methods, seed, budget.  Each method is a `dispatch`
+    policy, run without verification; a row's `method` is the policy and
+    `solve_ms` the dispatch call's time.  penalty_pct compares each method
+    to the best exact length seen for the same instance (None when exact
+    didn't finish optimally).  A config that is not a dict, an unknown key
+    or a value of the wrong type raises `ValueError`.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"a sweep config must be an object (a dict), got {config!r}")
     for key in config:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}; keys: {', '.join(_CONFIG_KEYS)}")
-    queries = config.get("queries", ["3chain"])
-    d = config.get("d", 10)
-    sizes = config.get("tuples", [20])
-    reps = config.get("reps", 3)
-    methods = config.get("methods", ["exact", "flow", "single-plan"])
-    base_seed = config.get("seed", 0)
-    budget = config.get("budget", 500_000)
+        if key not in _CONFIG:
+            raise ValueError(f"unknown config key {key!r}; keys: {', '.join(_CONFIG)}")
+    values = []
+    for key, (default, item, what) in _CONFIG.items():
+        value = config.get(key, default)
+        if not (_is(value, int) if item is None
+                else isinstance(value, list) and all(_is(v, item) for v in value)):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        values.append(value)
+    queries, d, sizes, reps, methods, base_seed, budget = values
     if reps < 0:
         raise ValueError(f"cannot run a negative number of repetitions (reps={reps})")
 
-    rows: list[BenchRow] = []
+    rows: list[dict] = []
     for qname in queries:
         q = fixture_query(qname) if isinstance(qname, str) else qname
         for size in sizes:
@@ -88,59 +75,14 @@ def run_sweep(config: dict, out=None) -> list[BenchRow]:
                     dispatch(q, W, policy=method, budget=budget, verify=False)
                     for method in methods
                 ]
-                exact_len = None
+                exact_len = next(
+                    (r.length for method, r in zip(methods, reports)
+                     if method == "exact" and r.optimal), None)
                 for method, r in zip(methods, reports):
-                    if method == "exact" and r.optimal:
-                        exact_len = r.length
-                for method, r in zip(methods, reports):
-                    penalty = None
-                    if exact_len and exact_len > 0:
-                        penalty = round(100.0 * (r.length - exact_len) / exact_len, 3)
-                    rows.append(
-                        BenchRow(
-                            query=q.name,
-                            d=d,
-                            tuples=size,
-                            witnesses=len(W.witnesses),
-                            method=method,
-                            length=r.length,
-                            optimal=r.optimal,
-                            penalty_pct=penalty,
-                            solve_ms=round(r.elapsed_ms, 3),
-                            seed=seed,
-                            nodes=r.nodes,
-                        )
-                    )
-    if out is not None:
-        _write_csv(rows, out)
+                    penalty = (round(100.0 * (r.length - exact_len) / exact_len, 3)
+                               if exact_len else None)  # None for an unproven or empty reference
+                    rows.append(dict(zip(SWEEP_FIELDS, (
+                        q.name, d, size, len(W.witnesses), method, r.length, r.optimal,
+                        penalty, round(r.elapsed_ms, 3), seed, r.nodes,
+                    ))))
     return rows
-
-
-def _write_csv(rows: list[BenchRow], out) -> None:
-    close = False
-    if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-        fh = open(out, "w", newline="")
-        close = True
-    else:
-        fh = out
-    try:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            rec = {name: getattr(row, name) for name in SWEEP_FIELDS}
-            rec["penalty_pct"] = "" if rec["penalty_pct"] is None else rec["penalty_pct"]
-            writer.writerow(rec)
-    finally:
-        if close:
-            fh.close()
-
-
-def rows_to_csv(rows: list[BenchRow]) -> str:
-    buf = io.StringIO()
-    _write_csv(rows, buf)
-    return buf.getvalue()
-
-
-def load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .cq import parse_query
@@ -36,6 +37,16 @@ def _read(path: str) -> str:
             return fh.read()
     except FileNotFoundError:  # worded as `load_database` words a missing database
         raise FileNotFoundError(f"{path}: no such file or directory") from None
+
+
+@contextmanager
+def _written(path: str | None):
+    """The file at `path`, opened for text, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
 def _load_query(path: str):
@@ -133,13 +144,11 @@ def cmd_factorize(args) -> int:
         if args.strict_rp and not ordering.rp:
             raise NonRpOrdering("ordering violates the running-prefixes property in strict mode")
 
-    if args.dump_graph:
-        # the graph is dropped before dispatch builds its own
-        with open(args.dump_graph, "w") as fh:
+    rep = dispatch(q, W, policy=args.method, budget=args.budget, ordering=ordering)
+    if args.dump_graph:  # only once dispatch has accepted the run
+        with _written(args.dump_graph) as fh:
             fh.write(build_flow_graph(q, W, ordering).dot())
         log.info("wrote flow graph to %s", args.dump_graph)
-
-    rep = dispatch(q, W, policy=args.method, budget=args.budget, ordering=ordering)
     print(f"query: {q.name}")
     print(f"witnesses: {rep.n}")
     print(f"method: {rep.method}")
@@ -169,7 +178,8 @@ def cmd_ilp(args) -> int:
     if model.constant:
         print(f"constant: {model.constant}")
     if args.lp:
-        export_lp(model, sink=args.lp)
+        with _written(args.lp) as fh:
+            fh.write(export_lp(model))
         log.info("wrote LP to %s", args.lp)
     if args.solve:
         try:
@@ -201,28 +211,34 @@ def cmd_gen(args) -> int:
     else:
         q = _gen_query(args)
         db = gen_random(GenSpec(query=q, d=args.d, tuples=args.tuples, seed=args.seed))
-    text = db.text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _written(args.out) as fh:
+        fh.write(db.text())
     return 0
 
 
 def cmd_bench(args) -> int:
+    import csv
     import json
 
-    from .bench import load_config, rows_to_csv, run_sweep
+    from .bench import SWEEP_FIELDS, run_sweep
 
-    config = load_config(args.config) if args.config else {}
-    if args.set:
-        for pair in args.set:
-            key, _, val = pair.partition("=")
-            config[key] = json.loads(val)
-    rows = run_sweep(config, out=args.out)
-    if not args.out:
-        sys.stdout.write(rows_to_csv(rows))
+    try:
+        config = json.loads(_read(args.config)) if args.config else {}
+    except json.JSONDecodeError as exc:  # named as `_load_edges` names a bad line
+        raise ValueError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    overrides = {}
+    for pair in args.set or ():
+        key, _, val = pair.partition("=")
+        try:
+            overrides[key] = json.loads(val)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--set {pair}: {exc}") from None
+    # a config that is not an object is refused by `run_sweep`
+    rows = run_sweep(config | overrides if isinstance(config, dict) else config)
+    with _written(args.out) as fh:
+        writer = csv.DictWriter(fh, SWEEP_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 

@@ -63,7 +63,7 @@ class IlpModel:
 
     __slots__ = (
         "query", "n", "k", "m", "objective", "constant", "plan_constraints",
-        "prefix_constraints", "binaries", "reduced",
+        "prefix_constraints", "binaries",
     )
 
     def __init__(
@@ -77,12 +77,11 @@ class IlpModel:
         plan_constraints: list[tuple[str, list[str]]],  # (label, choice vars): sum >= 1
         prefix_constraints: list[tuple[str, str]],  # (p, q): p - q >= 0
         binaries: list[str],
-        reduced: bool = False,
     ) -> None:
         self.query, self.n, self.k, self.m = query, n, k, m
         self.objective, self.constant = objective, constant
         self.plan_constraints, self.prefix_constraints = plan_constraints, prefix_constraints
-        self.binaries, self.reduced = binaries, reduced
+        self.binaries = binaries
 
     @property
     def var_count(self) -> int:
@@ -200,7 +199,6 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
         plan_constraints=plan_constraints,
         prefix_constraints=prefix_constraints,
         binaries=binaries,
-        reduced=reduce,
     )
     log.debug(
         "built %s model: %d vars, %d constraints",
@@ -211,10 +209,9 @@ def build_ilp(q: Query, W: WitnessSet, reduce: bool = False) -> IlpModel:
     return model
 
 
-def export_lp(m: IlpModel, sink=None) -> str:
+def export_lp(m: IlpModel) -> str:
     """Serialize to LP text (minimize / subject-to / binaries).  Deterministic:
-    objective terms sorted by name, constraints in construction order.
-    `sink` may be a path or a file-like object; the text is also returned."""
+    objective terms sorted by name, constraints in construction order."""
     lines = [
         f"\\ minimal factorization model for {m.query.name}"
         f" (n={m.n}, k={m.k}, m={m.m})",
@@ -236,14 +233,7 @@ def export_lp(m: IlpModel, sink=None) -> str:
     for name in m.binaries:
         lines.append(f" {name}")
     lines.append("End")
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w") as fh:
-                fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def model_stats(m: IlpModel) -> dict[str, int]:

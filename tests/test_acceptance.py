@@ -477,9 +477,9 @@ def test_criterion_7_growth_shapes(capsys):
     for qname in config["queries"]:
         for method in ("flow", "single-plan"):
             vals = [
-                r.penalty_pct
+                r["penalty_pct"]
                 for r in rows
-                if r.query == qname and r.method == method and r.penalty_pct is not None
+                if r["query"] == qname and r["method"] == method and r["penalty_pct"] is not None
             ]
             if not vals:
                 problems.append(f"{qname}/{method}: no rows with a proven reference")

@@ -374,11 +374,15 @@ def test_bench_rejects_an_unknown_config_key(capsys):
 
 @pytest.mark.parametrize("method", cli._POLICIES)
 def test_factorize_refuses_a_negative_budget(capsys, files, method):
-    """Every policy refuses a negative budget, rather than running as budget 0."""
+    """Every policy refuses a negative budget, rather than running as budget
+    0, and the refused run writes no graph: it is written only once
+    `dispatch` has accepted the run."""
+    dot = files["dir"] / "neg.dot"
     argv = ["factorize", files["q2star.q"], files["fig2a.db"], "--method", method, "--budget", "-5"]
-    rc, out, err = run(capsys, argv)
+    rc, out, err = run(capsys, [*argv, "--dump-graph", str(dot)])
     assert (rc, out) == (1, "")
     assert err == "error: the exact search budget cannot be negative (budget=-5)\n"
+    assert not dot.exists()
 
 
 @pytest.mark.parametrize("pair,message", [
@@ -413,6 +417,46 @@ def test_bench_config_file(capsys, tmp_path):
     rc, out, _ = run(capsys, ["bench", "--config", str(cfg)])
     assert rc == 0
     assert out.splitlines()[0].startswith("query,d,")
+
+
+@pytest.mark.parametrize("pair,message", [
+    ('reps="2"', "reps must be an integer, got '2'"),
+    ("tuples=5", "tuples must be a list of integers, got 5"),
+    ('tuples=[6, "8"]', "tuples must be a list of integers, got [6, '8']"),
+    ("d=2.5", "d must be an integer, got 2.5"),
+    ("seed=null", "seed must be an integer, got None"),
+    ("budget=true", "budget must be an integer, got True"),
+    ('queries="q2star"', "queries must be a list of fixture names or queries, got 'q2star'"),
+    ('methods="flow"', "methods must be a list of method names, got 'flow'"),
+])
+def test_bench_names_a_mistyped_config_value(capsys, pair, message):
+    rc, out, err = run(capsys, ["bench", "--set", pair])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--set", "reps=1"]])
+def test_bench_refuses_a_config_that_is_not_an_object(capsys, tmp_path, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[]")
+    rc, out, err = run(capsys, ["bench", "--config", str(cfg), *extra])
+    assert (rc, out, err) == (1, "", "error: a sweep config must be an object (a dict), got []\n")
+
+
+@pytest.mark.parametrize("pair", ["reps=x", "reps"])
+def test_bench_names_a_malformed_set_pair(capsys, pair):
+    rc, out, err = run(capsys, ["bench", "--set", "d=5", "--set", pair])
+    assert (rc, out) == (1, "")
+    assert err == f"error: --set {pair}: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_bench_names_a_malformed_or_missing_config_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"queries": ["q2star"], }')
+    rc, out, err = run(capsys, ["bench", "--config", "cfg.json"])
+    assert (rc, out) == (1, "")
+    assert err == "error: cfg.json:1:25: Expecting property name enclosed in double quotes\n"
+    rc, out, err = run(capsys, ["bench", "--config", "nosuch.json"])
+    assert (rc, out, err) == (1, "", "error: nosuch.json: no such file or directory\n")
 
 
 def test_gen_rejects_a_negative_row_count(capsys):

@@ -1,6 +1,5 @@
 """Covering-model construction, LP export, reductions, exact solving."""
 
-import io
 import math
 import re
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
+from provfact import cli
 from provfact.cq import parse_query
 from provfact.exact import solve_exact
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
@@ -163,19 +163,21 @@ def test_export_lp_format(appb1_db):
     assert ">= 1" in text
     assert "Binaries" in text.split("Subject To")[1]
     assert text.rstrip().endswith("End")
-    # the same text goes to file-like sinks and to paths
-    buf = io.StringIO()
-    export_lp(m, sink=buf)
-    assert buf.getvalue() == text
 
 
-def test_export_lp_to_path(tmp_path, appb1_db):
+def test_export_lp_to_path(capsys, tmp_path, appb1_db):
+    """`provfact ilp --lp PATH` writes exactly `export_lp` of its model,
+    plain and reduced."""
     q = fixture_query("3chain")
     W = compute_witnesses(q, appb1_db)
-    m = build_ilp(q, W)
+    (tmp_path / "q.q").write_text(str(q))
+    (tmp_path / "db.txt").write_text(appb1_db.text())
     p = tmp_path / "model.lp"
-    export_lp(m, sink=str(p))
-    assert p.read_text() == export_lp(m)
+    argv = ["ilp", str(tmp_path / "q.q"), str(tmp_path / "db.txt"), "--lp", str(p)]
+    for reduce in (False, True):
+        assert cli.main(argv + ["--reduce"] * reduce) == 0
+        assert "vars: " in capsys.readouterr().out
+        assert p.read_bytes() == export_lp(build_ilp(q, W, reduce=reduce)).encode()
 
 
 def test_empty_witness_set():
