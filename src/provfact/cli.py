@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from contextlib import contextmanager
 
-from . import __version__
+from . import _POLICIES, __version__, flow, special
 from .cq import parse_query
-from .flow import build_flow_graph
 from .gen import (
     FIXTURE_QUERIES,
     GenSpec,
@@ -25,7 +25,6 @@ from .gen import (
     gen_triad_gadget,
 )
 from .provenance import TemplateTable, compute_witnesses, load_database
-from .special import _POLICIES, classify, dispatch
 from .veo import InvalidPermutation, NonRpOrdering, build_ordering, dissociation_of
 
 log = logging.getLogger("provfact")
@@ -109,7 +108,7 @@ def cmd_mveo(args) -> int:
 
 def cmd_classify(args) -> int:
     q = _load_query(args.query)
-    cls = classify(q)
+    cls = special.classify(q)
     print("tags: " + ", ".join(sorted(cls.tags)))
     print(f"plans: {cls.k if cls.k is not None else '?'}")
     return 0
@@ -144,10 +143,10 @@ def cmd_factorize(args) -> int:
         if args.strict_rp and not ordering.rp:
             raise NonRpOrdering("ordering violates the running-prefixes property in strict mode")
 
-    rep = dispatch(q, W, policy=args.method, budget=args.budget, ordering=ordering)
+    rep = special.dispatch(q, W, policy=args.method, budget=args.budget, ordering=ordering)
     if args.dump_graph:  # only once dispatch has accepted the run
         with _written(args.dump_graph) as fh:
-            fh.write(build_flow_graph(q, W, ordering).dot())
+            fh.write(flow.build_flow_graph(q, W, ordering).dot())
         log.info("wrote flow graph to %s", args.dump_graph)
     print(f"query: {q.name}")
     print(f"witnesses: {rep.n}")
@@ -324,6 +323,9 @@ def main(argv=None) -> int:
     # (in-process callers, pytest), so set the package logger's level too.
     logging.getLogger("provfact").setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
     try:
+        for path in filter(None, map(vars(args).get, ("out", "lp", "dump_graph"))):
+            if not os.path.isdir(os.path.dirname(path) or "."):  # refused before any work
+                raise FileNotFoundError(f"{path}: no such file or directory")
         return args.fn(args)
     except BrokenPipeError:
         return 1

@@ -30,6 +30,7 @@ from collections import Counter
 from itertools import permutations
 from operator import itemgetter
 
+from . import _POLICIES
 from .cq import Query, connected_components, is_hierarchical, has_triad
 from .exact import RunReport, solve_exact
 from ._mincut import max_flow
@@ -314,9 +315,6 @@ def _flow_run(q, W, ordering=None) -> tuple[Factorization, int]:
     g = build_flow_graph(q, W, ordering)
     res = min_cut(g)
     return extract_factorization(g, res)[0], res.value
-
-
-_POLICIES = ("auto", "exact", "flow", "single-plan")
 
 
 def _solve(q, W, policy, budget, ordering) -> RunReport:

@@ -205,8 +205,8 @@ def test_disconnected_query_refuses_an_ordering(capsys, split, tmp_path, monkeyp
     """An ordering or a graph dump is refused as `dispatch` refuses it,
     before any plan list, ordering or graph is made or a file written."""
     monkeypatch.chdir(tmp_path)
-    for name in ("TemplateTable", "build_ordering", "build_flow_graph"):
-        monkeypatch.setattr(cli, name, None)
+    for name in ("cli.TemplateTable", "cli.build_ordering", "flow.build_flow_graph"):
+        monkeypatch.setattr(f"provfact.{name}", None)
     rc, out, err = run(capsys, ["factorize", *split[:2], *extra])
     assert (rc, out) == (1, "")
     assert err == "error: Q is disconnected; an ordering needs a connected query\n"
@@ -475,6 +475,25 @@ def test_missing_inputs_are_named_alike(capsys, files, tmp_path, monkeypatch):
     assert rc == 1 and err.strip() == "error: nosuch.txt: no such file or directory"
 
 
+@pytest.mark.parametrize("command, work, option", [
+    ("bench --set reps=1", "bench.run_sweep", "--out"),
+    ("ilp 3chain.q appb1.db", "cli.load_database", "--lp"),
+    ("gen --fixture 3chain", "cli.gen_random", "--out"),
+    ("factorize 3chain.q appb1.db", "cli.load_database", "--dump-graph"),
+])
+def test_an_output_path_in_a_missing_directory_is_refused_first(
+    capsys, files, monkeypatch, command, work, option
+):
+    """An output path whose directory is missing is named as a missing
+    input is, before the command reads its inputs or runs."""
+    monkeypatch.chdir(files["dir"])
+    monkeypatch.setattr(f"provfact.{work}", None)  # the command's work, unreachable
+    rc, out, err = run(capsys, [*command.split(), option, "sub/x.txt"])
+    assert (rc, out) == (1, "")
+    assert err == "error: sub/x.txt: no such file or directory\n"
+    assert not (files["dir"] / "sub").exists()
+
+
 def test_error_exit_codes(capsys, files, tmp_path):
     bad_q = tmp_path / "bad.q"
     bad_q.write_text("Q :- R(x), R(y)\n")
@@ -493,7 +512,7 @@ def test_invariant_failure_is_reported_as_error(capsys, files, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("extracted length 164 exceeds cut value 160")
 
-    monkeypatch.setattr(cli, "dispatch", broken)
+    monkeypatch.setattr("provfact.special.dispatch", broken)
     argv = ["factorize", files["q2star.q"], files["fig2a.db"], "--method", "flow"]
     rc, out, err = run(capsys, argv)
     assert rc == 1

@@ -200,30 +200,67 @@ def _fresh(code: str) -> list[str]:
     return proc.stdout.split("\n")
 
 
-def _fresh_import(module: str) -> list[str]:
-    """Import `module` in a fresh interpreter; its stdout lines are the
-    loaded ``provfact.*`` modules and then `dispatch`'s module."""
-    return _fresh(
-        f"import sys, provfact, {module}\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('provfact.'))))\n"
-        "print(provfact.special.dispatch.__module__)\n"
-    )
+SOLVERS = {f"provfact.{m}" for m in ("exact", "flow", "special", "_mincut")}
+_RUN = (  # the provfact.* modules whose code has run; a module not yet run has another type
+    "print(' '.join(sorted(m for m, v in list(sys.modules.items())"
+    " if m.startswith('provfact.') and type(v) is types.ModuleType)))\n"
+)
 
 
 def test_import_loads_only_the_pipeline():
-    loaded, dispatch_module = _fresh_import("provfact")[:2]
-    loaded = set(loaded.split())
+    """`import provfact` registers the six pipeline modules and runs none;
+    reading inputs runs the input modules only; the first read of
+    `dispatch` runs the solvers."""
     pipeline = {f"provfact.{m}" for m in ("cq", "veo", "provenance", "exact", "flow", "special")}
-    assert pipeline <= loaded
-    assert not loaded & {f"provfact.{m}" for m in ("ilp", "bench", "gen", "cli")}
-    assert dispatch_module == "provfact.special"
+    lines = _fresh(
+        "import sys, types, provfact\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('provfact.'))))\n"
+        + _RUN
+        + "from provfact.cq import parse_query\n"
+        "from provfact.gen import GenSpec, gen_random\n"
+        "from provfact.provenance import compute_witnesses, parse_database\n"
+        "q = parse_query('Q :- R(x,y), S(y,z), T(z,u)')\n"
+        "db = parse_database(gen_random(GenSpec(query=q, d=6, tuples=14, seed=1)).text())\n"
+        "W = compute_witnesses(q, db)\n"
+        + _RUN
+        + "dispatch = provfact.special.dispatch\n"
+        + _RUN
+        + "print(dispatch.__module__)\n"
+    )
+    registered, at_import, after_inputs, after_dispatch, dispatch_line = lines[:5]
+    assert set(registered.split()) == pipeline
+    assert at_import == ""
+    inputs = {f"provfact.{m}" for m in ("cq", "veo", "provenance", "gen")}
+    assert set(after_inputs.split()) == inputs
+    assert set(after_dispatch.split()) == pipeline | SOLVERS | inputs
+    assert dispatch_line == "provfact.special"
 
 
-def test_cli_import_loads_neither_ilp_nor_bench():
-    """The `ilp` and `bench` subcommands import their modules when they run."""
-    loaded = set(_fresh_import("provfact.cli")[0].split())
-    assert {"provfact.cli", "provfact.gen"} <= loaded
-    assert not loaded & {"provfact.ilp", "provfact.bench"}
+def test_cli_import_loads_neither_ilp_nor_bench(tmp_path):
+    """`import provfact.cli` runs neither `ilp` nor `bench`, which their
+    subcommands import when they run; `gen`, `mveo` and `witnesses`, each
+    in a fresh interpreter, run no solver module."""
+    (tmp_path / "q.q").write_text("Q :- R(x,y), S(y,z), T(z,u)\n")
+    (tmp_path / "db.txt").write_text("[R]\n1,2\n[S]\n2,3\n[T]\n3,4\n")
+    for argv in (
+        "gen --fixture 3chain --d 6 --tuples 14 --seed 1 --out out.txt",
+        "mveo q.q",
+        "witnesses q.q db.txt",
+    ):
+        lines = _fresh(
+            "import contextlib, io, os, sys, types\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "import provfact.cli\n"
+            + _RUN
+            + "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert provfact.cli.main({argv.split()!r}) == 0\n"
+            + _RUN
+        )
+        at_import, after_run = (set(line.split()) for line in lines[:2])
+        assert {"provfact.cli", "provfact.gen"} <= at_import, argv
+        assert not at_import & {"provfact.ilp", "provfact.bench"}, argv
+        assert not after_run & (SOLVERS | {"provfact.ilp", "provfact.bench"}), argv
+        assert "provfact.provenance" in after_run, argv
 
 
 def test_import_loads_neither_dataclasses_nor_logging():
