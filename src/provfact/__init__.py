@@ -2,15 +2,16 @@
 self-join-free conjunctive queries.
 
 Pipeline: parse a query (`cq`), enumerate its minimal variable elimination
-orders (`veo`), compute witnesses over a database (`provenance`), then
-minimize factorization length exactly (`exact`), by min-cut (`flow`), or
-with shape-specific algorithms (`special`, whose `dispatch` runs the whole
-pipeline).  Importing the package runs none of those six: each runs on the
-first read of one of its names (``provfact.special.dispatch``), so reading
-inputs runs `cq`, `veo`, `provenance` and `gen` and no solver.  That first
-read takes no lock; do not race it across threads.  The covering model
-(`ilp`), the generators (`gen`), the benchmarks (`bench`) and the command
-line (`cli`) run when imported.
+orders (`veo`), compute witnesses over a database (`provenance`), intern
+its prefix instances and assemble expressions (`assembly`), then minimize
+factorization length exactly (`exact`), by min-cut (`flow`), or with
+shape-specific algorithms (`special`, whose `dispatch` runs the whole
+pipeline).  Importing the package runs none of those seven: each runs on
+the first read of one of its names (``provfact.special.dispatch``), so
+reading inputs runs `cq`, `provenance` and `gen` only.  That first read
+takes no lock; do not race it across threads.  The covering model (`ilp`),
+the generators (`gen`), the benchmarks (`bench`) and the command line
+(`cli`) run when imported.
 """
 
 import importlib.util
@@ -28,4 +29,6 @@ def _lazy(name):
     return module
 
 
-cq, veo, provenance, exact, flow, special = map(_lazy, "cq veo provenance exact flow special".split())
+cq, veo, provenance, assembly, exact, flow, special = map(
+    _lazy, "cq veo provenance assembly exact flow special".split()
+)

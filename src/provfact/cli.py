@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import _POLICIES, __version__, flow, special
+from . import _POLICIES, __version__, assembly, flow, special, veo
 from .cq import parse_query
 from .gen import (
     FIXTURE_QUERIES,
@@ -24,8 +24,7 @@ from .gen import (
     gen_random,
     gen_triad_gadget,
 )
-from .provenance import TemplateTable, compute_witnesses, load_database
-from .veo import InvalidPermutation, NonRpOrdering, build_ordering, dissociation_of
+from .provenance import compute_witnesses, load_database
 
 log = logging.getLogger("provfact")
 
@@ -95,10 +94,10 @@ def _parse_order(spec: str):
 
 def cmd_mveo(args) -> int:
     q = _load_query(args.query)
-    for i, v in enumerate(TemplateTable.of(q).plans, start=1):
+    for i, v in enumerate(assembly.TemplateTable.of(q).plans, start=1):
         print(f"v{i}: {v.serial}")
         if args.verbose:
-            d = dissociation_of(v, q)
+            d = veo.dissociation_of(v, q)
             pairs = ", ".join(
                 f"{a.relation}+{{{','.join(sorted(s))}}}" for a, s in zip(q.atoms, d) if s
             )
@@ -134,14 +133,16 @@ def cmd_factorize(args) -> int:
         mode, perm = _parse_order(args.order)
         if W.parts:  # `dispatch` refuses this; refuse before the whole query's plans and graph
             raise ValueError(f"{q.name} is disconnected; an ordering needs a connected query")
-        plans = TemplateTable.of(q).plans
+        plans = assembly.TemplateTable.of(q).plans
         try:
-            ordering = build_ordering(q, mode=mode, perm=perm, mveo=plans)
-        except InvalidPermutation:  # named as written, in the v numbers `mveo` prints
+            ordering = veo.build_ordering(q, mode=mode, perm=perm, mveo=plans)
+        except veo.InvalidPermutation:  # named as written, in the v numbers `mveo` prints
             raise ValueError(f"{args.order} is not a permutation of v1..v{len(plans)}") from None
         # only an ordering given here can lack running prefixes: the solvers' own have them
         if args.strict_rp and not ordering.rp:
-            raise NonRpOrdering("ordering violates the running-prefixes property in strict mode")
+            raise veo.NonRpOrdering(
+                "ordering violates the running-prefixes property in strict mode"
+            )
 
     rep = special.dispatch(q, W, policy=args.method, budget=args.budget, ordering=ordering)
     if args.dump_graph:  # only once dispatch has accepted the run

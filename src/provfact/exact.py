@@ -27,16 +27,9 @@ from __future__ import annotations
 import math
 import sys
 
+from .assembly import Expr, Factorization, TemplateTable, assemble
 from .cq import Query
-from .provenance import (
-    Database,
-    Expr,
-    Factorization,
-    TemplateTable,
-    WitnessSet,
-    assemble,
-    compute_witnesses,
-)
+from .provenance import Database, WitnessSet, compute_witnesses
 
 __all__ = ["RunReport", "solve_exact", "lower_bound", "fact_decision"]
 

@@ -39,8 +39,9 @@ from itertools import compress, product, repeat
 from operator import and_, or_
 
 from ._mincut import max_flow
+from .assembly import Factorization, TemplateTable, assemble
 from .cq import Query
-from .provenance import Factorization, TemplateTable, WitnessSet, assemble
+from .provenance import WitnessSet
 from .veo import Ordering, Veo
 
 __all__ = [

@@ -35,20 +35,14 @@ from .cq import Query, connected_components, is_hierarchical, has_triad
 from .exact import RunReport, solve_exact
 from ._mincut import max_flow
 from .flow import Arcs, ExtractionFailure, build_flow_graph, extract_factorization, min_cut
-from .provenance import (
-    Factorization,
-    TemplateTable,
-    WitnessSet,
-    assemble,
-    e_and,
-    verify_equivalence,
-    ExpansionTooLarge,
+from .assembly import (
+    ExpansionTooLarge, Factorization, TemplateTable, assemble, e_and, verify_equivalence,
 )
+from .provenance import WitnessSet
 from .veo import Veo, build_ordering, veo_node, TooManyVariables
 
 __all__ = [
     "QueryClass",
-    "RunReport",
     "ShapeMismatch",
     "classify",
     "solve_q2star",

@@ -8,7 +8,7 @@ legal VEOs, computes dissociations and the Pareto-minimal set (mveo), and
 the run orderings (flat and nested) consumed by the flow heuristic, with
 their running-prefixes check.  `anchored` is the one rule for which atoms a
 root path anchors: `dissociation_of` reads it, and so does
-`provenance.TemplateTable`, which interns the paths and their weights.
+`assembly.TemplateTable`, which interns the paths and their weights.
 """
 
 from __future__ import annotations

@@ -247,7 +247,7 @@ def brute_minfact(q, witness_set, plans):
 
 def reference_assemble(witness_set, plans):
     """A direct path-keyed trie assembler: the byte-identity reference for
-    ``provenance.assemble`` (same expression text, length and repeats, or
+    ``assembly.assemble`` (same expression text, length and repeats, or
     the same exception), given one plan per witness in witness order.
 
     Nodes are keyed by their full instantiated path; a node's tuples are
@@ -255,7 +255,7 @@ def reference_assemble(witness_set, plans):
     roots sort by (serialization, path).  Length and repeats are counted
     here from the leaves, not read from the expression.
     """
-    from provfact.provenance import (
+    from provfact.assembly import (
         Expr,
         Factorization,
         IllegalAssignment,
@@ -484,10 +484,10 @@ def leaf_multiset(expr):
 
 
 def reference_expand(e, max_terms: int = 200_000):
-    """Set-based DNF expansion, the reference for ``provenance.expand``:
+    """Set-based DNF expansion, the reference for ``assembly.expand``:
     each node's whole term set, built bottom-up by set union and cross
     product, capped at `max_terms` distinct terms per intermediate set."""
-    from provfact.provenance import ExpansionTooLarge
+    from provfact.assembly import ExpansionTooLarge
 
     if e.op == "false":
         return set()
@@ -600,7 +600,7 @@ def reference_flow_skeleton(q, ordering):
     its `leaf` index and the plan `fragment` below its parent for a leaf,
     its `children` for a sequence and its `comps` for parallel components.
     """
-    from provfact.provenance import TemplateTable
+    from provfact.assembly import TemplateTable
 
     table = TemplateTable.of(q)  # the ids `build_flow_graph` reads
     sites, leaves = [], []

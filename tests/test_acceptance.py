@@ -45,7 +45,8 @@ from provfact.gen import (
     random_graph,
 )
 from provfact.ilp import build_ilp, model_stats, solve_model
-from provfact.provenance import compute_witnesses, verify_equivalence
+from provfact.assembly import verify_equivalence
+from provfact.provenance import compute_witnesses
 from provfact.special import (
     dispatch,
     single_plan_baseline,

@@ -10,16 +10,8 @@ import oracles
 from provfact.exact import solve_exact
 from provfact.flow import ExtractionFailure, build_flow_graph, extract_factorization, min_cut
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
-from provfact.provenance import (
-    Expr,
-    IllegalAssignment,
-    TemplateTable,
-    Witness,
-    WitnessSet,
-    assemble,
-    compute_witnesses,
-    parse_database,
-)
+from provfact.assembly import Expr, IllegalAssignment, TemplateTable, assemble
+from provfact.provenance import Witness, WitnessSet, compute_witnesses, parse_database
 from provfact.veo import Veo, build_ordering, enumerate_mveo, enumerate_veos
 
 

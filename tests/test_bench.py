@@ -7,7 +7,8 @@ from provfact import cli
 from provfact.bench import SWEEP_FIELDS, run_sweep
 from provfact.exact import solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
-from provfact.provenance import compute_witnesses, verify_equivalence
+from provfact.assembly import verify_equivalence
+from provfact.provenance import compute_witnesses
 from provfact.special import single_plan_baseline
 from provfact.veo import enumerate_mveo
 

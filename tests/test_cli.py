@@ -205,7 +205,7 @@ def test_disconnected_query_refuses_an_ordering(capsys, split, tmp_path, monkeyp
     """An ordering or a graph dump is refused as `dispatch` refuses it,
     before any plan list, ordering or graph is made or a file written."""
     monkeypatch.chdir(tmp_path)
-    for name in ("cli.TemplateTable", "cli.build_ordering", "flow.build_flow_graph"):
+    for name in ("assembly.TemplateTable", "veo.build_ordering", "flow.build_flow_graph"):
         monkeypatch.setattr(f"provfact.{name}", None)
     rc, out, err = run(capsys, ["factorize", *split[:2], *extra])
     assert (rc, out) == (1, "")

@@ -1,10 +1,12 @@
 """Cold start: the one-pass input path and the package import footprint."""
 
 import ast
+import importlib
 import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,9 @@ import provfact
 from provfact.cq import Atom, independent_atoms, parse_query
 from provfact.exact import solve_exact
 from provfact.gen import FIXTURE_QUERIES, GenSpec, gen_random
+from provfact.assembly import Expr
 from provfact.provenance import (
-    Database, Expr, FormatError, Witness, compute_witnesses, load_database, parse_database,
+    Database, FormatError, Witness, compute_witnesses, load_database, parse_database,
 )
 from provfact.veo import Veo, enumerate_mveo
 
@@ -207,39 +210,79 @@ _RUN = (  # the provfact.* modules whose code has run; a module not yet run has 
 )
 
 
+PIPELINE = ("cq", "veo", "provenance", "assembly", "exact", "flow", "special")
+_INPUTS = (  # parse a 3chain query and its database, then join them
+    "from provfact.cq import parse_query\n"
+    "from provfact.gen import GenSpec, gen_random\n"
+    "from provfact.provenance import compute_witnesses, parse_database\n"
+    "q = parse_query('Q :- R(x,y), S(y,z), T(z,u)')\n"
+    "db = parse_database(gen_random(GenSpec(query=q, d=6, tuples=14, seed=1)).text())\n"
+    "W = compute_witnesses(q, db)\n"
+)
+
+
 def test_import_loads_only_the_pipeline():
-    """`import provfact` registers the six pipeline modules and runs none;
-    reading inputs runs the input modules only; the first read of
-    `dispatch` runs the solvers."""
-    pipeline = {f"provfact.{m}" for m in ("cq", "veo", "provenance", "exact", "flow", "special")}
+    """`import provfact` registers the seven pipeline modules and runs none;
+    reading inputs runs the input modules only; a witness set's instance
+    table runs the plans and assembly; the first read of `dispatch` runs
+    the solvers."""
     lines = _fresh(
         "import sys, types, provfact\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('provfact.'))))\n"
         + _RUN
-        + "from provfact.cq import parse_query\n"
-        "from provfact.gen import GenSpec, gen_random\n"
-        "from provfact.provenance import compute_witnesses, parse_database\n"
-        "q = parse_query('Q :- R(x,y), S(y,z), T(z,u)')\n"
-        "db = parse_database(gen_random(GenSpec(query=q, d=6, tuples=14, seed=1)).text())\n"
-        "W = compute_witnesses(q, db)\n"
+        + _INPUTS
+        + _RUN
+        + "W.instances\n"
         + _RUN
         + "dispatch = provfact.special.dispatch\n"
         + _RUN
         + "print(dispatch.__module__)\n"
     )
-    registered, at_import, after_inputs, after_dispatch, dispatch_line = lines[:5]
+    registered, at_import, after_inputs, after_instances, after_dispatch, dispatch_line = lines[:6]
+    pipeline = {f"provfact.{m}" for m in PIPELINE}
     assert set(registered.split()) == pipeline
     assert at_import == ""
-    inputs = {f"provfact.{m}" for m in ("cq", "veo", "provenance", "gen")}
+    inputs = {f"provfact.{m}" for m in ("cq", "provenance", "gen")}
     assert set(after_inputs.split()) == inputs
+    assert set(after_instances.split()) == inputs | {"provfact.veo", "provfact.assembly"}
     assert set(after_dispatch.split()) == pipeline | SOLVERS | inputs
     assert dispatch_line == "provfact.special"
+
+
+def test_assembly_imported_first_runs_the_pipeline():
+    """`assembly` imports from `provenance`, which holds a reference to
+    `assembly`: imported first, before any other provfact name, it still
+    joins and dispatches."""
+    lines = _fresh(
+        "from provfact.assembly import assemble\n"
+        + _INPUTS
+        + "from provfact.special import dispatch\n"
+        "print(dispatch(q, W).length, len(W.instances) > 0, assemble.__module__)\n"
+    )
+    assert lines[0] == "45 True provfact.assembly"
+
+
+def test_each_public_name_has_one_home():
+    """Each name in a pipeline module's `__all__` is in no other module's,
+    and a function or class listed there is defined there: no module
+    re-exports another's names, and the moved assembly names are not
+    reachable through `provenance`."""
+    modules = {m: importlib.import_module(f"provfact.{m}") for m in PIPELINE}
+    home: dict[str, str] = {}
+    for name, module in modules.items():
+        for attr in module.__all__:
+            assert home.setdefault(attr, name) == name, (attr, home[attr], name)
+            value = getattr(module, attr)
+            if isinstance(value, (type, types.FunctionType)):
+                assert value.__module__ == module.__name__, (name, attr)
+    assert not [a for a in modules["assembly"].__all__ if hasattr(modules["provenance"], a)]
 
 
 def test_cli_import_loads_neither_ilp_nor_bench(tmp_path):
     """`import provfact.cli` runs neither `ilp` nor `bench`, which their
     subcommands import when they run; `gen`, `mveo` and `witnesses`, each
-    in a fresh interpreter, run no solver module."""
+    in a fresh interpreter, run no solver module, and `gen` and
+    `witnesses` run neither the plans nor assembly."""
     (tmp_path / "q.q").write_text("Q :- R(x,y), S(y,z), T(z,u)\n")
     (tmp_path / "db.txt").write_text("[R]\n1,2\n[S]\n2,3\n[T]\n3,4\n")
     for argv in (
@@ -261,6 +304,8 @@ def test_cli_import_loads_neither_ilp_nor_bench(tmp_path):
         assert not at_import & {"provfact.ilp", "provfact.bench"}, argv
         assert not after_run & (SOLVERS | {"provfact.ilp", "provfact.bench"}), argv
         assert "provfact.provenance" in after_run, argv
+        planned = {"provfact.veo", "provfact.assembly"}  # `mveo` lists the plans
+        assert after_run & planned == (planned if argv.startswith("mveo") else set()), argv
 
 
 def test_import_loads_neither_dataclasses_nor_logging():

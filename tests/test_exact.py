@@ -9,7 +9,8 @@ from provfact.cq import DisconnectedQueryError, parse_query
 from provfact.exact import fact_decision, lower_bound, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.ilp import ModelBudgetExhausted, build_ilp, solve_model
-from provfact.provenance import WitnessSet, compute_witnesses, verify_equivalence
+from provfact.assembly import verify_equivalence
+from provfact.provenance import WitnessSet, compute_witnesses
 from provfact.special import dispatch
 from provfact.veo import enumerate_mveo
 

@@ -27,13 +27,8 @@ from provfact.flow import (
 )
 import dbs
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
-from provfact.provenance import (
-    TemplateTable,
-    WitnessSet,
-    compute_witnesses,
-    parse_database,
-    verify_equivalence,
-)
+from provfact.assembly import TemplateTable, verify_equivalence
+from provfact.provenance import WitnessSet, compute_witnesses, parse_database
 from provfact.veo import Veo, build_ordering, enumerate_mveo
 
 

@@ -22,7 +22,8 @@ from provfact.exact import solve_exact
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.flow import build_flow_graph
 from provfact.ilp import build_ilp, export_lp
-from provfact.provenance import TemplateTable, WitnessSet, assemble, compute_witnesses
+from provfact.assembly import TemplateTable, assemble
+from provfact.provenance import WitnessSet, compute_witnesses
 from provfact.special import _POLICIES, dispatch
 from provfact.veo import build_ordering, enumerate_mveo, enumerate_veos
 

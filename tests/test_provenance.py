@@ -15,29 +15,31 @@ import oracles
 from oracles import detect_p4
 from provfact.cq import Query, connected_components, parse_query
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
-from provfact.provenance import (
-    ArityMismatch,
-    Database,
+from provfact.assembly import (
     ExpansionTooLarge,
     Factorization,
-    FormatError,
     IllegalAssignment,
     TemplateTable,
     UnboundVariable,
-    Witness,
-    WitnessSet,
     assemble,
-    compute_witnesses,
     e_and,
     e_or,
     e_var,
     expand,
+    Expr,
+    verify_equivalence,
+)
+from provfact.provenance import (
+    ArityMismatch,
+    Database,
+    FormatError,
+    Witness,
+    WitnessSet,
+    compute_witnesses,
     join_order,
     load_database,
     parse_database,
     tuple_id,
-    Expr,
-    verify_equivalence,
 )
 from provfact import exact
 from provfact.exact import fact_decision, solve_exact

@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
-from provfact import exact, provenance, special, veo
+from provfact import assembly, exact, provenance, special, veo
 from provfact.cq import Atom, DisconnectedQueryError, Query, connected_components, parse_query
 from provfact.exact import fact_decision, solve_exact
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.ilp import EmptyWitnessSet, build_ilp
-from provfact.provenance import (
-    WitnessSet,
-    compute_witnesses,
-    parse_database,
-    verify_equivalence,
-)
+from provfact.assembly import verify_equivalence
+from provfact.provenance import WitnessSet, compute_witnesses, parse_database
 from provfact.special import (
     _POLICIES,
     ShapeMismatch,
@@ -71,7 +67,7 @@ def test_classify_lists_no_plans_of_a_disconnected_query(monkeypatch, text):
     def refuse(q):
         raise AssertionError(f"listed the plans of {q}")
 
-    monkeypatch.setattr(provenance, "enumerate_mveo", refuse)
+    monkeypatch.setattr(assembly, "enumerate_mveo", refuse)
     monkeypatch.setattr(veo, "enumerate_mveo", refuse)
     cls = classify(parse_query(text))
     assert "disconnected" in cls.tags and "two-mveo" not in cls.tags

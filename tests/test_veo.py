@@ -7,7 +7,7 @@ import pytest
 import oracles
 from provfact.cq import is_hierarchical, parse_query
 from provfact.gen import FIXTURE_QUERIES, fixture_query
-from provfact.provenance import TemplateTable
+from provfact.assembly import TemplateTable
 from provfact.veo import (
     InvalidPermutation,
     TooManyVariables,
