@@ -492,7 +492,7 @@ def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000
     The product terms are streamed (see `expand`); each, in relation order,
     must be found in an index of the witnesses' `tuples`, and one byte per
     witness term records that it was produced.  Neither the expansion nor
-    `W.dnf_terms()` is held whole.  Raises `ExpansionTooLarge` as `expand`.
+    the set of witness terms is held whole.  Raises `ExpansionTooLarge` as `expand`.
     """
     rank = {a.relation: i for i, a in enumerate(W.query.atoms)}.get
     index = {t: i for i, t in enumerate(dict.fromkeys(w.tuples for w in W.witnesses))}

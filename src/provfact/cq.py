@@ -3,8 +3,9 @@
 A query is a list of atoms over distinct relation names, e.g.
 ``Q :- R(x,y), S(y,z)``.  This module answers the structural questions the
 rest of the package routes on: hierarchy (nested/disjoint variable atom
-sets), atom independence, and triads (a query is linear when
-`has_triad` finds none).
+sets), atom independence, connected components and triads (a query is
+linear when `has_triad` finds none).  One union-find, `_linked`, answers
+which pieces are linked, here and for `veo`'s plans and `exact`'s search.
 """
 
 from __future__ import annotations
@@ -198,61 +199,59 @@ def independent_atoms(q: Query) -> frozenset[Atom]:
     return frozenset(out)
 
 
+def _linked(n: int, groups) -> list[list[int]]:
+    """The classes of ``0..n-1`` once the members of each group are linked,
+    each in ascending order, ordered by their smallest member."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for group in groups:
+        it = iter(group)
+        for first in it:  # runs once, on a nonempty group
+            head = find(first)
+            for a in it:
+                parent[find(a)] = head
+    classes: dict[int, list[int]] = {}
+    for a in range(n):
+        classes.setdefault(find(a), []).append(a)
+    return list(classes.values())
+
+
+def _holders(q: Query, banned: frozenset[str] = frozenset()) -> list[list[int]]:
+    """Per variable not in `banned`, the indices of the atoms that hold it."""
+    return [[i for i, a in enumerate(q.atoms) if v in a.varset] for v in q.variables - banned]
+
+
 def connected_components(q: Query) -> tuple[Query, ...]:
     """The components of the atom graph (atoms adjacent iff they share a
     variable): ``(q,)`` if connected, else sub-queries ``Q.1``, ``Q.2``, ...
     ordered by their sorted relation names, their atoms in `q`'s order."""
-    remaining = set(q.atoms)
-    comps = []
-    while remaining:
-        seed = remaining.pop()
-        comp, frontier = {seed}, [seed]
-        while frontier:
-            cur = frontier.pop()
-            linked = [a for a in remaining if a.varset & cur.varset]
-            for a in linked:
-                remaining.discard(a)
-                comp.add(a)
-                frontier.append(a)
-        comps.append(comp)
+    comps = _linked(q.m, _holders(q))
     if len(comps) == 1:
         return (q,)
-    comps.sort(key=lambda c: sorted(a.relation for a in c))
+    comps.sort(key=lambda c: sorted(q.atoms[i].relation for i in c))
     return tuple(
-        Query(f"{q.name}.{i}", tuple(a for a in q.atoms if a in comp))
+        Query(f"{q.name}.{i}", tuple(q.atoms[j] for j in comp))
         for i, comp in enumerate(comps, 1)
     )
-
-
-def _connected_avoiding(q: Query, g1: Atom, g2: Atom, banned: frozenset[str]) -> bool:
-    """Is there a path g1 -> g2 in the atom-variable incidence graph after
-    deleting the variables in `banned`?"""
-    if not (g1.varset - banned) or not (g2.varset - banned):
-        # an endpoint with no usable variable cannot join any path
-        return False
-    seen = {g1}
-    frontier = [g1]
-    while frontier:
-        cur = frontier.pop()
-        usable = cur.varset - banned
-        if usable & (g2.varset - banned):
-            return True
-        for a in q.atoms:
-            if a not in seen and (a.varset - banned) & usable:
-                seen.add(a)
-                frontier.append(a)
-    return False
 
 
 def has_triad(q: Query) -> tuple[Atom, Atom, Atom] | None:
     """Find a triad: three independent atoms, each pair connected by a path
     avoiding the third atom's variables.  Returns the triple or None."""
     indep = sorted(independent_atoms(q))
-    for g1, g2, g3 in itertools.combinations(indep, 3):
-        if (
-            _connected_avoiding(q, g1, g2, g3.varset)
-            and _connected_avoiding(q, g1, g3, g2.varset)
-            and _connected_avoiding(q, g2, g3, g1.varset)
-        ):
-            return (g1, g2, g3)
+    at = [q.atoms.index(g) for g in indep]
+    part = []  # part[g][a]: independent atom a's class once g's variables are deleted
+    for g in indep:  # an atom left with no variable is a class of its own
+        classes = _linked(q.m, _holders(q, g.varset))
+        cls = {i: c for c, members in enumerate(classes) for i in members}
+        part.append([cls[i] for i in at])
+    for x, y, z in itertools.combinations(range(len(indep)), 3):
+        if part[z][x] == part[z][y] and part[y][x] == part[y][z] and part[x][y] == part[x][z]:
+            return indep[x], indep[y], indep[z]
     return None

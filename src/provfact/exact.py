@@ -14,9 +14,7 @@ witnesses that could still use them.
 covering model of `ilp` is solved by the same search over its choice
 variables' implication closures.  A search cut short by its node budget
 still proves its incumbent when the bound of its open frontier meets it,
-so `solve_exact`, `ilp.solve_model` and `fact_decision` agree on what is
-proven.  `fact_decision` answers "at most k repeats?" only where the
-search's length or certified bound settles it.
+so `solve_exact` and `ilp.solve_model` agree on what is proven.
 
 `RunReport` is the one result record of a run: `solve_exact` returns it
 with method ``exact``, and `special.dispatch` returns it for every method.
@@ -28,10 +26,10 @@ import math
 import sys
 
 from .assembly import Expr, Factorization, TemplateTable, assemble
-from .cq import Query
-from .provenance import Database, WitnessSet, compute_witnesses
+from .cq import Query, _linked
+from .provenance import WitnessSet
 
-__all__ = ["RunReport", "solve_exact", "lower_bound", "fact_decision"]
+__all__ = ["RunReport", "solve_exact", "lower_bound"]
 
 _EPS = 1e-6
 
@@ -115,7 +113,9 @@ def _reduce_plans(inst_lists, weights):
 
     Returns per witness its kept plans and, aligned, their private costs and
     shared ids (used by more than one witness) as the last pass split them,
-    in `inst_lists` order, which fixes the float order of the search bound.
+    in `inst_lists` order, which fixes the float order of the search bound;
+    and per id the witnesses whose kept plans use it, which the last pass,
+    changing nothing, counted over the final kept plans.
     """
     n = len(inst_lists)
     kept = [list(range(len(choices))) for choices in inst_lists]
@@ -154,28 +154,7 @@ def _reduce_plans(inst_lists, weights):
                 kept[wi] = new
                 changed = True
         if not changed:
-            return kept, privc, shares
-
-
-def _components(shares):
-    """Union witnesses that share an id through kept plans."""
-    parent = list(range(len(shares)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    first: dict[int, int] = {}  # each shared id's first user
-    for wi, share in enumerate(shares):
-        for ids in share:
-            for i in ids:
-                parent[find(wi)] = find(first.setdefault(i, wi))
-    groups: dict[int, list[int]] = {}
-    for wi in range(len(parent)):
-        groups.setdefault(find(wi), []).append(wi)
-    return list(groups.values())
+            return kept, privc, shares, pb
 
 
 def _solve_component(wits, kept, priv, share, weights, order_key, budget):
@@ -363,7 +342,7 @@ def _search(inst_lists, weights, tiebreak, budget):
     search short of a proof: a truncated search whose open frontier meets
     its incumbent has proven it optimal all the same.
     """
-    kept, privc, shares = _reduce_plans(inst_lists, weights)
+    kept, privc, shares, pb = _reduce_plans(inst_lists, weights)
 
     # search order: most shared-id candidates first, then the tie-break
     shared_count = [sum(map(len, share)) for share in shares]
@@ -371,7 +350,7 @@ def _search(inst_lists, weights, tiebreak, budget):
     def order_key(wi):
         return (-shared_count[wi], tiebreak[wi])
 
-    comps = _components(shares)
+    comps = _linked(len(inst_lists), pb.values())  # the sharing components
     comps.sort(key=lambda ws: min(order_key(wi) for wi in ws))
 
     total_cost = 0
@@ -418,19 +397,3 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> RunReport:
         )
     return RunReport(q.name, "exact", len(W), optimal, fact, lower_bound=bound, nodes=total_nodes)
 
-
-def fact_decision(q: Query, d: Database, k: int, budget: int = 500_000) -> bool | None:
-    """Is there a factorization with at most k repeated literals?
-
-    True when the incumbent has at most k repeats, False when the certified
-    lower bound has more; None when an exhausted `budget` leaves k between
-    the two.
-    """
-    W = compute_witnesses(q, d)
-    res = solve_exact(q, W, budget)
-    distinct = len(W.distinct_tuples)
-    if res.length - distinct <= k:
-        return True
-    if res.lower_bound - distinct > k:
-        return False
-    return None

@@ -168,9 +168,9 @@ class Witness(_Value):
 
     Slotted, so a witness holds its binding and tuple keys only (about
     240 B in a witness set, whose pairs and keys are shared).  `key`, the
-    binding's serialization (``x1_y2``), `values`, `tuple_set` and
-    `tuple_ids` are computed on each access and cache nothing, so a loop
-    that reads one of them often binds it once per witness.
+    binding's serialization (``x1_y2``), `values` and `tuple_ids` are
+    computed on each access and cache nothing, so a loop that reads one of
+    them often binds it once per witness.
     """
 
     __slots__ = ("binding", "tuples")
@@ -190,10 +190,6 @@ class Witness(_Value):
     @property
     def values(self) -> dict[str, str]:
         return dict(self.binding)
-
-    @property
-    def tuple_set(self) -> frozenset[TupleKey]:
-        return frozenset(self.tuples)
 
     @property
     def tuple_ids(self) -> tuple[str, ...]:
@@ -248,15 +244,18 @@ class WitnessSet:
 
     @cached_property
     def distinct_tuples(self) -> frozenset[TupleKey]:
-        return frozenset(t for w in self.witnesses for t in w.tuples)
+        """The tuple keys the witnesses hold; a disconnected set's are its
+        parts' (none if a part is empty), read without their product."""
+        if not self.parts:
+            return frozenset(t for w in self.witnesses for t in w.tuples)
+        if not len(self):  # an empty part leaves the product empty
+            return frozenset()
+        return frozenset().union(*(part.distinct_tuples for part in self.parts))
 
     @cached_property
     def instances(self) -> assembly.Instances:
         """The one prefix-instance table of this witness set (`assembly.Instances`)."""
         return assembly.Instances(self)
-
-    def dnf_terms(self) -> set[frozenset[TupleKey]]:
-        return {w.tuple_set for w in self.witnesses}
 
 
 def join_order(q: Query, d: Database) -> tuple[Atom, ...]:

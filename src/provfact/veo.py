@@ -18,7 +18,7 @@ import math
 from functools import cached_property
 from operator import attrgetter
 
-from .cq import Query, _Value
+from .cq import Query, _Value, _linked
 
 __all__ = [
     "Veo",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 Node = tuple[str, ...]
+_by_serial = attrgetter("serial")  # VEOs sort by their canonical serialization
 
 # Queries with more variables are rejected: enumeration lists every legal VEO.
 _MAX_VARS = 8
@@ -102,7 +103,7 @@ class Veo(_Value):
 
 def veo_node(vars_: tuple[str, ...] | frozenset[str], children: tuple[Veo, ...] = ()) -> Veo:
     """Canonicalizing constructor: sorts node variables and children."""
-    return Veo(tuple(sorted(vars_)), tuple(sorted(children, key=lambda c: c.serial)))
+    return Veo(tuple(sorted(vars_)), tuple(sorted(children, key=_by_serial)))
 
 
 def _set_partitions(items: list) -> list[list[list]]:
@@ -142,28 +143,15 @@ def enumerate_veos(q: Query) -> tuple[Veo, ...]:
             for root in itertools.combinations(ordered, r):
                 root_set = frozenset(root)
                 remaining = vs - root_set
-                residual = [c - root_set for c in cons if c - root_set]
                 if not remaining:
                     out.append(Veo(tuple(root)))
                     continue
+                residual = [c for c in (c - root_set for c in cons) if c]
                 # variables bound together by a residual constraint must share a subtree
-                parent = {v: v for v in remaining}
-
-                def find(v):
-                    while parent[v] != v:
-                        parent[v] = parent[parent[v]]
-                        v = parent[v]
-                    return v
-
-                for c in residual:
-                    it = iter(c)
-                    head = find(next(it))
-                    for v in it:
-                        parent[find(v)] = head
-                groups: dict[str, set[str]] = {}
-                for v in remaining:
-                    groups.setdefault(find(v), set()).add(v)
-                group_list = [frozenset(g) for g in groups.values()]
+                rest = sorted(remaining)
+                at = {v: i for i, v in enumerate(rest)}
+                links = _linked(len(rest), (map(at.__getitem__, c) for c in residual))
+                group_list = [frozenset(map(rest.__getitem__, cls)) for cls in links]
                 for part in _set_partitions(group_list):
                     block_trees = []
                     for block in part:
@@ -176,7 +164,7 @@ def enumerate_veos(q: Query) -> tuple[Veo, ...]:
                     else:
                         for combo in itertools.product(*block_trees):
                             out.append(veo_node(root, tuple(combo)))
-        result = tuple(sorted(out, key=lambda v: v.serial))
+        result = tuple(sorted(out, key=_by_serial))
         memo[key] = result
         return result
 
@@ -301,7 +289,7 @@ def _nest(fragments: list[Veo]) -> tuple[OmegaNode, ...]:
         groups.setdefault(f.node, []).append(f)
     out: list[OmegaNode] = []
     for node_key in sorted(groups):
-        members = sorted(groups[node_key], key=lambda v: v.serial)
+        members = sorted(groups[node_key], key=_by_serial)
         if len(members) == 1:
             out.append(OmegaNode(sub=members[0]))
             continue
@@ -334,16 +322,16 @@ def _try_parallel(node_key: Node, members: list[Veo]) -> OmegaNode | None:
     for cv in comp_varsets:
         opts = sorted(
             {c for m in members for c in m.children if c.vars_below == cv},
-            key=lambda v: v.serial,
+            key=_by_serial,
         )
         options.append(opts)
     if math.prod(len(o) for o in options) != len(members):
         return None
     combos = {
-        tuple(sorted(combo, key=lambda v: v.serial))
+        tuple(sorted(combo, key=_by_serial))
         for combo in itertools.product(*options)
     }
-    have = {tuple(sorted(m.children, key=lambda v: v.serial)) for m in members}
+    have = {tuple(sorted(m.children, key=_by_serial)) for m in members}
     if combos != have:
         return None
     return OmegaNode(

@@ -98,12 +98,12 @@ def reference_load_csv_dir(path):
 # Queries
 # ---------------------------------------------------------------------------
 
-def connected_queries(max_vars: int, max_atoms: int, max_arity: int):
-    """Every connected self-join-free query with at most these variables,
-    atoms and atom arities, once up to renaming of variables and order of
-    atoms.  An atom is a set of variables (two atoms may hold the same
-    set); relations are named R0, R1, ... in the canonical atom order."""
-    from provfact.cq import Atom, Query, connected_components
+def small_queries(max_vars: int, max_atoms: int, max_arity: int):
+    """Every self-join-free query, connected or not, with at most these
+    variables, atoms and atom arities, once up to renaming of variables and
+    order of atoms.  An atom is a set of variables (two atoms may hold the
+    same set); relations are named R0, R1, ... in the canonical atom order."""
+    from provfact.cq import Atom, Query
 
     seen = set()
     for nv in range(1, max_vars + 1):
@@ -120,9 +120,79 @@ def connected_queries(max_vars: int, max_atoms: int, max_arity: int):
                 if canon in seen:
                     continue
                 seen.add(canon)
-                q = Query("Q", tuple(Atom(f"R{i}", a) for i, a in enumerate(canon)))
-                if len(connected_components(q)) == 1:
-                    yield q
+                yield Query("Q", tuple(Atom(f"R{i}", a) for i, a in enumerate(canon)))
+
+
+def connected_queries(max_vars: int, max_atoms: int, max_arity: int):
+    """The connected queries of `small_queries`."""
+    for q in small_queries(max_vars, max_atoms, max_arity):
+        if len(reference_components(q)) == 1:
+            yield q
+
+
+def reference_components(q):
+    """Breadth-first search over the atom graph, the reference for
+    ``cq.connected_components``: ``(q,)`` if connected, else sub-queries
+    ``Q.1``, ``Q.2``, ... ordered by their sorted relation names."""
+    from provfact.cq import Query
+
+    remaining = set(q.atoms)
+    comps = []
+    while remaining:
+        seed = remaining.pop()
+        comp, frontier = {seed}, [seed]
+        while frontier:
+            cur = frontier.pop()
+            linked = [a for a in remaining if a.varset & cur.varset]
+            for a in linked:
+                remaining.discard(a)
+                comp.add(a)
+                frontier.append(a)
+        comps.append(comp)
+    if len(comps) == 1:
+        return (q,)
+    comps.sort(key=lambda c: sorted(a.relation for a in c))
+    return tuple(
+        Query(f"{q.name}.{i}", tuple(a for a in q.atoms if a in comp))
+        for i, comp in enumerate(comps, 1)
+    )
+
+
+def _connected_avoiding(q, g1, g2, banned: frozenset[str]) -> bool:
+    """Is there a path g1 -> g2 in the atom-variable incidence graph after
+    deleting the variables in `banned`?"""
+    if not (g1.varset - banned) or not (g2.varset - banned):
+        # an endpoint with no usable variable cannot join any path
+        return False
+    seen = {g1}
+    frontier = [g1]
+    while frontier:
+        cur = frontier.pop()
+        usable = cur.varset - banned
+        if usable & (g2.varset - banned):
+            return True
+        for a in q.atoms:
+            if a not in seen and (a.varset - banned) & usable:
+                seen.add(a)
+                frontier.append(a)
+    return False
+
+
+def reference_triad(q):
+    """Three searches per atom triple, the reference for ``cq.has_triad``:
+    the first triple of sorted independent atoms, each pair connected by a
+    path avoiding the third atom's variables, or None."""
+    from provfact.cq import independent_atoms
+
+    indep = sorted(independent_atoms(q))
+    for g1, g2, g3 in itertools.combinations(indep, 3):
+        if (
+            _connected_avoiding(q, g1, g2, g3.varset)
+            and _connected_avoiding(q, g1, g3, g2.varset)
+            and _connected_avoiding(q, g2, g3, g1.varset)
+        ):
+            return (g1, g2, g3)
+    return None
 
 
 def isomorphic(q1, q2) -> bool:
@@ -398,7 +468,7 @@ def brute_read_once(q, witness_set, plans):
 def detect_p4(W: WitnessSet):
     """Find a P4 pattern (w1, r, w2, s, w3): w2 shares r with w1 and s with w3,
     while w1 lacks s and w3 lacks r.  Returns the pattern or None (read-once)."""
-    ws = [(w, w.tuple_set) for w in W.witnesses]  # each set made once
+    ws = [(w, frozenset(w.tuples)) for w in W.witnesses]  # each set made once
     for w2, t2 in ws:
         for w1, t1 in ws:
             if w1 is w2:

@@ -1,7 +1,10 @@
 """Query parsing and structural classification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from provfact.cq import (
     Atom,
     HeadVarError,
@@ -9,7 +12,9 @@ from provfact.cq import (
     QuerySyntaxError,
     SelfJoinError,
     UnknownVariable,
+    _linked,
     atoms_of,
+    connected_components,
     has_triad,
     independent_atoms,
     is_hierarchical,
@@ -98,6 +103,47 @@ def test_triad_atoms_are_independent():
     assert triad is not None and len(triad) == 3
     indep = independent_atoms(q)
     assert all(a in indep for a in triad)
+
+
+def test_components_and_triads_match_the_references():
+    """`connected_components` and `has_triad`, the triple it returns
+    included, equal the searches they replaced on every query with at most
+    4 variables, 4 atoms and arity 3, connected or not, up to renaming;
+    each also with its relations named backwards, so that sorting the
+    atoms reverses them."""
+    queries = list(oracles.small_queries(4, 4, 3))
+    connected = sum(len(oracles.reference_components(q)) == 1 for q in queries)
+    triads = sum(oracles.reference_triad(q) is not None for q in queries)
+    assert (len(queries), connected, triads) == (229, 173, 24)
+    for q in queries:
+        renamed = (Atom(f"R{q.m - 1 - i}", a.vars) for i, a in enumerate(q.atoms))
+        backwards = Query(q.name, tuple(renamed))
+        for query in (q, backwards):
+            assert connected_components(query) == oracles.reference_components(query), query
+            assert has_triad(query) == oracles.reference_triad(query), query
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_linked_is_the_transitive_closure(data):
+    """`_linked` gives the classes of the transitive closure of its groups,
+    each ascending, ordered by their smallest member; a group may be empty
+    and may be read only once."""
+    n = data.draw(st.integers(0, 9))
+    group = st.lists(st.integers(0, n - 1), max_size=4) if n else st.just([])
+    groups = data.draw(st.lists(group, max_size=6))
+    reach = [[a == b for b in range(n)] for a in range(n)]
+    for group in groups:
+        for a in group:
+            for b in group:
+                reach[a][b] = True
+    for k in range(n):  # Warshall
+        for a in range(n):
+            if reach[a][k]:
+                reach[a] = [x or y for x, y in zip(reach[a], reach[k])]
+    want = [[b for b in range(n) if reach[a][b]] for a in range(n)]
+    want = [cls for a, cls in enumerate(want) if cls[0] == a]
+    assert _linked(n, (iter(g) for g in groups)) == want
 
 
 def test_independent_atoms_definition():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from provfact.cq import DisconnectedQueryError, parse_query
-from provfact.exact import fact_decision, lower_bound, solve_exact
+from provfact.exact import lower_bound, solve_exact
 from provfact.gen import GenSpec, fixture_query, gen_random
 from provfact.ilp import ModelBudgetExhausted, build_ilp, solve_model
 from provfact.assembly import verify_equivalence
@@ -167,9 +167,8 @@ def test_a_truncated_search_whose_bound_meets_its_incumbent_is_proven():
     with pytest.raises(ModelBudgetExhausted):  # before the bound meets the incumbent
         solve_model(model, budget=17)
     assert solve_model(model, budget=20)[0] == 15
-    distinct = len(W.distinct_tuples)
-    assert fact_decision(q, db, 15 - distinct, budget=20) is True
-    assert fact_decision(q, db, 14 - distinct, budget=20) is False
+    distinct = len(W.distinct_tuples)  # two repeats, proven: the bound settles them
+    assert res.length - distinct == res.lower_bound - distinct == 2
 
 
 def test_auto_proves_a_flow_result_that_meets_the_search_bound():

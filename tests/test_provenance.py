@@ -42,7 +42,7 @@ from provfact.provenance import (
     tuple_id,
 )
 from provfact import exact
-from provfact.exact import fact_decision, solve_exact
+from provfact.exact import solve_exact
 from provfact.flow import build_flow_graph, extract_factorization, min_cut
 from provfact.ilp import build_ilp
 from provfact.special import dispatch, solve_triangle_unary
@@ -155,7 +155,6 @@ def test_compute_witnesses_fig2a(fig2a_db):
     # tuples align with the query's atom order R, S, T
     assert w.tuples == (("R", ("1",)), ("S", ("1", "2")), ("T", ("2",)))
     assert w.values == {"x": "1", "y": "2"}
-    assert W.dnf_terms() == {w.tuple_set for w in W.witnesses}
     assert len(W.distinct_tuples) == 10
 
 
@@ -198,7 +197,6 @@ def test_witness_views_match_brute_force(name):
     for w, (key, binding, vals, tuples, ids) in zip(W.witnesses, want):
         assert (w.key, w.binding, w.values, w.tuples) == (key, binding, vals, tuples)
         assert w.tuple_ids == ids
-        assert w.tuple_set == frozenset(tuples)
         assert str(w) == " ".join(sorted(ids))
         twin = Witness(binding, tuples)
         assert w == twin and hash(w) == hash(twin) and w.key == twin.key
@@ -401,7 +399,7 @@ def test_expand_matches_reference_on_dispatch_expressions(name):
         reference = oracles.reference_expand(expr)
         assert expand(expr) == reference
         assert verify_equivalence(Factorization((), expr, expr.length, 0), W)
-        assert reference == W.dnf_terms()
+        assert reference == {frozenset(w.tuples) for w in W.witnesses}
         checked += 1
     assert checked >= 7
 
@@ -453,9 +451,10 @@ def test_detect_p4_goldens(fig2a_db, fig2a_s13_db):
     pat = detect_p4(compute_witnesses(q, fig2a_s13_db))
     assert pat is not None
     w1, r, w2, s, w3 = pat
-    assert r in w1.tuple_set and r in w2.tuple_set
-    assert s in w2.tuple_set and s in w3.tuple_set
-    assert s not in w1.tuple_set and r not in w3.tuple_set
+    t1, t2, t3 = (frozenset(w.tuples) for w in (w1, w2, w3))
+    assert r in t1 and r in t2
+    assert s in t2 and s in t3
+    assert s not in t1 and r not in t3
 
 
 @given(st.integers(0, 120))
@@ -469,26 +468,29 @@ def test_detect_p4_matches_brute_force(seed):
     assert (detect_p4(W) is None) == read_once
 
 
-def test_fact_decision(fig2a_db, fig2a_s13_db):
+def test_repeats_of_the_exact_optimum(fig2a_db, fig2a_s13_db):
+    """The repeats of a proven optimum are its length, and its bound, less
+    the distinct tuples."""
     q = fixture_query("q2star")
-    assert fact_decision(q, fig2a_db, 0)  # read-once
-    assert not fact_decision(q, fig2a_s13_db, 0)  # needs one repeat
-    assert fact_decision(q, fig2a_s13_db, 1)
-    assert fact_decision(q, Database.from_dict({"R": [], "S": [], "T": []}), 0)
+    empty = Database.from_dict({"R": [], "S": [], "T": []})
+    for db, repeats in ((fig2a_db, 0), (fig2a_s13_db, 1), (empty, 0)):  # read-once, one repeat
+        W = compute_witnesses(q, db)
+        res, distinct = solve_exact(q, W), len(W.distinct_tuples)
+        assert res.optimal and res.length - distinct == res.lower_bound - distinct == repeats
 
 
-def test_fact_decision_is_undecided_when_the_budget_runs_out():
+def test_a_truncated_search_leaves_the_repeats_open():
+    """A read-once instance whose truncated incumbent has two repeats: its
+    certified bound leaves zero to two repeats open."""
     q = fixture_query("q2star")
     db = gen_random(GenSpec(query=q, d=4, tuples=6, seed=7))
     W = compute_witnesses(q, db)
     distinct = len(W.distinct_tuples)
     truncated = solve_exact(q, W, budget=1)
-    # a read-once instance whose truncated incumbent has two repeats
     assert not truncated.optimal and truncated.length - distinct == 2
-    assert fact_decision(q, db, 0, budget=1) is None
-    assert fact_decision(q, db, 0) is True  # read-once
-    assert fact_decision(q, db, 2, budget=1) is True
-    assert fact_decision(q, db, -1, budget=1) is False  # the certified bound decides
+    assert truncated.lower_bound - distinct == 0
+    full = solve_exact(q, W)
+    assert full.optimal and full.length == full.lower_bound == distinct
 
 
 # --- the template table --------------------------------------------------

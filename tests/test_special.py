@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 import dbs
 import oracles
-from provfact import assembly, exact, provenance, special, veo
+from provfact import assembly, provenance, special, veo
 from provfact.cq import Atom, DisconnectedQueryError, Query, connected_components, parse_query
-from provfact.exact import fact_decision, solve_exact
+from provfact.exact import solve_exact
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.ilp import EmptyWitnessSet, build_ilp
 from provfact.assembly import verify_equivalence
-from provfact.provenance import WitnessSet, compute_witnesses, parse_database
+from provfact.provenance import Database, WitnessSet, compute_witnesses, parse_database
 from provfact.special import (
     _POLICIES,
     ShapeMismatch,
@@ -480,7 +480,7 @@ def test_disconnected_report_carries_the_parts_bounds_and_notes():
 
 
 def test_disconnected_queries_are_not_solved_whole():
-    q, db, W, _ = _disconnected(0)
+    q, _, W, _ = _disconnected(0)
     with pytest.raises(ValueError, match="ordering"):
         dispatch(q, W, policy="flow", ordering=build_ordering(q))
     with pytest.raises(ValueError, match="product"):
@@ -489,8 +489,6 @@ def test_disconnected_queries_are_not_solved_whole():
         solve_exact(q, W)
     with pytest.raises(DisconnectedQueryError):
         build_ilp(q, W)
-    with pytest.raises(DisconnectedQueryError):
-        fact_decision(q, db, 0)
 
 
 @pytest.mark.parametrize("text, d, t, seed", [
@@ -521,25 +519,33 @@ def test_the_product_of_the_parts_is_the_joined_witness_set(text, d, t, seed):
     assert all(id(item) in owned for w in W.witnesses for item in w.binding + w.tuples)
 
 
-def test_disconnected_refusals_build_no_product(monkeypatch):
+def test_distinct_tuples_are_read_off_the_parts():
+    """A disconnected set's distinct tuples are the union of its parts',
+    read without their product: the product's own on a small case, none
+    when a part is empty, and 1,200 of a 360,000-witness product."""
+    q = parse_query("Q :- A(x), B(x,y), C(u), D(u,v)")
+    db = gen_random(GenSpec(query=q, d=4, tuples=6, seed=1))
+    W = compute_witnesses(q, db)
+    assert len(W) > 1 and W.distinct_tuples and "witnesses" not in vars(W)
+    assert W.distinct_tuples == {t for w in compute_witnesses(q, db).witnesses for t in w.tuples}
+    empty = compute_witnesses(q, parse_database("[A]\n1\n[B]\n1,2\n[C]\n1\n[D]\n"))
+    assert len(empty.parts[0]) == 1 and empty.distinct_tuples == frozenset()
+    assert "witnesses" not in vars(empty)
+    q = parse_query("Q :- R(x), S(y)")
+    rows = [(str(i),) for i in range(600)]
+    W = compute_witnesses(q, Database.from_dict({"R": rows, "S": rows}))
+    assert (len(W), len(W.distinct_tuples)) == (360_000, 1_200) and "witnesses" not in vars(W)
+
+
+def test_disconnected_refusals_build_no_product():
     """The plan model refuses a disconnected query before it reads the
     product of the parts; an empty one still gives the empty results."""
-    q, db, W, _ = _disconnected(0)
+    q, _, W, _ = _disconnected(0)
     with pytest.raises(DisconnectedQueryError):
         solve_exact(q, W)
     with pytest.raises(DisconnectedQueryError):
         build_ilp(q, W)
-    made = []
-
-    def witnesses_of(q, db):
-        made.append(compute_witnesses(q, db))
-        return made[-1]
-
-    monkeypatch.setattr(exact, "compute_witnesses", witnesses_of)
-    with pytest.raises(DisconnectedQueryError):
-        fact_decision(q, db, 0)
-    for seen in (W, *made):
-        assert seen.parts and "witnesses" not in vars(seen)
+    assert W.parts and "witnesses" not in vars(W)
     empty = compute_witnesses(q, parse_database("[A]\n1\n[B]\n1,2\n[C]\n1\n[D]\n"))
     assert len(empty.parts) == 2 and len(empty.parts[0]) == 1 and len(empty) == 0
     res = solve_exact(q, empty)
