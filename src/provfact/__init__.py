@@ -19,6 +19,7 @@ import sys
 
 __version__ = "0.1.0"
 _POLICIES = ("auto", "exact", "flow", "single-plan")  # the routes of `special.dispatch`
+_BUDGET = 500_000  # the default node cap of the exact search
 
 
 def _lazy(name):

@@ -11,7 +11,8 @@ binding pairs)``, as an id; exact, the ILP, flow and assembly all read it,
 one column of ids per template (`Instances.ids`).
 Assembly builds the expression for one plan per witness by merging
 shared instances in a trie, so that equal instances — even across
-different plans — are written once.  The trie's rows are instance ids,
+different plans — are written once; `assemble` returns that `Expr`, and a
+run's one record, `exact.RunReport`, holds it with the plans.  The trie's rows are instance ids,
 kept in columns; it makes one leaf per tuple key and one node per row,
 shared wherever they occur, and is freed when `assemble` returns: it forms
 no reference cycle.
@@ -30,7 +31,7 @@ from .veo import (
 )
 
 __all__ = [
-    "TemplateTable", "Instances", "Expr", "Factorization", "UnboundVariable",
+    "TemplateTable", "Instances", "Expr", "UnboundVariable",
     "IllegalAssignment", "ExpansionTooLarge", "assemble", "verify_equivalence",
 ]
 
@@ -330,19 +331,6 @@ def expand(e: Expr, max_terms: int = 200_000) -> set[frozenset[TupleKey]]:
     return set(_stream(e, max_terms))
 
 
-class Factorization:
-    """One plan per witness, in witness order (`WitnessSet.witnesses`),
-    together with its assembled expression."""
-
-    __slots__ = ("plans", "expression", "length", "repeats")
-
-    def __init__(self, plans: tuple[Veo, ...], expression: Expr, length: int, repeats: int) -> None:
-        self.plans, self.expression, self.length, self.repeats = plans, expression, length, repeats
-
-    def pretty(self, ascii_only: bool = False) -> str:
-        return self.expression.pretty(ascii_only)
-
-
 # --------------------------------------------------------------------------
 # Assembly
 # --------------------------------------------------------------------------
@@ -464,8 +452,8 @@ class _Trie:
         return e
 
 
-def assemble(W: WitnessSet, plans: tuple[Veo, ...] | list[Veo]) -> Factorization:
-    """Build the factorization expression for one plan per witness of `W`,
+def assemble(W: WitnessSet, plans: tuple[Veo, ...] | list[Veo]) -> Expr:
+    """The factorization expression for one plan per witness of `W`,
     aligned with `W.witnesses`.
 
     The expression is a trie over prefix instances: at each node, AND the
@@ -474,19 +462,18 @@ def assemble(W: WitnessSet, plans: tuple[Veo, ...] | list[Veo]) -> Factorization
     across different plans) merge.  The trie (see `_Trie`) is stored in
     columns, one row per instance node, and is freed on return.  The result
     is a DAG: each tuple key is one leaf object and each row one node,
-    however often they occur; `length` counts the occurrences.
+    however often they occur; `length` counts the occurrences, and those
+    past the first of each of ``W.distinct_tuples`` are its repeats.
     """
     if len(plans) != len(W):
         raise IllegalAssignment("assignment must cover exactly the witness set")
     if not plans:
-        return Factorization((), Expr("false"), 0, 0)
+        return Expr("false")
     trie = _Trie(W, plans)
-    expr = e_or([trie.build(r) for r in sorted(trie.roots, key=trie.order)])
-    # one leaf per distinct tuple key: the occurrences past it are repeats
-    return Factorization(tuple(plans), expr, expr.length, expr.length - len(trie.leaves))
+    return e_or([trie.build(r) for r in sorted(trie.roots, key=trie.order)])
 
 
-def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000) -> bool:
+def verify_equivalence(e: Expr, W: WitnessSet, max_terms: int = 200_000) -> bool:
     """Whether the expression's DNF terms are exactly the witness terms.
 
     The product terms are streamed (see `expand`); each, in relation order,
@@ -497,7 +484,7 @@ def verify_equivalence(f: Factorization, W: WitnessSet, max_terms: int = 200_000
     rank = {a.relation: i for i, a in enumerate(W.query.atoms)}.get
     index = {t: i for i, t in enumerate(dict.fromkeys(w.tuples for w in W.witnesses))}
     hit = bytearray(len(index))
-    for term in _stream(f.expression, max_terms):
+    for term in _stream(e, max_terms):
         wi = index.get(tuple(sorted(term, key=lambda key: rank(key[0], -1))))
         if wi is None:
             return False

@@ -8,6 +8,7 @@ deterministic for a fixed config.
 
 from __future__ import annotations
 
+from . import _BUDGET
 from .cq import Query
 from .gen import GenSpec, fixture_query, gen_random
 from .provenance import compute_witnesses
@@ -28,7 +29,7 @@ _CONFIG = {
     "reps": (3, None, "an integer"),
     "methods": (["exact", "flow", "single-plan"], str, "a list of method names"),
     "seed": (0, None, "an integer"),
-    "budget": (500_000, None, "an integer"),
+    "budget": (_BUDGET, None, "an integer"),
 }
 
 

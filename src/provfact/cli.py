@@ -13,8 +13,8 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import _POLICIES, __version__, assembly, flow, special, veo
-from .cq import parse_query
+from . import _BUDGET, _POLICIES, __version__, assembly, flow, special, veo
+from .cq import connected_components, parse_query
 from .gen import (
     FIXTURE_QUERIES,
     GenSpec,
@@ -93,15 +93,18 @@ def _parse_order(spec: str):
 
 
 def cmd_mveo(args) -> int:
-    q = _load_query(args.query)
-    for i, v in enumerate(assembly.TemplateTable.of(q).plans, start=1):
-        print(f"v{i}: {v.serial}")
-        if args.verbose:
-            d = veo.dissociation_of(v, q)
-            pairs = ", ".join(
-                f"{a.relation}+{{{','.join(sorted(s))}}}" for a, s in zip(q.atoms, d) if s
-            )
-            print(f"    dissociation: {pairs or '-'}", file=sys.stderr)
+    parts = connected_components(_load_query(args.query))
+    for part in parts:  # a disconnected query's components, each with its own plans
+        if len(parts) > 1:
+            print(f"{part.name}:")
+        for i, v in enumerate(assembly.TemplateTable.of(part).plans, start=1):
+            print(f"v{i}: {v.serial}")
+            if args.verbose:
+                d = veo.dissociation_of(v, part)
+                pairs = ", ".join(
+                    f"{a.relation}+{{{','.join(sorted(s))}}}" for a, s in zip(part.atoms, d) if s
+                )
+                print(f"    dissociation: {pairs or '-'}", file=sys.stderr)
     return 0
 
 
@@ -153,12 +156,11 @@ def cmd_factorize(args) -> int:
     print(f"witnesses: {rep.n}")
     print(f"method: {rep.method}")
     print(f"length: {rep.length}")
-    print(f"repeats: {rep.repeats}")
+    print(f"repeats: {rep.length - len(W.distinct_tuples)}")
     print(f"optimal: {'true' if rep.optimal else 'false'}")
     if not rep.optimal and rep.lower_bound is not None:
         print(f"lower-bound: {rep.lower_bound}")
-    expr = rep.factorization.expression
-    print("expression: " + expr.pretty(ascii_only=args.ascii))
+    print("expression: " + rep.expression.pretty(ascii_only=args.ascii))
     for note in rep.notes:
         print(f"note: {note}", file=sys.stderr)
     log.info("elapsed: %.1f ms", rep.elapsed_ms)
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("database")
     p.add_argument("--method", default="auto", choices=_POLICIES)
-    p.add_argument("--budget", type=int, default=500_000, help="exact search node cap")
+    p.add_argument("--budget", type=int, default=_BUDGET, help="exact search node cap")
     p.add_argument(
         "--order",
         default="nested-rp",

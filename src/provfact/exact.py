@@ -16,8 +16,10 @@ variables' implication closures.  A search cut short by its node budget
 still proves its incumbent when the bound of its open frontier meets it,
 so `solve_exact` and `ilp.solve_model` agree on what is proven.
 
-`RunReport` is the one result record of a run: `solve_exact` returns it
-with method ``exact``, and `special.dispatch` returns it for every method.
+`RunReport` is the one result record of a run, from every solver to the
+CLI: `solve_exact` returns its own, method ``exact``, with the plans it
+chose and their assembled expression, whose length must be the searched
+cost; `special.dispatch` returns one for every method.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from __future__ import annotations
 import math
 import sys
 
-from .assembly import Expr, Factorization, TemplateTable, assemble
+from . import _BUDGET
+from .assembly import Expr, TemplateTable, assemble
 from .cq import Query, _linked
 from .provenance import WitnessSet
+from .veo import Veo
 
 __all__ = ["RunReport", "solve_exact", "lower_bound"]
 
@@ -35,38 +39,33 @@ _EPS = 1e-6
 
 
 class RunReport:
-    """Outcome of one factorization run: the factorization found, whether
-    it is proven optimal, and a certified lower bound where one is known.
-    Its length and repeats are the factorization's.  `nodes` counts exact
-    search nodes, 0 when the exact search did not run; `special.dispatch`
-    sets `verified` and `elapsed_ms`."""
+    """Outcome of one factorization run: the expression found, the plans
+    it was assembled from (one per witness, in witness order; () for an AND
+    of parts or an empty set), whether it is proven optimal, and a certified
+    lower bound where one is known.  Its length is the expression's, and
+    its repeats are that length less ``len(W.distinct_tuples)``.  Each
+    solver builds its own report, by the rule that proves it; `nodes`
+    counts exact search nodes, 0 when the exact search did not run;
+    `special.dispatch` sets `verified` and `elapsed_ms`."""
 
     __slots__ = (
-        "query", "method", "n", "optimal", "factorization", "lower_bound",
+        "query", "method", "n", "optimal", "expression", "plans", "lower_bound",
         "elapsed_ms", "notes", "verified", "nodes",
     )
 
     def __init__(
-        self, query: str, method: str, n: int, optimal: bool, factorization: Factorization,
-        lower_bound: int | None = None, notes: tuple[str, ...] = (),
-        verified: bool | None = None, nodes: int = 0,
+        self, query: str, method: str, n: int, optimal: bool, expression: Expr,
+        plans: tuple[Veo, ...] = (), lower_bound: int | None = None,
+        notes: tuple[str, ...] = (), verified: bool | None = None, nodes: int = 0,
     ) -> None:
-        self.query, self.method, self.n = query, method, n
-        self.optimal, self.factorization, self.lower_bound = optimal, factorization, lower_bound
+        self.query, self.method, self.n, self.optimal = query, method, n, optimal
+        self.expression, self.plans, self.lower_bound = expression, plans, lower_bound
         self.notes, self.verified, self.nodes = notes, verified, nodes
         self.elapsed_ms = 0.0
 
     @property
     def length(self) -> int:
-        return self.factorization.length
-
-    @property
-    def repeats(self) -> int:
-        return self.factorization.repeats
-
-    @property
-    def expression(self) -> Expr:
-        return self.factorization.expression
+        return self.expression.length
 
 
 def lower_bound(q: Query, witnesses) -> int:
@@ -370,7 +369,7 @@ def _search(inst_lists, weights, tiebreak, budget):
     return total_cost, chosen, total_nodes, total_frontier
 
 
-def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> RunReport:
+def solve_exact(q: Query, W: WitnessSet, budget: int = _BUDGET) -> RunReport:
     """Search all plan assignments for a minimum-length factorization.
 
     Returns the report of method ``exact``.  `budget` caps the number of
@@ -385,15 +384,18 @@ def solve_exact(q: Query, W: WitnessSet, budget: int = 500_000) -> RunReport:
         inst_lists, weights, [w.key for w in W.witnesses], budget
     )
 
-    fact = assemble(W, [inst.table.plans[vi] for vi in chosen])
-    if fact.length != total_cost:
+    plans = tuple(inst.table.plans[vi] for vi in chosen)
+    expr = assemble(W, plans)
+    if expr.length != total_cost:
         raise AssertionError(
-            f"assembled length {fact.length} != searched cost {total_cost}"
+            f"assembled length {expr.length} != searched cost {total_cost}"
         )
     optimal = bound == total_cost
     if "logging" in sys.modules:  # a process that never imported it shows no record
         sys.modules["logging"].getLogger(__name__).debug(
             "exact search: %d nodes, length %d, optimal=%s", total_nodes, total_cost, optimal
         )
-    return RunReport(q.name, "exact", len(W), optimal, fact, lower_bound=bound, nodes=total_nodes)
+    return RunReport(
+        q.name, "exact", len(W), optimal, expr, plans, lower_bound=bound, nodes=total_nodes
+    )
 

@@ -39,7 +39,7 @@ from itertools import compress, product, repeat
 from operator import and_, or_
 
 from ._mincut import max_flow
-from .assembly import Factorization, TemplateTable, assemble
+from .assembly import Expr, TemplateTable, assemble
 from .cq import Query
 from .provenance import WitnessSet
 from .veo import Ordering, Veo
@@ -376,12 +376,11 @@ def min_cut(g: FlowGraph) -> FlowResult:
     return FlowResult(int(value), mask)
 
 
-def extract_factorization(
-    g: FlowGraph, res: FlowResult
-) -> tuple[Factorization, tuple[Veo, ...]]:
+def extract_factorization(g: FlowGraph, res: FlowResult) -> tuple[Expr, tuple[Veo, ...]]:
     """Give each witness the first plan of the ordering whose needs the cut
     meets (the leftmost selected alternative) and assemble those plans, one
-    per witness in witness order; guaranteed no longer than the cut value.
+    per witness in witness order: (expression, plans), the expression
+    guaranteed no longer than the cut value.
     Plans are chosen a column at a time, with no loop per witness: per
     plan, one 0/1 byte per witness ANDs its sites' paid bytes and its
     leaves' cut bytes, each column read as one int so that ``&`` is bytewise."""
@@ -400,7 +399,8 @@ def extract_factorization(
             f"no plan for witness {g.witnesses.witnesses[wi].key} is fully covered by the cut"
         )
     first = map(tuple.index, zip(*(m.to_bytes(n, "big") for m in met)), repeat(1))
-    fact = assemble(g.witnesses, list(map(g.ordering.veos.__getitem__, first)))
-    if fact.length > res.value:
-        raise AssertionError(f"extracted length {fact.length} exceeds cut value {res.value}")
-    return fact, fact.plans
+    plans = tuple(map(g.ordering.veos.__getitem__, first))
+    expr = assemble(g.witnesses, plans)
+    if expr.length > res.value:
+        raise AssertionError(f"extracted length {expr.length} exceeds cut value {res.value}")
+    return expr, plans

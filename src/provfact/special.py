@@ -19,8 +19,9 @@ by the one max-flow kernel, `_mincut.max_flow`.
 `dispatch` routes a (query, witness set) to the cheapest method that is
 still exact where exactness is known, falling back to exact search plus the
 flow heuristic elsewhere.  Every run yields one record, `exact.RunReport`
-(re-exported here): `_solve` builds it once per route, and `dispatch`
-verifies it and sets its time in one place, for every route.
+(re-exported here): each solver builds its own, by the rule that proves
+it, `_solve` only routes, and `dispatch` verifies the report and sets its
+time in one place, for every route.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from collections import Counter
 from itertools import permutations
 from operator import itemgetter
 
-from . import _POLICIES
+from . import _BUDGET, _POLICIES
 from .cq import Query, connected_components, is_hierarchical, has_triad
 from .exact import RunReport, solve_exact
 from ._mincut import max_flow
 from .flow import Arcs, ExtractionFailure, build_flow_graph, extract_factorization, min_cut
-from .assembly import (
-    ExpansionTooLarge, Factorization, TemplateTable, assemble, e_and, verify_equivalence,
-)
+from .assembly import ExpansionTooLarge, TemplateTable, assemble, e_and, verify_equivalence
 from .provenance import WitnessSet
 from .veo import Veo, build_ordering, veo_node, TooManyVariables
 
@@ -178,8 +177,8 @@ def _min_cover(edges) -> tuple[set, set]:
     )
 
 
-def solve_q2star(W: WitnessSet) -> Factorization:
-    """Optimal factorization for the two-star query.
+def solve_q2star(W: WitnessSet) -> RunReport:
+    """Optimal factorization for the two-star query, method ``q2star``.
 
     Witnesses are edges (A tuple, C tuple) of a bipartite value graph;
     rooting a witness at one side shares that side's prefix.  Every
@@ -200,15 +199,15 @@ def solve_q2star(W: WitnessSet) -> Factorization:
     # endpoints covered the orientation is free: keep the x-rooted plan
     plans = [plan_y if r in cover_r and l not in cover_l else plan_x for l, r in edges]
     del edges, cover_l, cover_r  # freed before assembly builds its trie
-    return assemble(W, plans)
+    return RunReport(q.name, "q2star", len(W), True, assemble(W, plans), tuple(plans))
 
 
 # ---------------------------------------------------------------------------
 # unary triangle: U(x), R(x,y), S(y,z), T(z,x)
 # ---------------------------------------------------------------------------
 
-def solve_triangle_unary(W: WitnessSet) -> Factorization:
-    """Optimal factorization for the unary triangle.
+def solve_triangle_unary(W: WitnessSet) -> RunReport:
+    """Optimal factorization for the unary triangle, method ``triangle-unary``.
 
     A witness whose R or T tuple repeats must take a linear plan (conflict
     graph on its R and T tuples, the two second-level prefixes); the rest
@@ -240,15 +239,15 @@ def solve_triangle_unary(W: WitnessSet) -> Factorization:
         for (l, _), c in zip(edges, conflicted)
     ]
     del tuples, repeats, conflicted, edges, forced, cover, cover_l, cover_r  # freed before assembly
-    return assemble(W, plans)
+    return RunReport(q.name, "triangle-unary", len(W), True, assemble(W, plans), tuple(plans))
 
 
 # ---------------------------------------------------------------------------
 # endpoint two-chain: A(x), R(x,y), S(y,z), B(z)
 # ---------------------------------------------------------------------------
 
-def solve_two_chain_we(W: WitnessSet) -> Factorization:
-    """Optimal factorization for the endpoint two-chain.
+def solve_two_chain_we(W: WitnessSet) -> RunReport:
+    """Optimal factorization for the endpoint two-chain, method ``two-chain-we``.
 
     Witnesses whose R tuple and S tuple both repeat take the branching
     plan y <- (x, z); the remainder is solved exactly by the flow cut over
@@ -271,14 +270,14 @@ def solve_two_chain_we(W: WitnessSet) -> Factorization:
         sub = WitnessSet(q, tuple(w for w, b in zip(W.witnesses, branch) if not b))
         g = build_flow_graph(q, sub, build_ordering(q, mode="flat", mveo=omega))
         cut = iter(extract_factorization(g, min_cut(g))[1])
-        del sub, g  # the flow network and the remainder's own factorization
+        del sub, g  # the flow network and the remainder's own expression
     plans = [plan_branch if b else next(cut) for b in branch]
     del branch, cut  # freed before assembly builds its trie
-    return assemble(W, plans)
+    return RunReport(q.name, "two-chain-we", len(W), True, assemble(W, plans), tuple(plans))
 
 
 # The special shapes as (tag, pattern, solver), in the order `dispatch`
-# tries them; the tag is also the method a run reports.  Each solver is
+# tries them; the tag is also the method its solver reports.  Each solver is
 # looked up when called, so a wrapper set on its module name sees the call.
 _SHAPES = (
     ("q2star", _Q2STAR, lambda W: solve_q2star(W)),
@@ -291,31 +290,34 @@ _SHAPES = (
 # dispatch
 # ---------------------------------------------------------------------------
 
-def single_plan_baseline(q: Query, W: WitnessSet) -> Factorization:
-    """Best factorization that uses one plan for every witness."""
-    best = None
-    for v in TemplateTable.of(q).plans:
-        f = assemble(W, (v,) * len(W))
-        if best is None or f.length < best.length:
-            best = f
-    if best is None:
+def single_plan_baseline(q: Query, W: WitnessSet) -> RunReport:
+    """Best factorization that uses one plan for every witness, method
+    ``single-plan``; proven when `q` has one minimal plan, as exactly the
+    hierarchical queries among connected ones do."""
+    plans = TemplateTable.of(q).plans
+    if not plans:
         raise ValueError("query has no plans")
-    return best
+    expr, v = min(((assemble(W, (v,) * len(W)), v) for v in plans), key=lambda ev: ev[0].length)
+    return RunReport(q.name, "single-plan", len(W), len(plans) == 1, expr, (v,) * len(W))
 
 
-def _flow_run(q, W, ordering=None) -> tuple[Factorization, int]:
-    """(factorization, cut value); the graph and the cut are freed on return."""
-    ordering = ordering or TemplateTable.of(q).ordering
-    g = build_flow_graph(q, W, ordering)
+def _flow_run(q, W, ordering, k) -> RunReport:
+    """Flow's report over `ordering` (default: nested-rp): proven where `q`
+    has at most two minimal plans (`k`, as `classify` counts them), else
+    noting its cut value; the graph and the cut are freed on return."""
+    g = build_flow_graph(q, W, ordering or TemplateTable.of(q).ordering)
     res = min_cut(g)
-    return extract_factorization(g, res)[0], res.value
+    expr, plans = extract_factorization(g, res)
+    proven = k is not None and k <= 2
+    notes = () if proven else (f"cut value {res.value}; optimality not guaranteed",)
+    return RunReport(q.name, "flow", len(W), proven, expr, plans, notes=notes)
 
 
 def _solve(q, W, policy, budget, ordering) -> RunReport:
     """The unverified report of connected `q` on its witnesses `W`, at
-    least one, under `policy`.  Flow is proven optimal on queries with at
-    most two minimal plans; one plan for all on hierarchical queries, which
-    are exactly those with one minimal plan."""
+    least one, under `policy`.  Each solver's own report says what it
+    proves; this routes, notes an exhausted exact budget and, in `auto`,
+    takes flow's result where it beats the search's incumbent."""
     cls = classify(q)
     if policy == "exact":
         rep = solve_exact(q, W, budget=budget)
@@ -323,21 +325,16 @@ def _solve(q, W, policy, budget, ordering) -> RunReport:
             rep.notes = (f"budget exhausted after {rep.nodes} nodes",)
         return rep
     if policy == "flow":
-        fact, cut_value = _flow_run(q, W, ordering)
-        if cls.k is not None and cls.k <= 2:
-            return RunReport(q.name, "flow", len(W), True, fact)
-        note = f"cut value {cut_value}; optimality not guaranteed"
-        return RunReport(q.name, "flow", len(W), False, fact, notes=(note,))
+        return _flow_run(q, W, ordering, cls.k)
     # single-plan, and auto on a hierarchical query, whose one plan is optimal
     if policy == "single-plan" or "hierarchical" in cls:
-        fact = single_plan_baseline(q, W)
-        return RunReport(q.name, "single-plan", len(W), "hierarchical" in cls, fact)
+        return single_plan_baseline(q, W)
     # the rest of auto: a closed form, two-plan flow, else exact search
     for tag, _, solve in _SHAPES:
         if tag in cls:
-            return RunReport(q.name, tag, len(W), True, solve(W))
+            return solve(W)
     if cls.k == 2:
-        return RunReport(q.name, "flow", len(W), True, _flow_run(q, W, ordering)[0])
+        return _flow_run(q, W, ordering, cls.k)
     rep = solve_exact(q, W, budget=budget)
     if rep.optimal:
         return rep
@@ -345,13 +342,13 @@ def _solve(q, W, policy, budget, ordering) -> RunReport:
     # proven where it meets the search's bound
     rep.notes = (f"exact budget exhausted after {rep.nodes} nodes; lower bound {rep.lower_bound}",)
     try:
-        fact = _flow_run(q, W, ordering)[0]
+        flow = _flow_run(q, W, ordering, cls.k)
     except ExtractionFailure:
         rep.notes += ("flow extraction failed",)
     else:
-        if fact.length < rep.length:
-            rep.method, rep.factorization = "flow", fact
-            rep.optimal = fact.length == rep.lower_bound
+        if flow.length < rep.length:
+            rep.method, rep.expression, rep.plans = flow.method, flow.expression, flow.plans
+            rep.optimal = flow.length == rep.lower_bound
     return rep
 
 
@@ -373,12 +370,9 @@ def _dispatch_components(q, W, policy, budget, ordering, verify) -> RunReport:
         for part in W.parts
     ]
     bounds = [p.length if p.optimal else p.lower_bound for p in reps]
-    fact = Factorization(
-        plans=(), expression=e_and([p.expression for p in reps]),
-        length=sum(p.length for p in reps), repeats=sum(p.repeats for p in reps),
-    )
     return RunReport(
-        q.name, "components", len(W), all(p.optimal for p in reps), fact,
+        q.name, "components", len(W), all(p.optimal for p in reps),
+        e_and([p.expression for p in reps]),
         lower_bound=None if None in bounds else sum(bounds),
         notes=tuple(
             note for p in reps
@@ -393,7 +387,7 @@ def dispatch(
     q: Query,
     W: WitnessSet,
     policy: str = "auto",
-    budget: int = 500_000,
+    budget: int = _BUDGET,
     ordering=None,
     verify: bool = True,
 ) -> RunReport:
@@ -419,7 +413,7 @@ def dispatch(
         rep = _solve(q, W, policy, budget, ordering)
         if verify:
             try:
-                rep.verified = verify_equivalence(rep.factorization, W)
+                rep.verified = verify_equivalence(rep.expression, W)
             except ExpansionTooLarge:
                 rep.notes += ("equivalence verification skipped (expansion too large)",)
             else:

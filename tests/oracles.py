@@ -232,7 +232,7 @@ def brute_bindings(q, db):
 
 
 # ---------------------------------------------------------------------------
-# Factorization length
+# The length of a factorization
 # ---------------------------------------------------------------------------
 
 def anchor_path(veo, avars):
@@ -317,17 +317,15 @@ def brute_minfact(q, witness_set, plans):
 
 def reference_assemble(witness_set, plans):
     """A direct path-keyed trie assembler: the byte-identity reference for
-    ``assembly.assemble`` (same expression text, length and repeats, or
-    the same exception), given one plan per witness in witness order.
+    ``assembly.assemble`` (the same expression text and leaves, or the same
+    exception), given one plan per witness in witness order.
 
     Nodes are keyed by their full instantiated path; a node's tuples are
     found by scanning the atoms against the path's variables; siblings and
-    roots sort by (serialization, path).  Length and repeats are counted
-    here from the leaves, not read from the expression.
+    roots sort by (serialization, path).  Each leaf is a node of its own.
     """
     from provfact.assembly import (
         Expr,
-        Factorization,
         IllegalAssignment,
         e_and,
         e_or,
@@ -356,7 +354,7 @@ def reference_assemble(witness_set, plans):
     if len(plans) != len(witness_set.witnesses):
         raise IllegalAssignment("assignment must cover exactly the witness set")
     if not witness_set.witnesses:
-        return Factorization((), Expr("false"), 0, 0)
+        return Expr("false")
 
     # path -> (anchored tuples, {branch signature: {child node: {child paths}}})
     trie = {}
@@ -405,10 +403,7 @@ def reference_assemble(witness_set, plans):
             parts.append(e_or(group_exprs))
         return e_and(parts) if parts else Expr("false")
 
-    expr = e_or([build(r) for r in sorted(roots, key=path_order)])
-    length = count_leaves(expr)
-    repeats = length - len(set(leaf_multiset(expr)))
-    return Factorization(tuple(plans), expr, length, repeats)
+    return e_or([build(r) for r in sorted(roots, key=path_order)])
 
 
 def min_formula_length(witness_set) -> int:

@@ -66,8 +66,8 @@ def _verdict(capsys, n: int, ok: bool, detail: str) -> None:
 def _flow(q, W, ordering=None):
     g = build_flow_graph(q, W, ordering or build_ordering(q))
     res = min_cut(g)
-    fact, _ = extract_factorization(g, res)
-    return res, fact
+    expr, _ = extract_factorization(g, res)
+    return res, expr
 
 
 # --- 1: fixture plan enumerations ----------------------------------------
@@ -128,8 +128,8 @@ def test_criterion_2_worked_examples(capsys, fig2a_db, fig2a_s13_db, appb1_db, f
     Wa = compute_witnesses(q2, fig2a_db)
     ra = solve_exact(q2, Wa)
     res_a, _ = _flow(q2, Wa)
-    if not (ra.length == 10 and ra.factorization.repeats == 0):
-        problems.append(f"(a) exact {ra.length}, repeats {ra.factorization.repeats}")
+    if not (ra.length == 10 and ra.length - len(Wa.distinct_tuples) == 0):
+        problems.append(f"(a) exact {ra.length}, repeats {ra.length - len(Wa.distinct_tuples)}")
     if res_a.value != ra.length:
         problems.append(f"(a) flow {res_a.value} != exact {ra.length}")
 
@@ -138,8 +138,9 @@ def test_criterion_2_worked_examples(capsys, fig2a_db, fig2a_s13_db, appb1_db, f
     Wb = compute_witnesses(q2, fig2a_s13_db)
     rb = solve_exact(q2, Wb)
     sb = single_plan_baseline(q2, Wb)
-    if not (rb.length == 12 and rb.factorization.repeats == 1 and sb.length == 13):
-        problems.append(f"(b) exact {rb.length}/{rb.factorization.repeats} single {sb.length}")
+    repeats_b = rb.length - len(Wb.distinct_tuples)
+    if not (rb.length == 12 and repeats_b == 1 and sb.length == 13):
+        problems.append(f"(b) exact {rb.length}/{repeats_b} single {sb.length}")
 
     # (c) two-witness three-chain: covering model and search both reach 4
     q3 = fixture_query("3chain")
@@ -153,8 +154,8 @@ def test_criterion_2_worked_examples(capsys, fig2a_db, fig2a_s13_db, appb1_db, f
     # (d) two-witness triangle: min cut 5 with the pinned shared-prefix shape
     qt = fixture_query("triangle")
     Wd = compute_witnesses(qt, fig7d_db)
-    res_d, fact_d = _flow(qt, Wd)
-    expr_d = fact_d.expression.pretty(ascii_only=True)
+    res_d, flow_d = _flow(qt, Wd)
+    expr_d = flow_d.pretty(ascii_only=True)
     if not (res_d.value == 5 and expr_d == "t_00 (r_00 s_00 v r_01 s_10)"):
         problems.append(f"(d) cut {res_d.value} expr {expr_d!r}")
 
@@ -192,7 +193,7 @@ def test_criterion_3_leakage_fixture(capsys, leakage_db):
     values = {}
     for perm in itertools.permutations(range(3)):
         ordering = build_ordering(q, mode="flat", perm=list(perm))
-        res, fact = _flow(q, W, ordering)
+        res, _ = _flow(q, W, ordering)
         values[perm] = res.value
     dt = time.perf_counter() - t0
 
@@ -241,7 +242,7 @@ def test_criterion_4_oracle_equivalence_suites(capsys):
     def flow_cases(qname, d, tuples, n_seeds):
         q, cases = seeded_witness_sets(qname, d, tuples, range(n_seeds), limit=100)
         for _seed, W in cases:
-            res, _fact = _flow(q, W)
+            res, _ = _flow(q, W)
             yield q, W, res.value
 
     # (i) flow equals exact on the two-plan queries
@@ -267,7 +268,7 @@ def test_criterion_4_oracle_equivalence_suites(capsys):
         pool.extend((q, W) for _seed, W in cases if detect_p4(W) is None)
     ro_mismatches = 0
     for q, W in pool:
-        res, _fact = _flow(q, W)
+        res, _ = _flow(q, W)
         want = solve_exact(q, W).length
         if not (res.value == want == len(W.distinct_tuples)):
             ro_mismatches += 1
@@ -518,16 +519,16 @@ def test_criterion_8_soundness(capsys, fig2a_db, fig2a_s13_db, appb1_db, fig7d_d
     problems = []
     checked = 0
 
-    def check(label, fact, W, length=None):
+    def check(label, expr, W, length=None):
         nonlocal checked
         checked += 1
-        want_len = fact.length if length is None else length
-        if not verify_equivalence(fact, W):
+        want_len = expr.length if length is None else length
+        if not verify_equivalence(expr, W):
             problems.append(f"{label}: factorization not equivalent to its witnesses")
-        if oracles.count_leaves(fact.expression) != want_len:
+        if oracles.count_leaves(expr) != want_len:
             problems.append(
                 f"{label}: reported length {want_len} != leaf count "
-                f"{oracles.count_leaves(fact.expression)}"
+                f"{oracles.count_leaves(expr)}"
             )
 
     worked = [
@@ -541,16 +542,16 @@ def test_criterion_8_soundness(capsys, fig2a_db, fig2a_s13_db, appb1_db, fig7d_d
         q = fixture_query(qname)
         W = compute_witnesses(q, db)
         res = solve_exact(q, W)
-        check(f"{qname} exact", res.factorization, W, res.length)
-        _fres, fact = _flow(q, W)
-        check(f"{qname} flow", fact, W)
-        check(f"{qname} single-plan", single_plan_baseline(q, W), W)
+        check(f"{qname} exact", res.expression, W, res.length)
+        _fres, expr = _flow(q, W)
+        check(f"{qname} flow", expr, W)
+        check(f"{qname} single-plan", single_plan_baseline(q, W).expression, W)
         rep = dispatch(q, W)
-        check(f"{qname} dispatch[{rep.method}]", rep.factorization, W, rep.length)
+        check(f"{qname} dispatch[{rep.method}]", rep.expression, W, rep.length)
 
     # shape-specific solvers on their home fixtures
     q2 = fixture_query("q2star")
-    check("q2star special", solve_q2star(compute_witnesses(q2, fig2a_db)),
+    check("q2star special", solve_q2star(compute_witnesses(q2, fig2a_db)).expression,
           compute_witnesses(q2, fig2a_db))
 
     # every plan permutation of the leakage fixture
@@ -558,8 +559,8 @@ def test_criterion_8_soundness(capsys, fig2a_db, fig2a_s13_db, appb1_db, fig7d_d
     Wl = compute_witnesses(qt, leakage_db)
     for perm in itertools.permutations(range(3)):
         ordering = build_ordering(qt, mode="flat", perm=list(perm))
-        _res, fact = _flow(qt, Wl, ordering)
-        check(f"leakage flow perm {perm}", fact, Wl)
+        _res, expr = _flow(qt, Wl, ordering)
+        check(f"leakage flow perm {perm}", expr, Wl)
 
     # a gadget-generated instance
     from provfact.gen import GraphInput
@@ -568,7 +569,7 @@ def test_criterion_8_soundness(capsys, fig2a_db, fig2a_s13_db, appb1_db, fig7d_d
     q3s = fixture_query("q3star")
     Wg = compute_witnesses(q3s, gen_3star_gadget(g))
     res = solve_exact(q3s, Wg, budget=2_000_000)
-    check("3-star gadget exact", res.factorization, Wg, res.length)
+    check("3-star gadget exact", res.expression, Wg, res.length)
 
     # dispatch across seeded sweep-style instances
     for qname, d, tuples in (
@@ -583,7 +584,7 @@ def test_criterion_8_soundness(capsys, fig2a_db, fig2a_s13_db, appb1_db, fig7d_d
             if not W.witnesses:
                 continue
             rep = dispatch(q, W)
-            check(f"{qname} seed {seed} dispatch[{rep.method}]", rep.factorization, W, rep.length)
+            check(f"{qname} seed {seed} dispatch[{rep.method}]", rep.expression, W, rep.length)
 
     dt = time.perf_counter() - t0
     detail = (

@@ -16,13 +16,14 @@ from provfact.veo import Veo, build_ordering, enumerate_mveo, enumerate_veos
 
 
 def outcome(fn, W, plans):
-    """What an assembler makes of one plan per witness: its expression text,
-    length, repeats and plans, or its exception class and message."""
+    """What an assembler makes of one plan per witness: its expression's
+    text, length, leaves counted one by one and distinct leaves, or its
+    exception class and message."""
     try:
-        f = fn(W, plans)
+        e = fn(W, plans)
     except Exception as exc:  # noqa: BLE001
         return type(exc).__name__, str(exc)
-    return f.pretty(), f.length, f.repeats, f.expression.length, f.plans
+    return e.pretty(), e.length, oracles.count_leaves(e), len(set(oracles.leaf_multiset(e)))
 
 
 def instances(name, seeds=range(8), sizes=((3, 5), (4, 7))):
@@ -41,7 +42,7 @@ def assignments(q, W, seed):
     if not W.witnesses:
         return
     try:
-        yield solve_exact(q, W).factorization.plans
+        yield solve_exact(q, W).plans
     except AssertionError:  # the known 4chain cost-model defect
         pass
     g = build_flow_graph(q, W, build_ordering(q))
@@ -140,12 +141,12 @@ def test_assembled_leaves_are_one_node_per_tuple(name):
     for i, (q, W) in enumerate(instances(name, seeds=range(3))):
         for asg in assignments(q, W, i):
             try:
-                f = assemble(W, asg)
+                expr = assemble(W, asg)
             except IllegalAssignment:
                 continue
-            leaves = [e for e in _occurrences(f.expression) if e.op == "var"]
+            leaves = [e for e in _occurrences(expr) if e.op == "var"]
             assert len({id(e) for e in leaves}) == len({e.key for e in leaves})
-            assert f.length == len(leaves) == oracles.count_leaves(f.expression)
+            assert expr.length == len(leaves) == oracles.count_leaves(expr)
 
 
 def test_branching_rows_are_shared_and_match_the_reference():
@@ -166,7 +167,7 @@ def test_branching_rows_are_shared_and_match_the_reference():
             assert got == want
             if want[0] == IllegalAssignment.__name__:
                 continue
-            inner = [e for e in _occurrences(assemble(W, asg).expression) if e.children]
+            inner = [e for e in _occurrences(assemble(W, asg)) if e.children]
             shared += len(inner) - len({id(e) for e in inner})
             built += 1
     assert built >= 24 and shared > 0
@@ -177,14 +178,14 @@ def test_assemble_leaves_no_reference_cycles():
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=8, tuples=40, seed=2)))
     assert len(W) > 20
     asgs = [[v] * len(W) for v in enumerate_mveo(q)]
-    asgs.append(solve_exact(q, W).factorization.plans)
+    asgs.append(solve_exact(q, W).plans)
     gc.collect()
     gc.disable()
     try:
         for asg in asgs:
-            fact = assemble(W, asg)
+            expr = assemble(W, asg)
             assert gc.collect() == 0
-            assert fact.length > 0
+            assert expr.length > 0
     finally:
         gc.enable()
 
@@ -203,14 +204,14 @@ def test_expression_counts_match_leaves(name, db, method):
     q = fixture_query(name)
     W = compute_witnesses(q, parse_database(db))
     if method == "exact":
-        fact = solve_exact(q, W).factorization
+        expr = solve_exact(q, W).expression
     else:
         g = build_flow_graph(q, W, build_ordering(q))
-        fact = extract_factorization(g, min_cut(g))[0]
-    expr = fact.expression
+        expr = extract_factorization(g, min_cut(g))[0]
     assert expr.length == oracles.count_leaves(expr)
-    # repeats are the occurrences past one per distinct tuple key
-    assert fact.repeats == expr.length - len(set(oracles.leaf_multiset(expr)))
+    # one leaf per distinct tuple key of the witnesses: the repeats that the
+    # CLI reports, length less `len(W.distinct_tuples)`, are the other leaves
+    assert len(set(oracles.leaf_multiset(expr))) == len(W.distinct_tuples)
     nodes = [expr]
     while nodes:
         e = nodes.pop()

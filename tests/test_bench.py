@@ -16,9 +16,9 @@ from provfact.veo import enumerate_mveo
 def test_single_plan_baseline_golden(fig2a_s13_db):
     q = fixture_query("q2star")
     W = compute_witnesses(q, fig2a_s13_db)
-    fact = single_plan_baseline(q, W)
-    assert fact.length == 13
-    assert verify_equivalence(fact, W)
+    rep = single_plan_baseline(q, W)
+    assert rep.length == 13
+    assert verify_equivalence(rep.expression, W)
 
 
 def test_single_plan_baseline_is_best_uniform_plan():
@@ -27,13 +27,13 @@ def test_single_plan_baseline_is_best_uniform_plan():
         W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=8, seed=seed)))
         if not W.witnesses:
             continue
-        fact = single_plan_baseline(q, W)
+        rep = single_plan_baseline(q, W)
         best_uniform = min(
             oracles.oracle_length(q, W, {w: v for w in W.witnesses})
             for v in enumerate_mveo(q)
         )
-        assert fact.length == best_uniform
-        assert fact.length >= solve_exact(q, W).length
+        assert rep.length == best_uniform
+        assert rep.length >= solve_exact(q, W).length
 
 
 def test_run_sweep_rows():

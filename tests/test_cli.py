@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import subprocess
 import sys
 from functools import partial
@@ -61,6 +62,38 @@ def test_mveo(capsys, files):
     rc, out, _ = run(capsys, ["mveo", files["q2star.q"]])
     assert rc == 0
     assert out.splitlines() == ["v1: x <- y", "v2: y <- x"]
+
+
+def test_mveo_lists_each_component_of_a_disconnected_query(capsys, tmp_path):
+    """A disconnected query's plans are its components' own, each under its
+    name, as `dispatch` solves them; no whole-query plan is listed."""
+    (tmp_path / "disc.q").write_text("Q :- R(x), S(y)\n")
+    rc, out, err = run(capsys, ["--verbose", "mveo", str(tmp_path / "disc.q")])
+    assert rc == 0
+    assert out.splitlines() == ["Q.1:", "v1: x", "Q.2:", "v1: y"]
+    assert err.count("    dissociation: -\n") == 2
+
+
+def test_mveo_runs_on_components_past_the_enumeration_cap_together(capsys, tmp_path):
+    """Two 5-variable chains make a 10-variable query, over the cap of 8 that
+    a whole-query plan list would hit; each chain lists its 5 plans, and
+    `factorize` solves the query."""
+    chain = "R{0}(a{0},b{0}), S{0}(b{0},c{0}), T{0}(c{0},d{0}), U{0}(d{0},e{0})"
+    text = f"Q :- {chain.format(1)}, {chain.format(2)}\n"
+    (tmp_path / "two.q").write_text(text)
+    rc, out, err = run(capsys, ["mveo", str(tmp_path / "two.q")])
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:6] == [
+        "Q.1:", "v1: b1 <- (a1, c1 <- d1 <- e1)", "v2: b1 <- (a1, d1 <- (c1, e1))",
+        "v3: c1 <- (b1 <- a1, d1 <- e1)", "v4: d1 <- (b1 <- (a1, c1), e1)",
+        "v5: d1 <- (c1 <- b1 <- a1, e1)",
+    ]
+    assert lines[6:] == ["Q.2:"] + [re.sub(r"([a-e])1", r"\g<1>2", l) for l in lines[1:6]]
+    db = gen_random(GenSpec(query=parse_query(text), d=2, tuples=3, seed=1))
+    (tmp_path / "two.db").write_text(db.text())
+    rc, out, _ = run(capsys, ["factorize", str(tmp_path / "two.q"), str(tmp_path / "two.db")])
+    assert rc == 0 and "method: components" in out.splitlines()
 
 
 def test_classify(capsys, files):

@@ -22,8 +22,8 @@ def test_fig2a_read_once(fig2a_db):
     assert res.length == 10
     assert res.optimal
     assert res.lower_bound == 10
-    assert res.factorization.repeats == 0
-    assert verify_equivalence(res.factorization, W)
+    assert res.length - len(W.distinct_tuples) == 0  # no repeats
+    assert verify_equivalence(res.expression, W)
 
 
 def test_fig2a_with_s13(fig2a_s13_db):
@@ -31,7 +31,7 @@ def test_fig2a_with_s13(fig2a_s13_db):
     W = compute_witnesses(q, fig2a_s13_db)
     res = solve_exact(q, W)
     assert res.length == 12
-    assert res.factorization.repeats == 1
+    assert res.length - len(W.distinct_tuples) == 1  # one repeat
     assert res.optimal
 
 
@@ -66,7 +66,7 @@ def test_empty_and_single_witness(fig7d_db):
     single = WitnessSet(q, W.witnesses[:1])
     res = solve_exact(q, single)
     assert res.length == len(q.atoms)
-    assert res.factorization.repeats == 0
+    assert res.length - len(single.distinct_tuples) == 0  # no repeats
 
 
 def test_lower_bound_full_prefixes(fig2a_db, leakage_db):
@@ -113,7 +113,7 @@ def test_exact_matches_brute_force(seed, variant):
     res = solve_exact(q, W)
     assert res.optimal
     assert res.length == oracles.brute_minfact(q, W, enumerate_mveo(q))
-    assert verify_equivalence(res.factorization, W)
+    assert verify_equivalence(res.expression, W)
     assert oracles.count_leaves(res.expression) == res.length
 
 
@@ -123,7 +123,7 @@ def test_determinism_and_input_order_independence(leakage_db):
     r1 = solve_exact(q, W)
     r2 = solve_exact(q, W)
     def chosen(W, r):
-        return {w.key: v.serial for w, v in zip(W.witnesses, r.factorization.plans, strict=True)}
+        return {w.key: v.serial for w, v in zip(W.witnesses, r.plans, strict=True)}
 
     assert chosen(W, r1) == chosen(W, r2)
     reversed_W = WitnessSet(q, tuple(reversed(W.witnesses)))
@@ -142,7 +142,7 @@ def test_budget_exhaustion():
     assert capped.nodes <= 200
     # the incumbent is still a valid factorization and the reported bound
     # brackets the true optimum
-    assert verify_equivalence(capped.factorization, W)
+    assert verify_equivalence(capped.expression, W)
     assert capped.lower_bound <= full.length <= capped.length
     if full.optimal:
         assert full.length <= capped.length

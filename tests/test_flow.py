@@ -27,7 +27,7 @@ from provfact.flow import (
 )
 import dbs
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
-from provfact.assembly import TemplateTable, verify_equivalence
+from provfact.assembly import TemplateTable, assemble, verify_equivalence
 from provfact.provenance import WitnessSet, compute_witnesses, parse_database
 from provfact.veo import Veo, build_ordering, enumerate_mveo
 
@@ -35,33 +35,33 @@ from provfact.veo import Veo, build_ordering, enumerate_mveo
 def _flow(q, W, ordering=None, **kw):
     g = build_flow_graph(q, W, ordering or build_ordering(q), **kw)
     res = min_cut(g)
-    fact, plans = extract_factorization(g, res)
-    return g, res, fact, plans
+    expr, plans = extract_factorization(g, res)
+    return g, res, expr, plans
 
 
 def test_fig7d_golden(fig7d_db):
     q = fixture_query("triangle")
     W = compute_witnesses(q, fig7d_db)
-    g, res, fact, plans = _flow(q, W)
+    g, res, expr, plans = _flow(q, W)
     assert res.value == 5
-    assert fact.length == 5
-    assert verify_equivalence(fact, W)
-    assert oracles.leaf_multiset(fact.expression) == (
+    assert expr.length == 5
+    assert verify_equivalence(expr, W)
+    assert oracles.leaf_multiset(expr) == (
         ("R", ("0", "0")),
         ("R", ("0", "1")),
         ("S", ("0", "0")),
         ("S", ("1", "0")),
         ("T", ("0", "0")),
     )
-    assert len(plans) == len(W) and plans == fact.plans
+    assert len(plans) == len(W) and assemble(W, plans) == expr
 
 
 def test_fig2a_flow_equals_exact(fig2a_db):
     q = fixture_query("q2star")
     W = compute_witnesses(q, fig2a_db)
-    _, res, fact, _ = _flow(q, W)
-    assert res.value == 10 == fact.length
-    assert verify_equivalence(fact, W)
+    _, res, expr, _ = _flow(q, W)
+    assert res.value == 10 == expr.length
+    assert verify_equivalence(expr, W)
 
 
 def test_leakage_values_per_permutation(leakage_db):
@@ -78,9 +78,9 @@ def test_leakage_values_per_permutation(leakage_db):
     values = {}
     for perm in itertools.permutations(range(3)):
         ordering = build_ordering(q, mode="flat", perm=list(perm))
-        g, res, fact, _ = _flow(q, W, ordering)
-        assert verify_equivalence(fact, W)
-        assert fact.length == res.value
+        g, res, expr, _ = _flow(q, W, ordering)
+        assert verify_equivalence(expr, W)
+        assert expr.length == res.value
         values[perm] = res.value
     assert values == {
         (0, 1, 2): 10,
@@ -99,8 +99,8 @@ def test_single_witness_cut_is_atom_count(fig7d_db):
     q = fixture_query("triangle")
     W = compute_witnesses(q, fig7d_db)
     single = WitnessSet(q, W.witnesses[:1])
-    _, res, fact, _ = _flow(q, single)
-    assert res.value == len(q.atoms) == fact.length
+    _, res, expr, _ = _flow(q, single)
+    assert res.value == len(q.atoms) == expr.length
 
 
 @given(st.integers(0, 200), st.integers(0, 1))
@@ -111,11 +111,11 @@ def test_flow_equals_exact_on_two_plan_queries(seed, variant):
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=d, tuples=t, seed=seed)))
     if not (2 <= len(W.witnesses) <= 12):
         return
-    _, res, fact, _ = _flow(q, W)
+    _, res, expr, _ = _flow(q, W)
     exact = solve_exact(q, W)
     assert exact.optimal
-    assert res.value == exact.length == fact.length
-    assert verify_equivalence(fact, W)
+    assert res.value == exact.length == expr.length
+    assert verify_equivalence(expr, W)
 
 
 @given(st.integers(0, 60))
@@ -181,8 +181,8 @@ def test_strict_rp_rejects_non_rp_ordering():
     assert bad.rp is False
     g = build_flow_graph(q, W, bad)
     res = min_cut(g)
-    fact, _ = extract_factorization(g, res)
-    assert verify_equivalence(fact, W)
+    expr, _ = extract_factorization(g, res)
+    assert verify_equivalence(expr, W)
 
 
 def test_flow_result_invariants(fig7d_db):

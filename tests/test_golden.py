@@ -41,7 +41,7 @@ def _dispatch_text(q, W) -> str:
     rep = dispatch(q, W, policy="auto", budget=50_000)
     return "\n".join([
         rep.method, str(rep.length), str(rep.optimal), str(rep.lower_bound),
-        rep.factorization.pretty(ascii_only=True),
+        rep.expression.pretty(ascii_only=True),
     ])
 
 
@@ -96,7 +96,7 @@ def _history_outputs(q, W_of):
     plain and reduced, and the flow network's DOT text."""
     def report(policy):
         rep = dispatch(q, W_of(), policy=policy, budget=20_000)
-        return (rep.method, rep.factorization.pretty(), rep.length, rep.optimal,
+        return (rep.method, rep.expression.pretty(), rep.length, rep.optimal,
                 rep.lower_bound, rep.notes, rep.nodes)
 
     out = [_outcome(lambda: report(policy)) for policy in _POLICIES]

@@ -17,7 +17,6 @@ from provfact.cq import Query, connected_components, parse_query
 from provfact.gen import FIXTURE_QUERIES, GenSpec, fixture_query, gen_random
 from provfact.assembly import (
     ExpansionTooLarge,
-    Factorization,
     IllegalAssignment,
     TemplateTable,
     UnboundVariable,
@@ -285,11 +284,11 @@ def test_assemble_matches_oracle_on_fig2a(fig2a_db):
     # the hand-solved read-once split: x=1 witnesses on the x-rooted plan,
     # y=3 witnesses on the y-rooted plan
     plans = [v1 if w.values["x"] == "1" else v2 for w in W.witnesses]
-    fact = assemble(W, plans)
-    assert fact.length == 10 == oracles.oracle_length(q, W, dict(zip(W.witnesses, plans)))
-    assert fact.repeats == 0
-    assert verify_equivalence(fact, W)
-    assert oracles.count_leaves(fact.expression) == 10
+    expr = assemble(W, plans)
+    assert expr.length == 10 == oracles.oracle_length(q, W, dict(zip(W.witnesses, plans)))
+    assert expr.length == len(W.distinct_tuples)  # no repeats
+    assert verify_equivalence(expr, W)
+    assert oracles.count_leaves(expr) == 10
 
 
 def test_assemble_rejects_partial_assignment(fig2a_db):
@@ -322,11 +321,13 @@ def test_assemble_length_matches_oracle(seed, variant):
     plans = enumerate_mveo(q)
     # deterministic but seed-dependent assignment mixing the plans
     chosen = [plans[(i * 7 + seed) % len(plans)] for i in range(len(W))]
-    fact = assemble(W, chosen)
-    assert fact.length == oracles.oracle_length(q, W, dict(zip(W.witnesses, chosen)))
-    assert fact.repeats == fact.length - len(W.distinct_tuples)
-    assert verify_equivalence(fact, W)
-    assert oracles.count_leaves(fact.expression) == fact.length
+    expr = assemble(W, chosen)
+    assert expr.length == oracles.oracle_length(q, W, dict(zip(W.witnesses, chosen)))
+    # the repeats the CLI reports, length less the distinct tuples, are the
+    # leaves past the first of each tuple key
+    assert len(set(oracles.leaf_multiset(expr))) == len(W.distinct_tuples)
+    assert verify_equivalence(expr, W)
+    assert oracles.count_leaves(expr) == expr.length
 
 
 def test_verify_equivalence_rejects_wrong_expression(fig2a_db, fig2a_s13_db):
@@ -334,18 +335,18 @@ def test_verify_equivalence_rejects_wrong_expression(fig2a_db, fig2a_s13_db):
     W_small = compute_witnesses(q, fig2a_db)
     W_full = compute_witnesses(q, fig2a_s13_db)
     v1 = enumerate_mveo(q)[0]
-    fact = assemble(W_small, [v1] * len(W_small))
-    assert verify_equivalence(fact, W_small)
-    assert not verify_equivalence(fact, W_full)
+    expr = assemble(W_small, [v1] * len(W_small))
+    assert verify_equivalence(expr, W_small)
+    assert not verify_equivalence(expr, W_full)
 
 
 def test_expansion_cap(fig2a_db):
     q = fixture_query("q2star")
     W = compute_witnesses(q, fig2a_db)
     v1 = enumerate_mveo(q)[0]
-    fact = assemble(W, [v1] * len(W))
+    expr = assemble(W, [v1] * len(W))
     with pytest.raises(ExpansionTooLarge):
-        verify_equivalence(fact, W, max_terms=1)
+        verify_equivalence(expr, W, max_terms=1)
 
 
 def _dnf(terms) -> Expr:
@@ -359,18 +360,18 @@ def test_verify_equivalence_checks_every_term(fig2a_db):
     r1, r2, s11 = ("R", ("1",)), ("R", ("2",)), ("S", ("1", "1"))
 
     def verified(expr):
-        return verify_equivalence(Factorization((), expr, expr.length, 0), W)
+        return verify_equivalence(expr, W)
 
     assert verified(_dnf(terms))
     assert verified(_dnf(reversed(terms)))
-    fact = assemble(W, [enumerate_mveo(q)[0]] * len(W))
-    assert verified(e_or([fact.expression, fact.expression]))  # repeated terms
+    expr = assemble(W, [enumerate_mveo(q)[0]] * len(W))
+    assert verified(e_or([expr, expr]))  # repeated terms
     assert not verified(_dnf(terms[1:]))  # a witness term missing
     assert not verified(_dnf(terms + [terms[0] + (r2,)]))  # a strict superset
     assert not verified(_dnf(terms + [(r1, r2, terms[0][2])]))  # two R tuples
     assert not verified(_dnf(terms + [(r1, s11)]))  # no T tuple
     assert not verified(Expr("false"))
-    assert verify_equivalence(Factorization((), Expr("false"), 0, 0), WitnessSet(q, ()))
+    assert verify_equivalence(Expr("false"), WitnessSet(q, ()))
 
 
 def test_verify_equivalence_rejects_an_over_deep_expression():
@@ -378,7 +379,7 @@ def test_verify_equivalence_rejects_an_over_deep_expression():
     for i in range(5_000):  # the first term lies at the bottom
         e = Expr("and" if i % 2 else "or", children=(e, e_var(("S", (str(i),)))))
     with pytest.raises(ExpansionTooLarge, match="too deep"):
-        verify_equivalence(Factorization((), e, e.length, 0), WitnessSet(fixture_query("q2star"), ()))
+        verify_equivalence(e, WitnessSet(fixture_query("q2star"), ()))
     with pytest.raises(ExpansionTooLarge):
         expand(e)
 
@@ -392,13 +393,13 @@ def test_expand_matches_reference_on_dispatch_expressions(name):
     for seed in range(10):
         W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=8, seed=seed)))
         try:
-            expr = dispatch(q, W, budget=50_000, verify=False).factorization.expression
+            expr = dispatch(q, W, budget=50_000, verify=False).expression
         except AssertionError:
             assert name == "4chain"  # the known cost-model defect
             continue
         reference = oracles.reference_expand(expr)
         assert expand(expr) == reference
-        assert verify_equivalence(Factorization((), expr, expr.length, 0), W)
+        assert verify_equivalence(expr, W)
         assert reference == {frozenset(w.tuples) for w in W.witnesses}
         checked += 1
     assert checked >= 7
@@ -422,8 +423,8 @@ def test_verify_equivalence_memory():
     q = fixture_query("3chain")
     db = gen_random(GenSpec(query=q, d=30, tuples=200, seed=1))
     W, held = _traced_peak(lambda: compute_witnesses(q, db))
-    fact = dispatch(q, W, verify=False).factorization
-    verified, peak = _traced_peak(lambda: verify_equivalence(fact, W))
+    expr = dispatch(q, W, verify=False).expression
+    verified, peak = _traced_peak(lambda: verify_equivalence(expr, W))
     assert verified
     assert peak < held / 2, f"{peak / held:.2f}x the witness set"
 
@@ -440,8 +441,8 @@ def test_assemble_memory_per_witness():
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=28, tuples=900, seed=1)))
     plans = solve_triangle_unary(W).plans
     W = WitnessSet(q, W.witnesses)
-    fact, peak = _traced_peak(lambda: assemble(W, plans))
-    assert len(W) > 5000 and fact.length > 0
+    expr, peak = _traced_peak(lambda: assemble(W, plans))
+    assert len(W) > 5000 and expr.length > 0
     assert peak / len(W) <= 560, f"{peak / len(W):.0f} B/witness"
 
 
@@ -602,12 +603,12 @@ def test_a_given_plan_needs_no_plan_enumeration():
     plan = None
     for i in reversed(range(9)):  # x0 <- x1 <- ... <- x8
         plan = Veo((f"x{i}",), (plan,) if plan else ())
-    f = assemble(W, [plan] * len(W))
-    assert verify_equivalence(f, W)
+    expr = assemble(W, [plan] * len(W))
+    assert verify_equivalence(expr, W)
     g = build_flow_graph(q, W, build_ordering(q, mveo=(plan,)))
-    flow_f, plans = extract_factorization(g, min_cut(g))
+    flow_expr, plans = extract_factorization(g, min_cut(g))
     assert set(plans) == {plan}
-    assert flow_f.expression == f.expression
+    assert flow_expr == expr
 
 
 def test_one_instance_table_per_witness_set():

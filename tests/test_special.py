@@ -23,6 +23,7 @@ from provfact.special import (
     _min_cover,
     classify,
     dispatch,
+    single_plan_baseline,
     solve_q2star,
     solve_triangle_unary,
     solve_two_chain_we,
@@ -130,7 +131,7 @@ def test_shape_roles_are_fixed_under_every_atom_order_and_renaming():
                 )
                 rep = dispatch(renamed, W)
                 assert rep.method == tag and rep.optimal and rep.verified
-                text = rep.factorization.pretty(ascii_only=True)
+                text = rep.expression.pretty(ascii_only=True)
                 digest.update(f"{renamed}|{rep.method}|{rep.length}|{text}\n".encode())
                 runs += 1
     assert runs == 36 + 576 + 576
@@ -197,10 +198,10 @@ def test_solve_q2star_golden(fig2a_db, fig2a_s13_db):
     q = fixture_query("q2star")
     for db, want in ((fig2a_db, 10), (fig2a_s13_db, 12)):
         W = compute_witnesses(q, db)
-        fact = solve_q2star(W)
-        assert fact.length == want
-        assert verify_equivalence(fact, W)
-        assert len(fact.plans) == len(W)
+        rep = solve_q2star(W)
+        assert rep.length == want
+        assert verify_equivalence(rep.expression, W)
+        assert len(rep.plans) == len(W)
 
 
 def test_specials_reject_wrong_shape(fig2a_db, fig7d_db):
@@ -220,9 +221,9 @@ def test_solve_q2star_matches_exact(seed):
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=10, seed=seed)))
     if not (2 <= len(W.witnesses) <= 12):
         return
-    fact = solve_q2star(W)
-    assert fact.length == solve_exact(q, W).length
-    assert verify_equivalence(fact, W)
+    rep = solve_q2star(W)
+    assert rep.length == solve_exact(q, W).length
+    assert verify_equivalence(rep.expression, W)
 
 
 @given(st.integers(0, 200))
@@ -231,9 +232,9 @@ def test_solve_triangle_unary_matches_exact(seed):
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=10, seed=seed)))
     if not (2 <= len(W.witnesses) <= 10):
         return
-    fact = solve_triangle_unary(W)
-    assert fact.length == solve_exact(q, W).length
-    assert verify_equivalence(fact, W)
+    rep = solve_triangle_unary(W)
+    assert rep.length == solve_exact(q, W).length
+    assert verify_equivalence(rep.expression, W)
 
 
 @given(st.integers(0, 300))
@@ -242,9 +243,9 @@ def test_solve_two_chain_we_matches_exact(seed):
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=6, tuples=10, seed=seed)))
     if not (2 <= len(W.witnesses) <= 10):
         return
-    fact = solve_two_chain_we(W)
-    assert fact.length == solve_exact(q, W).length
-    assert verify_equivalence(fact, W)
+    rep = solve_two_chain_we(W)
+    assert rep.length == solve_exact(q, W).length
+    assert verify_equivalence(rep.expression, W)
 
 
 # (fixture, d, tuples, seed, method, shortest formula length, distinct
@@ -370,7 +371,7 @@ def test_dispatch_routes_q2star(fig2a_db):
     rep = dispatch(q, W)
     assert rep.method == "q2star"
     assert rep.length == 10 and rep.optimal and rep.verified
-    assert rep.repeats == 0
+    assert rep.length == len(W.distinct_tuples)  # no repeats
 
 
 def test_dispatch_routes_two_mveo_to_flow(appb1_db):
@@ -396,7 +397,7 @@ def test_dispatch_hierarchical_single_plan():
     rep = dispatch(q, W)
     assert rep.method == "single-plan"
     assert rep.optimal and rep.verified
-    assert rep.repeats == 0  # hierarchical provenance is read-once
+    assert rep.length == len(W.distinct_tuples)  # hierarchical provenance is read-once
 
 
 def test_dispatch_specials():
@@ -429,7 +430,7 @@ def test_dispatch_disconnected_components():
     # the witnesses are the full cross product, so the optimal factorization
     # is (r ∨ …)(s ∨ …): one literal per participating tuple
     assert rep.length == len(db.relations["R"]) + len(db.relations["S"])
-    assert verify_equivalence(rep.factorization, W)
+    assert verify_equivalence(rep.expression, W)
 
 
 # Disconnected queries on which the plan model, run on the whole query,
@@ -459,8 +460,8 @@ def test_disconnected_queries_split_under_every_policy(i, policy):
     q, _, W, best = _disconnected(i)
     rep = dispatch(q, W, policy=policy)
     assert rep.method == "components"
-    assert rep.length == rep.factorization.length == best
-    assert rep.verified and verify_equivalence(rep.factorization, W)
+    assert rep.length == rep.expression.length == best
+    assert rep.verified and verify_equivalence(rep.expression, W)
     assert rep.lower_bound is None or rep.lower_bound <= best
     if rep.optimal:
         assert rep.lower_bound == best
@@ -568,17 +569,21 @@ def test_dispatch_solves_the_parts_without_their_product():
         "components", 84_091, 700, True, True
     )
     assert rep.notes == ("Q.1: single-plan", "Q.2: single-plan")
-    assert hashlib.sha256(rep.factorization.pretty().encode()).hexdigest()[:12] == "c1f8bfac5cec"
+    assert hashlib.sha256(rep.expression.pretty().encode()).hexdigest()[:12] == "c1f8bfac5cec"
 
 
 def test_every_report_keeps_its_invariants(monkeypatch):
     """Every fixture under every policy on seeded instances (d=4, t=6, seeds
     0-2), at a budget that cuts exact search short and at the default one;
-    then two disconnected queries, an empty witness set, and the triangle
-    whose search is proven after 20 of its 24 nodes.  Each report's length
-    is its expression's, its lower bound is at most its length and proves
-    it where the two meet, and it counts no nodes unless exact ran.  The
-    only run that returns no report is the 4chain cost-model defect's."""
+    then two disconnected queries and their hierarchical and triangle parts,
+    an empty witness set, and the triangle whose search is proven after 20
+    of its 24 nodes.  Each report holds one plan per witness, or none for an
+    AND of parts or an empty set; its length less the distinct tuples is
+    the count of leaves past the first of each tuple key, the repeats the
+    CLI prints; its lower bound is at most its length and proves it where
+    the two meet, and it counts no nodes unless exact ran.  A closed form or
+    one plan for all, called alone, reports what `dispatch` reports for it.
+    The only run that returns no report is the 4chain cost-model defect's."""
     searches = []
 
     def counted(*args, **kwargs):
@@ -586,6 +591,11 @@ def test_every_report_keeps_its_invariants(monkeypatch):
         return solve_exact(*args, **kwargs)
 
     monkeypatch.setattr(special, "solve_exact", counted)
+    alone = {
+        "single-plan": lambda W: single_plan_baseline(W.query, W), "q2star": solve_q2star,
+        "triangle-unary": solve_triangle_unary, "two-chain-we": solve_two_chain_we,
+    }
+    checked = set()
     runs = [
         (q, W, policy, budget)
         for q in map(fixture_query, FIXTURE_QUERIES)
@@ -595,6 +605,10 @@ def test_every_report_keeps_its_invariants(monkeypatch):
         for budget in (10, 500_000)
     ]
     runs += [(q, W, policy, 5) for q, _, W, _ in map(_disconnected, range(2)) for policy in _POLICIES]
+    runs += [
+        (part.query, part, policy, 5)
+        for _, _, W, _ in map(_disconnected, range(2)) for part in W.parts for policy in _POLICIES
+    ]
     q = fixture_query("triangle")
     runs += [(q, WitnessSet(q, ()), policy, 10) for policy in _POLICIES]
     W = compute_witnesses(q, gen_random(GenSpec(query=q, d=5, tuples=12, seed=2)))
@@ -608,11 +622,20 @@ def test_every_report_keeps_its_invariants(monkeypatch):
             assert q.name == "four_chain" and "length" in str(exc), (q.name, policy, exc)
             defects += 1
             continue
-        assert rep.length == rep.factorization.length == rep.expression.length
+        assert len(rep.plans) == (0 if rep.method in ("components", "empty") else len(W))
+        leaves = oracles.leaf_multiset(rep.expression)
+        assert rep.length - len(W.distinct_tuples) == len(leaves) - len(set(leaves))
+        if rep.method in alone:
+            own = alone[rep.method](W)
+            assert (own.method, own.length, own.optimal, own.expression) == (
+                rep.method, rep.length, rep.optimal, rep.expression
+            ), (q.name, policy)
+            checked.add(rep.method)
         assert rep.lower_bound is None or rep.lower_bound <= rep.length
         assert rep.optimal or rep.lower_bound != rep.length, (q.name, policy, budget)
         assert searches or rep.nodes == 0
     assert 0 < defects < len(runs) // 10
+    assert checked == alone.keys()
 
 
 def test_dispatch_budget_exhaustion_falls_back_to_flow():
@@ -650,7 +673,7 @@ def test_dispatch_tells_apart_instances_with_equal_serials(policy):
     rep = dispatch(q, W, policy=policy)
     assert rep.verified
     assert rep.length == 6
-    assert rep.factorization.pretty() == "r_11 s_1_z2 t_z2_1 ∨ r_1_1z s_1z_2 t_21"
+    assert rep.expression.pretty() == "r_11 s_1_z2 t_z2_1 ∨ r_1_1z s_1z_2 t_21"
 
 
 def test_dispatch_rejects_an_unknown_policy():
